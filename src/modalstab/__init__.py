@@ -18,18 +18,17 @@ from .gains import (DecayEnvelope, GainBound, StabilityCertificate, certify_smal
                     tail_is_gain)
 from .modal import (ModalBlock, ModalSystem, SpectrumPartition, StateSpaceSystem,
                     TailModel, close_loop, closed_loop_matrix, partition_spectrum,
-                    resolvent_output, select_truncation, serial_compose, truncate)
+                    select_truncation, truncate)
 from .plants import (BoundaryLiftData, SourceProfile, boundary_derivative_check,
-                     build_heat, build_heat_boundary, build_wave,
-                     check_boundary_constraints, fourier_cos_coeffs,
+                     build_heat, build_heat_boundary, build_wave, fourier_cos_coeffs,
                      search_lift_parameter)
 from .simulate import (GainProbe, Trajectory, brute_force_gain, estimate_decay_rate,
                        matrix_exponential, simulate_autonomous, simulate_closed_loop,
                        simulate_modal, spectral_abscissa)
 from .synthesis import (ModeCheckReport, ObserverController, care_stabilizing_solution,
-                        check_detectable, check_stabilizable, design_feedback,
-                        design_observer, loop_system, matches_observer_structure,
-                        reduced_R_system, synthesize_controller)
+                        check_stabilizable, design_feedback, design_observer,
+                        loop_system, matches_observer_structure, reduced_R_system,
+                        synthesize_controller)
 
 __version__ = "0.1.0"
 

@@ -6,9 +6,13 @@ results as documents under ``--out``, and reports through the exit code:
     0  success (certify: verdict Certified)
     2  invalid configuration, plant description, or document
     3  the plant has an infinite unstable part
-    4  no stability certificate found (synthesize budget / certify verdict)
+    4  no stability certificate could be formed (synthesize budget, certify
+       verdict, no admissible beta, failed Lyapunov solve)
     5  controller synthesis failed
     6  plant and controller files do not fit together
+
+``EXIT_CODES`` maps each failure class to its code; every other toolkit
+error, and any OS, value, key or arithmetic error, exits 2.
 """
 
 from __future__ import annotations
@@ -17,16 +21,14 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import fileio
-from .errors import (CertificateNotFound, DegenerateTrajectory, DimensionMismatch,
-                     InfiniteUnstablePart, KernelResonance, NoAdmissibleParameter,
-                     NotDetectable, NotHurwitz, NotReachable, NotStabilizable,
-                     QuadratureNotConverged, RiccatiDivergence, TailUnstable,
-                     UnstableModeDiscarded)
+from .errors import (BetaExceedsDecay, CertificateNotFound, DimensionMismatch,
+                     InfiniteUnstablePart, LyapunovSolveFailed, ModalToolkitError,
+                     NoAdmissibleParameter, NotDetectable, NotHurwitz, NotReachable,
+                     NotStabilizable, RiccatiDivergence)
 from .fileio import SchemaViolation
 from .gains import decay_envelope, scan_certificate
 from .modal import (ModalSystem, StateSpaceSystem, closed_loop_matrix,
@@ -44,6 +46,18 @@ EXIT_INFINITE_UNSTABLE = 3
 EXIT_NO_CERTIFICATE = 4
 EXIT_SYNTHESIS = 5
 EXIT_DIMENSION = 6
+
+# Exception classes -> (exit code, stderr prefix); the first matching row wins.
+EXIT_CODES = {
+    (InfiniteUnstablePart,): (EXIT_INFINITE_UNSTABLE, "infinite unstable part"),
+    (CertificateNotFound, BetaExceedsDecay, LyapunovSolveFailed):
+        (EXIT_NO_CERTIFICATE, "no certificate"),
+    (NotStabilizable, NotDetectable, RiccatiDivergence, NoAdmissibleParameter, NotHurwitz):
+        (EXIT_SYNTHESIS, "synthesis failed"),
+    (DimensionMismatch,): (EXIT_DIMENSION, "dimension mismatch"),
+    (ModalToolkitError, OSError, ValueError, KeyError, ArithmeticError):
+        (EXIT_CONFIG, "invalid configuration"),
+}
 
 # Halving the tail budget more often than this cannot enlarge N further.
 MAX_EPSILON_HALVINGS = 32
@@ -340,13 +354,18 @@ def cmd_synthesize(cfg: dict, out_dir: str) -> int:
         f"no truncation up to {len(sys_.blocks)} blocks certified; increase N_max{detail}")
 
 
-def cmd_certify(cfg: dict, out_dir: str) -> int:
+def _plant_and_controller(cfg: dict, command: str):
+    """Plant from the config and the controller its controller_file names."""
     path = cfg.get("controller_file")
     if not path:
-        raise SchemaViolation("certify requires controller_file in the config")
-    sys_, lift = build_plant(cfg["plant"])
+        raise SchemaViolation(f"{command} requires controller_file in the config")
+    sys_, _lift = build_plant(cfg["plant"])
     partition_spectrum(sys_)
-    controller = controller_from_doc(fileio.read_json(path, "controller"))
+    return sys_, controller_from_doc(fileio.read_json(path, "controller"))
+
+
+def cmd_certify(cfg: dict, out_dir: str) -> int:
+    sys_, controller = _plant_and_controller(cfg, "certify")
     cert, N = _recheck_certificate(sys_, controller, cfg)
     write_certificate(out_dir, cert)
     print(f"certify: {cert.verdict} at N={N} beta={cert.beta:.9g} product={cert.product:.9g}")
@@ -372,12 +391,7 @@ def _resolve_x0(cfg: dict, n: int) -> np.ndarray:
 
 
 def cmd_simulate(cfg: dict, out_dir: str) -> int:
-    path = cfg.get("controller_file")
-    if not path:
-        raise SchemaViolation("simulate requires controller_file in the config")
-    sys_, lift = build_plant(cfg["plant"])
-    partition_spectrum(sys_)
-    controller = controller_from_doc(fileio.read_json(path, "controller"))
+    sys_, controller = _plant_and_controller(cfg, "simulate")
     # The certificate covers every truncation; the simulated one may be finer.
     cert, N_design = _recheck_certificate(sys_, controller, cfg)
     N = int(cfg["N"]) if cfg.get("N") is not None else N_design
@@ -434,16 +448,14 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
                            float(cfg["margin_fraction"]))
     beta = min(tail0.decay_alpha, r_env.alpha) / 2.0 ** int(cfg["beta_depth"])
 
-    def row(N):
+    rows = []
+    for N in ns:
         truncated, tail = truncate(sys_, N)
         controller = synthesize_controller(part, truncated)
         cert = scan_certificate(tail, _controller_loop(truncated, controller), N,
                                 margin_fraction=float(cfg["margin_fraction"]),
                                 depth=int(cfg["beta_depth"]), fixed_beta=beta)
-        return (N, cert.gain_tail.value, cert.gain_R.value, cert.product, cert.verdict)
-
-    with ThreadPoolExecutor(max_workers=min(8, len(ns))) as pool:
-        rows = list(pool.map(row, ns))
+        rows.append((N, cert.gain_tail.value, cert.gain_R.value, cert.product, cert.verdict))
     fileio.write_sweep_csv(os.path.join(out_dir, "sweep.csv"), rows)
     certified = [r for r in rows if r[4] == "Certified"]
     first = f" first Certified at N={certified[0][0]}" if certified else ""
@@ -491,24 +503,12 @@ def main(argv=None) -> int:
             print(fileio.dumps_canonical(cfg))
         os.makedirs(args.out, exist_ok=True)
         return COMMANDS[args.command](cfg, args.out)
-    except InfiniteUnstablePart as exc:
-        return _fail(EXIT_INFINITE_UNSTABLE, f"infinite unstable part: {exc}")
-    except CertificateNotFound as exc:
-        return _fail(EXIT_NO_CERTIFICATE, f"no certificate: {exc}")
-    except (NotStabilizable, NotDetectable, RiccatiDivergence,
-            NoAdmissibleParameter, NotHurwitz) as exc:
-        return _fail(EXIT_SYNTHESIS, f"synthesis failed: {exc}")
-    except DimensionMismatch as exc:
-        return _fail(EXIT_DIMENSION, f"dimension mismatch: {exc}")
-    except (SchemaViolation, QuadratureNotConverged, TailUnstable, KernelResonance,
-            UnstableModeDiscarded, NotReachable, DegenerateTrajectory,
-            FileNotFoundError, ValueError, KeyError) as exc:
-        return _fail(EXIT_CONFIG, f"invalid configuration: {exc}")
-
-
-def _fail(code: int, message: str) -> int:
-    print(message, file=sys.stderr)
-    return code
+    except Exception as exc:
+        for classes, (code, prefix) in EXIT_CODES.items():
+            if isinstance(exc, classes):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -107,13 +107,6 @@ def matrix_from_doc(doc, rows: int = None, cols: int = None) -> np.ndarray:
     return M
 
 
-def float_from_doc(value):
-    """Inverse of format_float's non-finite encoding."""
-    if isinstance(value, str):
-        return float(value)
-    return float(value)
-
-
 _REGISTRY = None
 _VALIDATORS = {}
 
@@ -152,8 +145,6 @@ def read_json(path: str, schema_name: str = None) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except FileNotFoundError:
-        raise
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"{path}: invalid JSON: {exc}") from exc
     if schema_name is not None:

@@ -28,9 +28,6 @@ from .modal import TailModel
 # Provenance markers recorded on every bound.
 GRAPH_BOUND = "graph-bound"
 BOUNDED_GENERATOR = "bounded-generator"
-COMPOSED = "composed"
-LYAPUNOV = "lyapunov"
-EMPIRICAL = "empirical"
 
 BETA_GRID_DEPTH = 12
 
@@ -135,39 +132,6 @@ def gain_strong(env: DecayEnvelope, beta: float, norm_b: float, norm_c: float, n
     h = GainBound(beta, h_val, "IS", (0, 1), BOUNDED_GENERATOR)
     g = GainBound(beta, g_val, "IO", (0, 1), BOUNDED_GENERATOR)
     return h, g
-
-
-def compose_serial(g1: GainBound, g2: GainBound) -> GainBound:
-    """IO bound for a cascade: stage 2 after stage 1, value g1 * g2."""
-    if g1.kind != "IO" or g2.kind != "IO":
-        raise ValueError("compose_serial combines IO bounds")
-    if g1.beta != g2.beta:
-        raise BetaMismatch(f"beta {g1.beta:g} != {g2.beta:g}")
-    if g1.smoothness[1] < g2.smoothness[0]:
-        raise SmoothnessMismatch(
-            f"stage 1 emits smoothness {g1.smoothness[1]}, stage 2 needs {g2.smoothness[0]}")
-    return GainBound(g1.beta, g1.value * g2.value, "IO",
-                     (g1.smoothness[0], g2.smoothness[1]), COMPOSED)
-
-
-def compose_is(h1: GainBound, h2: GainBound, g1: GainBound) -> GainBound:
-    """IS bound for a cascade: h1 + h2 * g1.
-
-    ``h1`` bounds the stage-1 state, ``g1`` the stage-1 output feeding
-    stage 2, ``h2`` the stage-2 state against its own input.
-    """
-    if h1.kind != "IS" or h2.kind != "IS" or g1.kind != "IO":
-        raise ValueError("compose_is takes (IS, IS, IO) bounds")
-    if not (h1.beta == h2.beta == g1.beta):
-        raise BetaMismatch("all bounds must share beta")
-    if g1.smoothness[0] != h1.smoothness[0]:
-        raise SmoothnessMismatch("h1 and g1 must describe the same input class")
-    if g1.smoothness[1] < h2.smoothness[0]:
-        raise SmoothnessMismatch(
-            f"stage 1 emits smoothness {g1.smoothness[1]}, stage 2 needs {h2.smoothness[0]}")
-    value = h1.value + h2.value * g1.value
-    smooth = (h1.smoothness[0], min(h1.smoothness[1], h2.smoothness[1]))
-    return GainBound(h1.beta, value, "IS", smooth, COMPOSED)
 
 
 def decay_envelope(A: np.ndarray, margin_fraction: float = 0.5) -> DecayEnvelope:
@@ -328,16 +292,13 @@ def scan_certificate(tail: TailModel, r_sys, N: int,
     certifies, the minimum-product attempt is returned with verdict Failed.
     With ``fixed_beta`` set, only that single beta is evaluated.
     """
-    diagnostics = []
     if tail.decay_alpha <= 0:
         raise BetaExceedsDecay(f"tail decay rate {tail.decay_alpha:g} <= 0")
     try:
         r_env = decay_envelope(r_sys.A, margin_fraction)
     except NotHurwitz as exc:
         dummy = GainBound(0.0, math.inf, "IO", (0, 1), BOUNDED_GENERATOR)
-        dummy_is = GainBound(0.0, math.inf, "IS", (0, 1), BOUNDED_GENERATOR)
         t_io = GainBound(0.0, tail.input_norm * tail.output_graph_norm, "IO", (1, 0), GRAPH_BOUND)
-        t_is = GainBound(0.0, tail.input_norm, "IS", (1, 1), GRAPH_BOUND)
         return StabilityCertificate(
             beta=0.0, gain_R=dummy, gain_tail=t_io, product=math.inf,
             truncation_N=int(N), verdict="Failed",
@@ -359,8 +320,4 @@ def scan_certificate(tail: TailModel, r_sys, N: int,
             best = cert
     if best is None:
         raise BetaExceedsDecay("no grid beta lies strictly below both decay rates")
-    return StabilityCertificate(
-        beta=best.beta, gain_R=best.gain_R, gain_tail=best.gain_tail,
-        product=best.product, truncation_N=best.truncation_N, verdict="Failed",
-        diagnostics=best.diagnostics + tuple(diagnostics),
-    )
+    return best

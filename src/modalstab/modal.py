@@ -173,18 +173,6 @@ class ModalSystem:
                 raise DimensionMismatch(
                     f"block {blk.label} has output dim {blk.output_dim}, system has {self.output_dim}")
 
-    @property
-    def total_dim(self) -> int:
-        return sum(blk.dim for blk in self.blocks)
-
-    def block_offsets(self) -> list:
-        """State offsets of each block in the concatenated ordering."""
-        offsets, pos = [], 0
-        for blk in self.blocks:
-            offsets.append(pos)
-            pos += blk.dim
-        return offsets
-
 
 @dataclass(frozen=True)
 class StateSpaceSystem:
@@ -299,44 +287,6 @@ def partition_spectrum(sys: ModalSystem, margin: float = None) -> SpectrumPartit
         margin_omega=omega,
         unstable_dim=sum(blk.dim for blk in unstable),
     )
-
-
-def resolvent_output(sys: ModalSystem, lam: complex) -> np.ndarray:
-    """Output-side resolvent C (lam - A)^{-1} over the resolved blocks.
-
-    Returns a (p, total_dim) matrix assembled block by block in canonical
-    order.  Raises ``ResolventAtEigenvalue`` when lam is within
-    1e-9 * (1 + |lam|) of any resolved eigenvalue.
-    """
-    lam = complex(lam)
-    tol = EIG_COINCIDENCE_RTOL * (1.0 + abs(lam))
-    cols = []
-    for blk in sys.blocks:
-        eigs = blk.eigenvalues()
-        gap = np.min(np.abs(eigs - lam))
-        if gap < tol:
-            raise ResolventAtEigenvalue(
-                f"lambda = {lam:g} is within {gap:.3e} of an eigenvalue of block {blk.label}")
-        shifted = lam * np.eye(blk.dim, dtype=np.complex128) - blk.block_matrix
-        cols.append(blk.output_col @ np.linalg.inv(shifted))
-    if not cols:
-        return np.zeros((sys.output_dim, 0), dtype=np.complex128)
-    return np.hstack(cols)
-
-
-def serial_compose(s1: StateSpaceSystem, s2: StateSpaceSystem) -> StateSpaceSystem:
-    """Cascade s2 after s1 (the output of s1 drives the input of s2)."""
-    if s1.p != s2.m:
-        raise DimensionMismatch(f"s1 outputs {s1.p} signals, s2 expects {s2.m}")
-    n1, n2 = s1.n, s2.n
-    A = np.zeros((n1 + n2, n1 + n2), dtype=np.complex128)
-    A[:n1, :n1] = s1.A
-    A[n1:, :n1] = s2.B @ s1.C
-    A[n1:, n1:] = s2.A
-    B = np.vstack([s1.B, s2.B @ s1.D])
-    C = np.hstack([s2.D @ s1.C, s2.C])
-    D = s2.D @ s1.D
-    return StateSpaceSystem(A, B, C, D)
 
 
 def closed_loop_matrix(plant: StateSpaceSystem, controller: StateSpaceSystem) -> np.ndarray:

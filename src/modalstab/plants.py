@@ -35,7 +35,7 @@ KERNEL_ATOL = 1e-9
 KERNEL_AMBIGUOUS = 1e-6
 CRITICAL_ATOL = 1e-9
 
-_PROFILE_KINDS = ("constant", "cosine", "indicator", "coefficients", "samples", "callable")
+_PROFILE_KINDS = ("constant", "cosine", "indicator", "coefficients", "samples")
 
 
 def exact_sin_pi(x: float) -> float:
@@ -52,17 +52,6 @@ def exact_sin_pi(x: float) -> float:
             return 0.0
         return 1.0 if (n - 1) % 4 == 0 else -1.0
     return math.sin(math.pi * x)
-
-
-def exact_cos_pi(x: float) -> float:
-    """cos(pi x) with exact values at integer and half-integer x."""
-    two_x = 2.0 * x
-    n = round(two_x)
-    if two_x == n:
-        if n % 2 == 0:
-            return 1.0 if n % 4 == 0 else -1.0
-        return 0.0
-    return math.cos(math.pi * x)
 
 
 def _sin_pi_arr(x: np.ndarray) -> np.ndarray:
@@ -96,8 +85,7 @@ class SourceProfile:
     the heat plants, k = j + 1/2 for the wave plant).  ``samples`` holds
     values on a uniform grid over [0, 1] including both endpoints, with the
     panel count divisible by four so the quadrature error can be estimated
-    by grid halving.  ``callable`` wraps an arbitrary function evaluated by
-    adaptive quadrature.
+    by grid halving.
     """
 
     kind: str
@@ -106,7 +94,6 @@ class SourceProfile:
     xi1: float = 0.0
     xi2: float = 1.0
     values: tuple = ()
-    func: object = None
 
     def __post_init__(self):
         if self.kind not in _PROFILE_KINDS:
@@ -125,8 +112,6 @@ class SourceProfile:
                     raise ValueError(
                         "samples need 4m+1 uniform points including both endpoints")
             object.__setattr__(self, "values", vals)
-        if self.kind == "callable" and not callable(self.func):
-            raise ValueError("callable profile requires a function")
 
     @classmethod
     def constant(cls, c: float) -> "SourceProfile":
@@ -147,51 +132,6 @@ class SourceProfile:
     @classmethod
     def samples(cls, values) -> "SourceProfile":
         return cls(kind="samples", values=tuple(values))
-
-    @classmethod
-    def from_callable(cls, func) -> "SourceProfile":
-        return cls(kind="callable", func=func)
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
-
-
-def _gl_panel(func, lo: float, hi: float) -> float:
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    pts = mid + half * _GL_NODES
-    vals = np.array([func(float(x)) for x in pts], dtype=np.float64)
-    return float(half * np.dot(_GL_WEIGHTS, vals))
-
-
-def gauss_adaptive(func, lo: float, hi: float, rtol: float = 1e-12,
-                   atol: float = 1e-15, max_depth: int = 28) -> float:
-    """Adaptive Gauss-Legendre integral of func over [lo, hi].
-
-    Panels split until the 15-point value agrees with its two-half
-    refinement; the difference overestimates the refined panel's error.
-    """
-    coarse = _gl_panel(func, lo, hi)
-    scale = max(1.0, abs(coarse))
-    budget = max(atol, rtol * scale)
-    total = 0.0
-    # stack entries: (lo, hi, coarse value, depth)
-    stack = [(lo, hi, coarse, 0)]
-    while stack:
-        a, b, whole, depth = stack.pop()
-        mid = 0.5 * (a + b)
-        left = _gl_panel(func, a, mid)
-        right = _gl_panel(func, mid, b)
-        err = abs(whole - (left + right))
-        if err <= budget * (b - a) / (hi - lo) or err <= atol:
-            total += left + right
-            continue
-        if depth >= max_depth:
-            raise QuadratureNotConverged(
-                f"panel [{a:g}, {b:g}] still off by {err:.3e} at depth {depth}")
-        stack.append((a, mid, left, depth + 1))
-        stack.append((mid, b, right, depth + 1))
-    return total
 
 
 def _simpson(vals: np.ndarray, h: float) -> float:
@@ -251,11 +191,6 @@ def _raw_cos_inner(profile: SourceProfile, ks: np.ndarray) -> np.ndarray:
             _samples_integral(np.asarray(profile.values),
                               weight_fn=lambda g, k=float(k): np.cos(np.pi * k * g))
             for k in ks])
-    if profile.kind == "callable":
-        return np.array([
-            gauss_adaptive(lambda x, k=float(k): profile.func(x) * math.cos(math.pi * k * x),
-                           0.0, 1.0)
-            for k in ks])
     raise ValueError(f"no inner products for profile kind {profile.kind!r}")
 
 
@@ -303,9 +238,18 @@ def profile_l2_norm_sq(profile: SourceProfile, basis: str = "integer") -> float:
         if basis == "integer":
             return float(vals[0] ** 2 + 0.5 * np.sum(vals[1:] ** 2))
         return float(0.5 * np.sum(vals ** 2))
-    if profile.kind == "samples":
-        return _samples_integral(np.asarray(profile.values) ** 2)
-    return gauss_adaptive(lambda x: profile.func(x) ** 2, 0.0, 1.0)
+    return _samples_integral(np.asarray(profile.values) ** 2)
+
+
+def _quartic_remainder(b: float, K: float) -> tuple:
+    """(bound, slack) for the sum over k > K of (pi^2 k^2 - b)^-2.
+
+    With slack s = 1 - b/(pi K)^2 for b > 0 and s = 1 otherwise, every
+    k > K has pi^2 k^2 - b >= s pi^2 k^2, so the sum is at most the integral
+    comparison 1 / (3 pi^4 K^3 s^2).
+    """
+    slack = 1.0 - b / (np.pi ** 2 * K ** 2) if b > 0 else 1.0
+    return 1.0 / (3.0 * np.pi ** 4 * K ** 3 * slack ** 2), slack
 
 
 def _heat_tail_output_sq(b: float, N: int) -> float:
@@ -315,14 +259,10 @@ def _heat_tail_output_sq(b: float, N: int) -> float:
     k^-4, so the series past TAIL_SERIES_LIMIT is dominated by the integral
     of (pi^2 k^2 - b)^-2.
     """
-    K = TAIL_SERIES_LIMIT
-    ks = np.arange(N + 1, K + 1, dtype=np.float64)
+    ks = np.arange(N + 1, TAIL_SERIES_LIMIT + 1, dtype=np.float64)
     lam = b - np.pi ** 2 * ks ** 2
     partial = float(np.sum((1.0 / (1.0 + np.abs(lam))) ** 2))
-    # integral comparison for k > K; the (1 - b/(pi K)^2) factor absorbs b
-    slack = 1.0 - b / (np.pi ** 2 * K ** 2) if b > 0 else 1.0
-    remainder = 1.0 / (3.0 * np.pi ** 4 * K ** 3 * slack ** 2)
-    return partial + remainder
+    return partial + _quartic_remainder(b, TAIL_SERIES_LIMIT)[0]
 
 
 def _heat_tail_input_sq(profile: SourceProfile, coeffs: np.ndarray) -> float:
@@ -444,8 +384,7 @@ def build_wave(b: float, kappa: float, f: SourceProfile,
     if np.pi ** 2 * (K_last + 1.0) ** 2 - b < 2.0 * kappa ** 2:
         raise TailUnstable("damping too large for the tail output bound; increase N_max")
     # past the summed range, term_k <= 2 / omega_k^4 (valid once omega >= sqrt(2) kappa)
-    out_remainder = 2.0 / (3.0 * np.pi ** 4 * K_last ** 3
-                           * max(1e-3, 1.0 - b / (np.pi ** 2 * K_last ** 2)) ** 2)
+    out_remainder = 2.0 * _quartic_remainder(b, K_last)[0]
     tail = TailModel(
         decay_alpha=decay,
         input_norm=math.sqrt(tail_input_sq),
@@ -533,7 +472,7 @@ class BoundaryLiftData:
 
 
 def _require_summable(f: SourceProfile):
-    if f.kind in ("samples", "callable"):
+    if f.kind == "samples":
         raise QuadratureNotConverged(
             "the boundary lift sums coefficient series far past any fixed quadrature "
             "budget; convert the profile with fourier_cos_coeffs to a coefficients "
@@ -588,9 +527,7 @@ def _lift_pieces(b: float, f: SourceProfile, a: float, N_resolved: int) -> dict:
     u_output = h_at_0 + float(np.sum(g1)) + float(np.sum(g1_far))
 
     l2_sq = profile_l2_norm_sq(f, basis="integer")
-    K = float(TAIL_SERIES_LIMIT)
-    slack = max(1e-3, 1.0 - b / (np.pi ** 2 * K ** 2))
-    lam_tail_sq = 1.0 / (3.0 * np.pi ** 4 * K ** 3 * slack ** 2)
+    lam_tail_sq = _quartic_remainder(b, TAIL_SERIES_LIMIT)[0]
     remainder = (math.sqrt(2.0 * l2_sq * lam_tail_sq)
                  + 2.0 * (a + 2.0) * lam_tail_sq ** 0.5 / math.pi)
 
@@ -598,8 +535,7 @@ def _lift_pieces(b: float, f: SourceProfile, a: float, N_resolved: int) -> dict:
         "ks": ks, "f": f_coeffs, "h": h_coeffs, "lam": lam, "kernel": kernel,
         "g1": g1, "g2": g2, "h_at_0": h_at_0, "u_output": u_output,
         "remainder": remainder, "scale_b": scale_b,
-        "far": far, "g1_far": g1_far, "h_far": h_far, "f_far": f_far,
-        "lam_far": lam_far, "l2_sq": l2_sq,
+        "g1_far": g1_far, "h_far": h_far, "l2_sq": l2_sq,
     }
 
 
@@ -630,27 +566,6 @@ def _entries_to_report(raw_entries: list, tolerance: float, scale: float) -> Con
         tolerance=tolerance,
         scale=scale,
     )
-
-
-def check_boundary_constraints(data: BoundaryLiftData, b: float,
-                               tolerance: float = 1e-8) -> ConstraintReport:
-    """Evaluate every lift non-degeneracy inequality from stored coefficients.
-
-    Pass thresholds are relative to the largest magnitude in this report.
-    """
-    scale_b = max(1.0, abs(b))
-    raw = []
-    lam = b - np.pi ** 2 * np.arange(len(data.h_coeffs), dtype=np.float64) ** 2
-    for k in range(len(data.h_coeffs)):
-        if k == data.kernel_index or lam[k] <= KERNEL_ATOL * scale_b:
-            continue
-        raw.append(("input_mode", k, float(data.h_coeffs[k] + data.g1_coeffs[k])))
-    if data.kernel_index >= 0:
-        raw.append(("kernel_coupling", data.kernel_index,
-                    float(data.g2_coeffs[data.kernel_index])))
-    raw.append(("u_output", -1, float(data.u_output)))
-    scale = max(1.0, max(abs(v) for _, _, v in raw))
-    return _entries_to_report(raw, tolerance, scale)
 
 
 def default_lift_grid(b: float) -> list:
@@ -747,9 +662,9 @@ def build_heat_boundary(b: float, f: SourceProfile, a: float,
             label=-1))
 
     tail_in_sq = float(np.sum((pieces["h_far"] + pieces["g1_far"]) ** 2))
-    K = float(TAIL_SERIES_LIMIT)
-    slack = max(1e-3, 1.0 - b / (np.pi ** 2 * K ** 2))
-    far_sq_remainder = (8.0 * (a + 2.0) ** 2 / (3.0 * np.pi ** 4 * K ** 3 * slack ** 2)
+    K = TAIL_SERIES_LIMIT
+    quartic, slack = _quartic_remainder(b, K)
+    far_sq_remainder = (8.0 * (a + 2.0) ** 2 * quartic
                         + 2.0 * pieces["l2_sq"] / (np.pi ** 2 * K ** 2 * slack) ** 2)
     tail = TailModel(
         decay_alpha=alpha_tail,

@@ -72,7 +72,14 @@ def _pencil_rank_margin(pencil: np.ndarray, dim: int, rank_rtol: float):
     return margin > rank_rtol, margin
 
 
-def _mode_report(sys: ModalSystem, rank_rtol: float) -> ModeCheckReport:
+def check_stabilizable(sys: ModalSystem, rank_rtol: float = RANK_RTOL) -> ModeCheckReport:
+    """Rank test [lambda I - A_k, B_k] at every unstable block eigenvalue.
+
+    Block spectra are disjoint by construction, so per-block tests decide
+    stabilizability of the whole resolved part.  The report also carries the
+    dual (detectability) results, [lambda I - A_k; C_k], since both share the
+    spectral work.
+    """
     entries = []
     bad_stab, bad_det = [], []
     for blk in sys.blocks:
@@ -113,21 +120,6 @@ def _mode_report(sys: ModalSystem, rank_rtol: float) -> ModeCheckReport:
         offending_stabilizable=tuple(bad_stab),
         offending_detectable=tuple(bad_det),
     )
-
-
-def check_stabilizable(sys: ModalSystem, rank_rtol: float = RANK_RTOL) -> ModeCheckReport:
-    """Rank test [lambda I - A_k, B_k] at every unstable block eigenvalue.
-
-    Block spectra are disjoint by construction, so per-block tests decide
-    stabilizability of the whole resolved part.  The report also carries the
-    dual (detectability) results since both share the spectral work.
-    """
-    return _mode_report(sys, rank_rtol)
-
-
-def check_detectable(sys: ModalSystem, rank_rtol: float = RANK_RTOL) -> ModeCheckReport:
-    """Rank test stacking [lambda I - A_k; C_k] at unstable block eigenvalues."""
-    return _mode_report(sys, rank_rtol)
 
 
 def _pbh_dense(A: np.ndarray, B: np.ndarray, rank_rtol: float) -> bool:

@@ -2,9 +2,11 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modalstab.cli import main
-from modalstab.fileio import read_json
+from modalstab.fileio import read_json, validate_document
 
 GEOMETRIC = [1.0 / (k + 1) ** 2 for k in range(17)]
 
@@ -193,3 +195,98 @@ def test_sweep_monotone_tail_and_stable_gain_R(tmp_path):
 def test_sweep_rejects_empty_list(tmp_path):
     code, _ = run(tmp_path, "sweep", {"plant": HEAT, "sweep_N": []})
     assert code == 2
+
+
+# Synthesizes at N=1 with a one-state controller; certify and simulate below
+# pair it with other plants.
+CONST_HEAT = {"type": "heat", "b": 5.0, "f": {"kind": "constant", "value": 1.0},
+              "N_max": 16}
+
+
+@pytest.fixture(scope="module")
+def const_heat_controller(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("const_heat")
+    code, out = run(tmp, "synthesize", {"plant": CONST_HEAT})
+    assert code == 0
+    return str(out / "controller.json")
+
+
+@pytest.mark.parametrize("command, extra, expected", [
+    # schema error: the only beta grid point would be alpha_min itself
+    ("synthesize", {"plant": CONST_HEAT, "beta_depth": 0}, 2),
+    # one step of length 1e20 overflows the matrix exponential
+    ("simulate", {"plant": CONST_HEAT, "horizon": 1e20, "dt": 1e20}, 2),
+    # the full-loop Lyapunov solve fails on a numerically marginal plant
+    ("certify", {"plant": {"type": "heat", "b": -6.557683840118997e-134,
+                           "f": {"kind": "constant", "value": 0.0}}}, 4),
+], ids=["beta_depth_0", "overflowing_step", "lyapunov_failure"])
+def test_former_tracebacks_exit_with_one_line(tmp_path, capsys, const_heat_controller,
+                                              command, extra, expected):
+    cfg = dict(extra)
+    if command in ("certify", "simulate"):
+        cfg["controller_file"] = const_heat_controller
+    code, _ = run(tmp_path, command, cfg)
+    assert code == expected
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+# Most draws land where plants build and controllers certify; the rest may be
+# any finite JSON number.
+_numbers = st.one_of(st.floats(min_value=-20.0, max_value=40.0),
+                     st.floats(allow_nan=False, allow_infinity=False))
+_profiles = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("constant"), "value": _numbers}),
+    st.fixed_dictionaries({"kind": st.just("cosine"),
+                           "k0": st.floats(min_value=0.0, max_value=40.0)}),
+    st.fixed_dictionaries({"kind": st.just("indicator"),
+                           "xi1": st.floats(min_value=0.0, max_value=1.0),
+                           "xi2": st.floats(min_value=0.0, max_value=1.0)}),
+    st.fixed_dictionaries({"kind": st.just("coefficients"),
+                           "values": st.lists(_numbers, min_size=1, max_size=20)}),
+    st.fixed_dictionaries({"kind": st.just("samples"),
+                           "values": st.lists(_numbers, min_size=5, max_size=17)}),
+)
+_n_max = st.integers(min_value=1, max_value=16)
+_plants = st.one_of(
+    st.fixed_dictionaries({"type": st.just("heat"), "b": _numbers, "f": _profiles},
+                          optional={"N_max": _n_max}),
+    st.fixed_dictionaries({"type": st.just("wave"), "b": _numbers,
+                           "kappa": st.one_of(st.floats(min_value=0.0, max_value=4.0),
+                                              _numbers),
+                           "f": _profiles},
+                          optional={"N_max": _n_max}),
+)
+
+
+@st.composite
+def _configs(draw):
+    # at most 2e4 simulation steps keeps the whole property test near 10 s
+    dt = draw(st.floats(min_value=1e-3, max_value=1e20))
+    steps = draw(st.integers(min_value=1, max_value=2 * 10 ** 4))
+    cfg = draw(st.fixed_dictionaries({"plant": _plants}, optional={
+        "N": st.integers(min_value=1, max_value=40),
+        "epsilon": st.floats(min_value=1e-12, max_value=1e3),
+        "beta_depth": st.integers(min_value=1, max_value=40),
+        "margin_fraction": st.floats(min_value=0.0, max_value=1.0,
+                                     exclude_min=True, exclude_max=True),
+        "seed": st.integers(min_value=0, max_value=2 ** 32),
+        "x0": st.one_of(st.sampled_from(["ones", "random"]),
+                        st.lists(_numbers, min_size=1, max_size=4)),
+        "sweep_N": st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=4),
+    }))
+    cfg["dt"] = dt
+    cfg["horizon"] = dt * steps
+    return cfg
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(command=st.sampled_from(["analyze", "synthesize", "certify", "simulate", "sweep"]),
+       cfg=_configs())
+def test_schema_valid_configs_end_in_documented_exit_codes(tmp_path_factory,
+                                                           const_heat_controller,
+                                                           command, cfg):
+    if command in ("certify", "simulate"):
+        cfg["controller_file"] = const_heat_controller
+    validate_document(cfg, "config")
+    code, _ = run(tmp_path_factory.mktemp("prop"), command, cfg)
+    assert code in (0, 2, 3, 4, 5, 6)

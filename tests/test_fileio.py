@@ -1,6 +1,5 @@
 import json
 import math
-import pathlib
 
 import numpy as np
 import pytest
@@ -124,17 +123,6 @@ def test_sweep_csv_layout(tmp_path):
     assert lines[0] == "N,tail_gain,gain_R,product,verdict"
     assert lines[1].split(",") == ["2", "0.5", "3", "1.5", "Failed"]
     assert lines[2].endswith("Certified")
-
-
-def test_packaged_schemas_match_docs_copies():
-    root = pathlib.Path(__file__).resolve().parents[1]
-    src_dir = root / "src" / "modalstab" / "schemas"
-    docs_dir = root / "docs" / "schemas"
-    names = sorted(p.name for p in src_dir.glob("*.json"))
-    assert names == sorted(p.name for p in docs_dir.glob("*.json"))
-    assert names == sorted(f"{n}.schema.json" for n in SCHEMA_NAMES)
-    for name in names:
-        assert (src_dir / name).read_bytes() == (docs_dir / name).read_bytes()
 
 
 def test_schema_text_is_valid_json():

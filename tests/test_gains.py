@@ -8,7 +8,7 @@ from modalstab import (DecayEnvelope, GainBound, StabilityCertificate,
                        scan_certificate, tail_gain, tail_is_gain, truncate)
 from modalstab.errors import (BetaExceedsDecay, BetaMismatch, NotHurwitz,
                               SmoothnessMismatch)
-from modalstab.gains import beta_grid, compose_is, compose_serial
+from modalstab.gains import beta_grid
 from modalstab.modal import TailModel
 from modalstab.plants import SourceProfile, build_heat
 from modalstab.simulate import matrix_exponential
@@ -73,22 +73,6 @@ def test_gains_monotone_in_beta():
     strong = [gain_strong(env, b, 0.7, 1.3, 2.0)[1].value for b in betas]
     assert all(x <= y for x, y in zip(weak, weak[1:]))
     assert all(x <= y for x, y in zip(strong, strong[1:]))
-
-
-def test_compose_serial_and_is():
-    g1 = GainBound(0.1, 0.3, "IO", (1, 0), "x")
-    g2 = GainBound(0.1, 2.0, "IO", (0, 1), "x")
-    assert compose_serial(g1, g2).value == pytest.approx(0.6)
-
-    h1 = GainBound(0.1, 1.0, "IS", (1, 1), "x")
-    h2 = GainBound(0.1, 2.0, "IS", (0, 1), "x")
-    assert compose_is(h1, h2, g1).value == pytest.approx(1.0 + 2.0 * 0.3)
-
-    with pytest.raises(BetaMismatch):
-        compose_serial(g1, GainBound(0.2, 2.0, "IO", (0, 1), "x"))
-    with pytest.raises(SmoothnessMismatch):
-        # Stage 1 emits smoothness 0; stage 2 demands smoothness 1.
-        compose_serial(g1, GainBound(0.1, 2.0, "IO", (1, 0), "x"))
 
 
 def test_decay_envelope_identity_oracle():

@@ -3,7 +3,7 @@ import pytest
 
 from modalstab import (ModalBlock, ModalSystem, StateSpaceSystem, TailModel,
                        close_loop, closed_loop_matrix, partition_spectrum,
-                       resolvent_output, select_truncation, serial_compose, truncate)
+                       select_truncation, truncate)
 from modalstab.errors import (DimensionMismatch, InfiniteUnstablePart, NotReachable,
                               ResolventAtEigenvalue, UnstableModeDiscarded)
 from modalstab.plants import SourceProfile, build_heat, build_wave
@@ -107,73 +107,6 @@ def test_partition_margin_validation():
     with pytest.raises(ValueError):
         # Tail reaches Re = -0.5, stricter margin claims are rejected.
         partition_spectrum(sys_, margin=-1.0)
-
-
-def test_resolvent_scalar_block():
-    sys_ = toy_system([-PI2])
-    R = resolvent_output(sys_, 0.0)
-    assert R.shape == (1, 1)
-    assert R[0, 0] == pytest.approx(1.0 / PI2, rel=1e-14)
-
-
-def test_resolvent_at_eigenvalue_raises():
-    sys_ = toy_system([-PI2])
-    with pytest.raises(ResolventAtEigenvalue):
-        resolvent_output(sys_, -PI2)
-    with pytest.raises(ResolventAtEigenvalue):
-        resolvent_output(sys_, -PI2 + 1e-11)
-
-
-def test_resolvent_wave_block_against_dense_inverse():
-    k = 0.5
-    M = np.array([[0.0, 1.0], [-PI2 * k * k, -1.0]])
-    blk = ModalBlock(block_matrix=M, input_row=[[0.0], [1.0]],
-                     output_col=[[1.0, 0.0]], label=0)
-    tail = TailModel(decay_alpha=1.0, input_norm=0.0, output_graph_norm=0.0)
-    sys_ = ModalSystem(blocks=[blk], tail=tail, input_dim=1, output_dim=1)
-    lam = 1.0 + 0.0j
-    R = resolvent_output(sys_, lam)
-    dense = np.array([[1.0, 0.0]]) @ np.linalg.inv(lam * np.eye(2) - M)
-    assert np.max(np.abs(R - dense)) < 1e-14
-
-
-def test_serial_compose_with_memoryless_identity():
-    rng = np.random.default_rng(1)
-    s1 = random_system(rng, 3)
-    ident = StateSpaceSystem(np.zeros((0, 0)), np.zeros((0, 1)),
-                             np.zeros((1, 0)), np.eye(1))
-    s = serial_compose(s1, ident)
-    assert s.n == 3
-    assert np.allclose(s.A, s1.A)
-    assert np.allclose(s.C, s1.C)
-    assert np.allclose(s.B, s1.B)
-
-
-def test_serial_compose_scalar_cascade():
-    s1 = StateSpaceSystem([[-1.0]], [[2.0]], [[3.0]])
-    s2 = StateSpaceSystem([[-4.0]], [[5.0]], [[6.0]])
-    s = serial_compose(s1, s2)
-    # Coupling entry b2 c1 in the lower-left corner.
-    assert np.allclose(s.A, [[-1.0, 0.0], [15.0, -4.0]])
-    eigs = np.sort_complex(np.linalg.eigvals(s.A))
-    assert np.allclose(eigs, [-4.0, -1.0])
-
-
-def test_serial_compose_spectrum_union(rng):
-    for _ in range(10):
-        # Distinct margins keep the factor spectra disjoint; a shared
-        # eigenvalue would be defective in the cascade and split by sqrt(eps).
-        s1 = random_system(rng, 4, m=2, p=3, margin=0.2)
-        s2 = random_system(rng, 3, m=3, p=2, margin=0.3)
-        s = serial_compose(s1, s2)
-        expected = np.concatenate([np.linalg.eigvals(s1.A), np.linalg.eigvals(s2.A)])
-        assert eig_match_distance(np.linalg.eigvals(s.A), expected) < 1e-9
-
-
-def test_serial_compose_dimension_mismatch():
-    rng = np.random.default_rng(2)
-    with pytest.raises(DimensionMismatch):
-        serial_compose(random_system(rng, 2, p=2), random_system(rng, 2, m=3))
 
 
 def test_close_loop_zero_controller():

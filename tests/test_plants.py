@@ -9,31 +9,15 @@ from modalstab import (SourceProfile, build_heat, build_heat_boundary, build_wav
 from modalstab.errors import (InfiniteUnstablePart, KernelResonance,
                               NoAdmissibleParameter, QuadratureNotConverged,
                               TailUnstable)
-from modalstab.plants import (boundary_derivative_check, check_boundary_constraints,
-                              default_lift_grid, exact_cos_pi, exact_sin_pi,
-                              fourier_cos_coeffs, gauss_adaptive, lift_h,
-                              profile_l2_norm_sq)
+from modalstab.plants import (boundary_derivative_check, default_lift_grid, exact_sin_pi,
+                              fourier_cos_coeffs, lift_h, profile_l2_norm_sq)
 
 
 def test_exact_trig_values():
     assert exact_sin_pi(3.0) == 0.0
     assert exact_sin_pi(0.5) == 1.0
     assert exact_sin_pi(1.5) == -1.0
-    assert exact_cos_pi(2.0) == 1.0
-    assert exact_cos_pi(1.0) == -1.0
-    assert exact_cos_pi(0.5) == 0.0
     assert exact_sin_pi(0.3) == pytest.approx(math.sin(0.3 * math.pi), rel=1e-15)
-
-
-def test_gauss_adaptive_polynomial():
-    assert gauss_adaptive(lambda x: x ** 2, 0.0, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-13)
-    val = gauss_adaptive(lambda x: math.cos(40.0 * math.pi * x) ** 2, 0.0, 1.0)
-    assert val == pytest.approx(0.5, rel=1e-11)
-
-
-def test_gauss_adaptive_depth_exhaustion():
-    with pytest.raises(QuadratureNotConverged):
-        gauss_adaptive(lambda x: math.cos(300.0 * math.pi * x), 0.0, 1.0, max_depth=0)
 
 
 def test_profile_validation():
@@ -45,8 +29,6 @@ def test_profile_validation():
         SourceProfile.cosine(-1.0)
     with pytest.raises(ValueError):
         SourceProfile.samples([1.0, 2.0, 3.0])  # needs 4m+1 points
-    with pytest.raises(ValueError):
-        SourceProfile.from_callable(None)
 
 
 def test_constant_coefficients_exact():
@@ -77,14 +59,6 @@ def test_indicator_half_interval_exact_zero():
     assert coeffs[2] == 0.0  # sin(pi) folds to an exact zero
     assert coeffs[4] == 0.0
     assert coeffs[1] == pytest.approx(2.0 / math.pi, rel=1e-14)
-
-
-def test_callable_coefficients_against_closed_form():
-    coeffs = fourier_cos_coeffs(SourceProfile.from_callable(lambda x: x), 5)
-    assert coeffs[0] == pytest.approx(0.5, rel=1e-12)
-    for k in range(1, 6):
-        ref = 2.0 * (((-1.0) ** k - 1.0) / (math.pi * k) ** 2)
-        assert coeffs[k] == pytest.approx(ref, abs=1e-11)
 
 
 def test_samples_coefficients_match_smooth_profile():
@@ -246,7 +220,7 @@ def test_boundary_rejects_quadrature_profiles():
     with pytest.raises(QuadratureNotConverged):
         build_heat_boundary(5.0, f, 6.0, N_max=4)
     with pytest.raises(QuadratureNotConverged):
-        search_lift_parameter(5.0, SourceProfile.from_callable(lambda x: 1.0))
+        search_lift_parameter(5.0, f)
 
 
 def test_boundary_parameter_validation():
@@ -267,12 +241,3 @@ def test_search_lift_parameter_default_grid():
         assert a in default_lift_grid(b)
         sys_, data = build_heat_boundary(b, f, a)
         assert data.constraint_report.all_pass
-
-
-def test_check_boundary_constraints_recomputes_report():
-    sys_, data = build_heat_boundary(5.0, SourceProfile.constant(1.0), 6.0, N_max=8)
-    report = check_boundary_constraints(data, 5.0)
-    stored = {(e.name, e.k): e.value for e in data.constraint_report.entries}
-    for entry in report.entries:
-        assert stored[(entry.name, entry.k)] == pytest.approx(entry.value, rel=1e-12)
-    assert report.all_pass

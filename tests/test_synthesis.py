@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from modalstab import (SourceProfile, StateSpaceSystem, build_heat,
-                       check_detectable, check_stabilizable, design_feedback,
+                       check_stabilizable, design_feedback,
                        design_observer, loop_system, matches_observer_structure,
                        partition_spectrum, reduced_R_system, synthesize_controller,
                        truncate)
@@ -97,7 +97,7 @@ def test_check_stabilizable_flags_zero_coefficient():
 def test_check_detectable_flags_zero_output():
     blocks = (ModalBlock([[1.0]], [[1.0]], [[0.0]], label=0),)
     tail = TailModel(decay_alpha=1.0, input_norm=0.0, output_graph_norm=0.0)
-    report = check_detectable(ModalSystem(blocks, tail, 1, 1))
+    report = check_stabilizable(ModalSystem(blocks, tail, 1, 1))
     assert report.stabilizable and not report.detectable
     assert report.offending_detectable == (0,)
 

@@ -26,8 +26,10 @@ from .errors import (
 from .modal import ModalBlock, ModalSystem, TailModel
 
 DEFAULT_N_MAX = 64
-# Tail series for the boundary plant are summed this far; the analytic
-# remainder past this index is folded in explicitly.
+# Last mode of the summed tail series: the heat output weights and, for the
+# boundary plant, the lift's far series over k = N+1 .. TAIL_SERIES_LIMIT
+# (see _FarTable).  The analytic remainder past this index is folded in
+# explicitly.
 TAIL_SERIES_LIMIT = 10 ** 6
 WAVE_TAIL_BLOCKS = 200
 # |b - pi^2 k^2| below this pins mode k to the kernel of the generator.
@@ -252,16 +254,19 @@ def _quartic_remainder(b: float, K: float) -> tuple:
     return 1.0 / (3.0 * np.pi ** 4 * K ** 3 * slack ** 2), slack
 
 
-def _heat_tail_output_sq(b: float, N: int) -> float:
+def _tail_decay(b: float, N: int) -> np.ndarray:
+    """pi^2 k^2 - b for k = N+1 .. TAIL_SERIES_LIMIT: |lambda_k| once the tail is stable."""
+    return np.pi ** 2 * np.arange(N + 1, TAIL_SERIES_LIMIT + 1, dtype=np.float64) ** 2 - b
+
+
+def _heat_tail_output_sq(b: float, decay: np.ndarray) -> float:
     """sum over k > N of (1 / (1 + |b - pi^2 k^2|))^2 with remainder bound.
 
-    Valid once the tail is stable (pi^2 (N+1)^2 > b): terms decay like
-    k^-4, so the series past TAIL_SERIES_LIMIT is dominated by the integral
-    of (pi^2 k^2 - b)^-2.
+    decay is _tail_decay(b, N).  Valid once the tail is stable
+    (pi^2 (N+1)^2 > b): terms decay like k^-4, so the series past
+    TAIL_SERIES_LIMIT is dominated by the integral of (pi^2 k^2 - b)^-2.
     """
-    ks = np.arange(N + 1, TAIL_SERIES_LIMIT + 1, dtype=np.float64)
-    lam = b - np.pi ** 2 * ks ** 2
-    partial = float(np.sum((1.0 / (1.0 + np.abs(lam))) ** 2))
+    partial = float(np.sum((1.0 / (1.0 + decay)) ** 2))
     return partial + _quartic_remainder(b, TAIL_SERIES_LIMIT)[0]
 
 
@@ -298,7 +303,7 @@ def build_heat(b: float, f: SourceProfile, N_max: int = DEFAULT_N_MAX) -> ModalS
     tail = TailModel(
         decay_alpha=alpha_tail,
         input_norm=math.sqrt(_heat_tail_input_sq(f, coeffs)),
-        output_graph_norm=math.sqrt(_heat_tail_output_sq(b, N_max)),
+        output_graph_norm=math.sqrt(_heat_tail_output_sq(b, _tail_decay(b, N_max))),
         amplitude_a=1.0,
     )
     return ModalSystem(tuple(blocks), tail, 1, 1)
@@ -494,11 +499,72 @@ def _kernel_index(b: float, count: int) -> int:
     return -1
 
 
-def _lift_pieces(b: float, f: SourceProfile, a: float, N_resolved: int) -> dict:
-    """Resolved lift coefficients plus the far series for the u output weight."""
-    if a <= b:
-        raise ValueError("lift parameter must satisfy a > b")
-    _require_summable(f)
+class _FarTable:
+    """The parts of the lift's far series over modes k = N+1 .. TAIL_SERIES_LIMIT
+    that do not depend on the lift parameter a.
+
+    It holds pi^2 k^2, the decay pi^2 k^2 - b = -lambda_k (positive: far modes
+    are stable) and the f coefficients, plus one work buffer, so that each a
+    costs one in-place pass instead of rebuilding these 10^6-element arrays.
+    Every element comes from the same IEEE operations as the per-a formulas
+    h_k = n_k (-1)^k / ((a - b) + pi^2 k^2) and g1_k = -(f_k + a h_k) / lambda_k;
+    only operand order and the place of a negation differ, which is exact.
+    """
+
+    def __init__(self, b: float, f: SourceProfile, N: int):
+        _require_summable(f)
+        ks = np.arange(N + 1, TAIL_SERIES_LIMIT + 1, dtype=np.float64)
+        # f first, so its inner-product temporaries are freed before the
+        # other arrays exist; this keeps the peak at the per-a formula's.
+        if f.kind == "coefficients":
+            # profile entry j is the coefficient of mode k = j
+            self.f = np.zeros(len(ks))
+            values = f.values[N + 1:N + 1 + len(ks)]
+            self.f[:len(values)] = values
+        else:
+            self.f = _raw_cos_inner(f, ks)
+            self.f /= 0.5
+        np.square(ks, out=ks)
+        ks *= np.pi ** 2
+        self.pi2k2 = ks
+        self.decay = ks - b
+        self.b = b
+        # index of the first odd k, whose h_k carries the minus sign
+        self.first_odd = N % 2
+        self.work = np.empty_like(ks)
+
+    def _h(self, a: float, out: np.ndarray) -> np.ndarray:
+        np.add(self.pi2k2, a - self.b, out=out)
+        np.divide(2.0, out, out=out)
+        out[self.first_odd::2] *= -1.0
+        return out
+
+    def _g1(self, a: float, h: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # -(f + a h) / lambda, with the negation moved onto lambda
+        np.multiply(h, a, out=out)
+        out += self.f
+        out /= self.decay
+        return out
+
+    def g1_sum(self, a: float) -> float:
+        """Sum of the far g1_k, in one pass over the work buffer."""
+        return float(np.sum(self._g1(a, self._h(a, self.work), self.work)))
+
+    def input_sq(self, a: float) -> float:
+        """Sum of the far (h_k + g1_k)^2: the lifted input shape past the resolved modes."""
+        h = self._h(a, self.work)
+        terms = self._g1(a, h, np.empty_like(h))
+        terms += h
+        return float(np.sum(np.square(terms, out=terms)))
+
+
+def _lift_pieces(b: float, f: SourceProfile, a: float, N_resolved: int,
+                 far: _FarTable) -> dict:
+    """Resolved lift coefficients plus the u output weight for lift parameter a.
+
+    far is the _FarTable of (b, f, N_resolved); its g1 sum completes u_output,
+    so a grid of lift parameters shares one table.
+    """
     scale_b = max(1.0, abs(b))
     ks = np.arange(N_resolved + 1, dtype=np.float64)
     norm_sq = np.where(ks == 0.0, 1.0, 0.5)
@@ -515,16 +581,10 @@ def _lift_pieces(b: float, f: SourceProfile, a: float, N_resolved: int) -> dict:
         else:
             g1[k] = -(f_coeffs[k] + a * h_coeffs[k]) / lam[k]
 
-    # far modes: lambda_k < 0 throughout, so g1 alone carries the series
-    far = np.arange(N_resolved + 1, TAIL_SERIES_LIMIT + 1, dtype=np.float64)
-    f_far = modal_input_coeffs(f, far, np.full(len(far), 0.5))
-    h_far = _lift_h_coeffs(a, b, far)
-    lam_far = b - np.pi ** 2 * far ** 2
-    g1_far = -(f_far + a * h_far) / lam_far
-
     c = math.sqrt(a - b)
     h_at_0 = 1.0 / (c * math.sinh(c))
-    u_output = h_at_0 + float(np.sum(g1)) + float(np.sum(g1_far))
+    # far modes: lambda_k < 0 throughout, so g1 alone carries the series
+    u_output = h_at_0 + float(np.sum(g1)) + far.g1_sum(a)
 
     l2_sq = profile_l2_norm_sq(f, basis="integer")
     lam_tail_sq = _quartic_remainder(b, TAIL_SERIES_LIMIT)[0]
@@ -534,8 +594,7 @@ def _lift_pieces(b: float, f: SourceProfile, a: float, N_resolved: int) -> dict:
     return {
         "ks": ks, "f": f_coeffs, "h": h_coeffs, "lam": lam, "kernel": kernel,
         "g1": g1, "g2": g2, "h_at_0": h_at_0, "u_output": u_output,
-        "remainder": remainder, "scale_b": scale_b,
-        "g1_far": g1_far, "h_far": h_far, "l2_sq": l2_sq,
+        "remainder": remainder, "scale_b": scale_b, "l2_sq": l2_sq,
     }
 
 
@@ -587,7 +646,8 @@ def search_lift_parameter(b: float, f: SourceProfile, grid=None) -> float:
     if any(a <= b for a in grid):
         raise ValueError("every grid entry must exceed b")
     n_check = int(math.ceil(math.sqrt(max(b, 0.0)) / math.pi)) + 1
-    per_a = [_constraint_entries(_lift_pieces(b, f, a, n_check), b) for a in grid]
+    far = _FarTable(b, f, n_check)
+    per_a = [_constraint_entries(_lift_pieces(b, f, a, n_check, far), b) for a in grid]
     scale = max(1.0, max(abs(v) for entries in per_a for _, _, v in entries))
     tolerance = 1e-8
     for a, entries in zip(grid, per_a):
@@ -622,7 +682,10 @@ def build_heat_boundary(b: float, f: SourceProfile, a: float,
         raise TailUnstable(
             f"mode {N_max + 1} beyond the resolved range is unstable for b = {b:g}; "
             "increase N_max")
-    pieces = _lift_pieces(b, f, a, N_max)
+    if a <= b:
+        raise ValueError("lift parameter must satisfy a > b")
+    far = _FarTable(b, f, N_max)
+    pieces = _lift_pieces(b, f, a, N_max, far)
     kernel = pieces["kernel"]
 
     raw_entries = _constraint_entries(pieces, b)
@@ -661,7 +724,7 @@ def build_heat_boundary(b: float, f: SourceProfile, a: float,
             np.array([[0.0]]), np.array([[1.0]]), np.array([[pieces["u_output"]]]),
             label=-1))
 
-    tail_in_sq = float(np.sum((pieces["h_far"] + pieces["g1_far"]) ** 2))
+    tail_in_sq = far.input_sq(a)
     K = TAIL_SERIES_LIMIT
     quartic, slack = _quartic_remainder(b, K)
     far_sq_remainder = (8.0 * (a + 2.0) ** 2 * quartic
@@ -669,7 +732,7 @@ def build_heat_boundary(b: float, f: SourceProfile, a: float,
     tail = TailModel(
         decay_alpha=alpha_tail,
         input_norm=math.sqrt(tail_in_sq + far_sq_remainder),
-        output_graph_norm=math.sqrt(_heat_tail_output_sq(b, N_max)),
+        output_graph_norm=math.sqrt(_heat_tail_output_sq(b, far.decay)),
         amplitude_a=1.0,
     )
     return ModalSystem(tuple(blocks), tail, 1, 1), data

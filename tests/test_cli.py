@@ -99,6 +99,21 @@ def test_simulate_seeded_random_x0_reproduces(tmp_path):
     assert (o1 / "trajectory.csv").read_bytes() == (o2 / "trajectory.csv").read_bytes()
 
 
+def test_controller_with_infinite_design_rates_round_trips(tmp_path):
+    # b = -3 leaves no unstable block, so both Riccati design rates are infinite.
+    plant = {"type": "heat", "b": -3.0, "f": {"kind": "constant", "value": 1.0}}
+    code, out = run(tmp_path, "synthesize", {"plant": plant}, tag="syn")
+    assert code == 0
+    design = read_json(str(out / "controller.json"), "controller")["design"]
+    assert design["feedback_rate"] == "inf" and design["observer_rate"] == "inf"
+    ctrl = str(out / "controller.json")
+    code, _ = run(tmp_path, "certify", {"plant": plant, "controller_file": ctrl}, tag="cert")
+    assert code == 0
+    code, _ = run(tmp_path, "simulate", {"plant": plant, "controller_file": ctrl,
+                                         "horizon": 1.0, "dt": 0.1}, tag="sim")
+    assert code == 0
+
+
 def test_simulate_rejects_wrong_x0_length(tmp_path):
     _, out = run(tmp_path, "synthesize", {"plant": HEAT}, tag="syn")
     cfg = {"plant": HEAT, "controller_file": str(out / "controller.json"),

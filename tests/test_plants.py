@@ -9,8 +9,10 @@ from modalstab import (SourceProfile, build_heat, build_heat_boundary, build_wav
 from modalstab.errors import (InfiniteUnstablePart, KernelResonance,
                               NoAdmissibleParameter, QuadratureNotConverged,
                               TailUnstable)
-from modalstab.plants import (boundary_derivative_check, default_lift_grid, exact_sin_pi,
-                              fourier_cos_coeffs, lift_h, profile_l2_norm_sq)
+from modalstab.plants import (TAIL_SERIES_LIMIT, _lift_h_coeffs, _quartic_remainder,
+                              boundary_derivative_check, default_lift_grid, exact_sin_pi,
+                              fourier_cos_coeffs, lift_h, modal_input_coeffs,
+                              profile_l2_norm_sq)
 
 
 def test_exact_trig_values():
@@ -241,3 +243,52 @@ def test_search_lift_parameter_default_grid():
         assert a in default_lift_grid(b)
         sys_, data = build_heat_boundary(b, f, a)
         assert data.constraint_report.all_pass
+
+
+def _per_a_far_series(b, f, a, N):
+    """The lift's far series written per lift parameter: full 10^6-element
+    arrays for this a, then np.sum.  Returns (sum g1, sum (h + g1)^2,
+    sum (1 / (1 + |lambda|))^2) over k = N+1 .. TAIL_SERIES_LIMIT."""
+    far = np.arange(N + 1, TAIL_SERIES_LIMIT + 1, dtype=np.float64)
+    f_far = modal_input_coeffs(f, far, np.full(len(far), 0.5))
+    h_far = _lift_h_coeffs(a, b, far)
+    lam_far = b - np.pi ** 2 * far ** 2
+    g1_far = -(f_far + a * h_far) / lam_far
+    return (float(np.sum(g1_far)), float(np.sum((h_far + g1_far) ** 2)),
+            float(np.sum((1.0 / (1.0 + np.abs(lam_far))) ** 2)))
+
+
+_PROFILES = (SourceProfile.constant(1.2), SourceProfile.indicator(0.1, 0.6),
+             SourceProfile.cosine(1.5))
+_BS = (5.0, -1.0, math.pi ** 2)
+
+
+@pytest.mark.parametrize("i_f, i_b", [(i, j) for i in range(3) for j in range(3)])
+def test_boundary_far_series_matches_per_a_formula_exactly(i_f, i_b):
+    # N_max alternates parity so every profile and every b meets both; the
+    # sign of h_k flips on odd k, and an off-by-one there moves u_output.
+    f, b = _PROFILES[i_f], _BS[i_b]
+    N, a = 8 + (i_f + i_b) % 2, b + 1.0
+    sys_, data = build_heat_boundary(b, f, a, N_max=N)
+    g1_sum, in_sq, out_sq = _per_a_far_series(b, f, a, N)
+    assert data.u_output == data.h_at_0 + float(np.sum(data.g1_coeffs)) + g1_sum
+
+    K = TAIL_SERIES_LIMIT
+    quartic, slack = _quartic_remainder(b, K)
+    l2_sq = profile_l2_norm_sq(f, basis="integer")
+    assert data.series_remainder == (math.sqrt(2.0 * l2_sq * quartic)
+                                     + 2.0 * (a + 2.0) * quartic ** 0.5 / math.pi)
+    far_sq_remainder = (8.0 * (a + 2.0) ** 2 * quartic
+                        + 2.0 * l2_sq / (np.pi ** 2 * K ** 2 * slack) ** 2)
+    assert sys_.tail.input_norm == math.sqrt(in_sq + far_sq_remainder)
+    assert sys_.tail.output_graph_norm == math.sqrt(out_sq + quartic)
+
+
+def test_boundary_coefficients_profile_indexes_far_modes_by_mode():
+    # Entry j of a coefficients profile is mode k = j, near and far alike:
+    # eleven coefficients [1, 0, ..., 0] are the constant 1 exactly.
+    coeffs = SourceProfile.coefficients([1.0] + [0.0] * 10)
+    sys_c, data_c = build_heat_boundary(5.0, coeffs, 6.0, N_max=8)
+    sys_1, data_1 = build_heat_boundary(5.0, SourceProfile.constant(1.0), 6.0, N_max=8)
+    assert data_c.u_output == data_1.u_output
+    assert sys_c.tail.input_norm == sys_1.tail.input_norm

@@ -175,7 +175,8 @@ def write_trajectory_csv(path: str, traj, n_plant: int):
         row.extend(traj.states[i].real)
         row.extend(traj.inputs[i].real)
         row.extend(traj.outputs[i].real)
-        lines.append(",".join(_csv_cell(v) for v in row))
+        # %.17g writes nan, inf, -inf and -0 exactly as _csv_cell does
+        lines.append(",".join(map("%.17g".__mod__, row)))
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 

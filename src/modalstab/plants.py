@@ -27,9 +27,9 @@ from .modal import ModalBlock, ModalSystem, TailModel
 
 DEFAULT_N_MAX = 64
 # Last mode of the summed tail series: the heat output weights and, for the
-# boundary plant, the lift's far series over k = N+1 .. TAIL_SERIES_LIMIT
-# (see _FarTable).  The analytic remainder past this index is folded in
-# explicitly.
+# boundary plant, the lift's a-free far terms q_k (see _FarTable).  Past it the
+# output weights add _quartic_remainder's k^-4 bound, and the lift adds the
+# Cauchy-Schwarz and alternating-series bounds of _lift_remainders.
 TAIL_SERIES_LIMIT = 10 ** 6
 WAVE_TAIL_BLOCKS = 200
 # |b - pi^2 k^2| below this pins mode k to the kernel of the generator.
@@ -476,14 +476,6 @@ class BoundaryLiftData:
     constraint_report: ConstraintReport
 
 
-def _require_summable(f: SourceProfile):
-    if f.kind == "samples":
-        raise QuadratureNotConverged(
-            "the boundary lift sums coefficient series far past any fixed quadrature "
-            "budget; convert the profile with fourier_cos_coeffs to a coefficients "
-            "profile first")
-
-
 def _kernel_index(b: float, count: int) -> int:
     """Index of the mode pinned to the kernel, or -1; raises on the ambiguous band."""
     scale_b = max(1.0, abs(b))
@@ -500,109 +492,116 @@ def _kernel_index(b: float, count: int) -> int:
 
 
 class _FarTable:
-    """The parts of the lift's far series over modes k = N+1 .. TAIL_SERIES_LIMIT
-    that do not depend on the lift parameter a.
+    """The lift's far terms over k = first .. TAIL_SERIES_LIMIT, free of a.
 
-    It holds pi^2 k^2, the decay pi^2 k^2 - b = -lambda_k (positive: far modes
-    are stable) and the f coefficients, plus one work buffer, so that each a
-    costs one in-place pass instead of rebuilding these 10^6-element arrays.
-    Every element comes from the same IEEE operations as the per-a formulas
-    h_k = n_k (-1)^k / ((a - b) + pi^2 k^2) and g1_k = -(f_k + a h_k) / lambda_k;
-    only operand order and the place of a negation differ, which is exact.
+    With s_k = n_k (-1)^k, c^2 = a - b and d_k = pi^2 k^2 - b = -lambda_k, the
+    lift has h_k = s_k / (pi^2 k^2 + c^2) and, off the kernel,
+    g1_k = (f_k + a h_k) / d_k.  As (pi^2 k^2 + c^2) - d_k = a, partial
+    fractions give a h_k / d_k = s_k / d_k - h_k, so for every a
+    h_k + g1_k = q_k := (f_k + s_k) / d_k.
+
+    It holds d_k (``decay``) and q_k, built on first use, and their suffixes
+    serve every a and every order N >= first - 1.  Only stable tails
+    (d_k > 0) are read: a build whose tail is not stable raises first.
     """
 
     def __init__(self, b: float, f: SourceProfile, N: int):
-        _require_summable(f)
+        self.b, self.f, self.first, self.q = b, f, N + 1, None
+
+    def _build(self):
+        f, N = self.f, self.first - 1
+        if f.kind == "samples":
+            raise QuadratureNotConverged(
+                "the boundary lift sums coefficient series far past any fixed quadrature "
+                "budget; convert the profile with fourier_cos_coeffs to a coefficients "
+                "profile first")
         ks = np.arange(N + 1, TAIL_SERIES_LIMIT + 1, dtype=np.float64)
-        # f first, so its inner-product temporaries are freed before the
-        # other arrays exist; this keeps the peak at the per-a formula's.
+        # f first, so its inner-product temporaries are freed before d_k exists
         if f.kind == "coefficients":
             # profile entry j is the coefficient of mode k = j
-            self.f = np.zeros(len(ks))
+            q = np.zeros(len(ks))
             values = f.values[N + 1:N + 1 + len(ks)]
-            self.f[:len(values)] = values
+            q[:len(values)] = values
         else:
-            self.f = _raw_cos_inner(f, ks)
-            self.f /= 0.5
+            q = _raw_cos_inner(f, ks)
+            q /= 0.5
+        # every k here is >= 1, so s_k = 2 (-1)^k; index N % 2 is the first odd k
+        q[N % 2::2] -= 2.0
+        q[1 - N % 2::2] += 2.0
         np.square(ks, out=ks)
         ks *= np.pi ** 2
-        self.pi2k2 = ks
-        self.decay = ks - b
-        self.b = b
-        # index of the first odd k, whose h_k carries the minus sign
-        self.first_odd = N % 2
-        self.work = np.empty_like(ks)
+        ks -= self.b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q /= ks
+        self.q, self.decay = q, ks
 
-    def _h(self, a: float, out: np.ndarray) -> np.ndarray:
-        np.add(self.pi2k2, a - self.b, out=out)
-        np.divide(2.0, out, out=out)
-        out[self.first_odd::2] *= -1.0
-        return out
+    def past(self, N: int) -> tuple:
+        """Views of (q_k, d_k) over k = N+1 .. TAIL_SERIES_LIMIT."""
+        if N + 1 < self.first:
+            raise ValueError(f"far table starts at mode {self.first}, past {N + 1}")
+        if self.q is None:
+            self._build()
+        return self.q[N + 1 - self.first:], self.decay[N + 1 - self.first:]
 
-    def _g1(self, a: float, h: np.ndarray, out: np.ndarray) -> np.ndarray:
-        # -(f + a h) / lambda, with the negation moved onto lambda
-        np.multiply(h, a, out=out)
-        out += self.f
-        out /= self.decay
-        return out
 
-    def g1_sum(self, a: float) -> float:
-        """Sum of the far g1_k, in one pass over the work buffer."""
-        return float(np.sum(self._g1(a, self._h(a, self.work), self.work)))
+def _lift_check_order(b: float) -> int:
+    """Resolved order of the lift search: every mode past it is stable."""
+    return int(math.ceil(math.sqrt(max(b, 0.0)) / math.pi)) + 1
 
-    def input_sq(self, a: float) -> float:
-        """Sum of the far (h_k + g1_k)^2: the lifted input shape past the resolved modes."""
-        h = self._h(a, self.work)
-        terms = self._g1(a, h, np.empty_like(h))
-        terms += h
-        return float(np.sum(np.square(terms, out=terms)))
+
+def _command_far_table(b: float, f: SourceProfile, N_max: int) -> _FarTable:
+    """The table one command's search and build at N_max share, from the lower mode they read."""
+    return _FarTable(b, f, min(_lift_check_order(b), N_max))
+
+
+def _lift_remainders(b: float, f: SourceProfile) -> tuple:
+    """Bounds on |sum q_k| and on sum q_k^2 over k > K = TAIL_SERIES_LIMIT.
+
+    For k > K, d_k is positive and increasing; Parseval gives
+    sum_{k>=1} f_k^2 <= 2 ||f||^2, and _quartic_remainder bounds
+    sum_{k>K} d_k^-2 by Q4.  Split q_k = f_k / d_k + s_k / d_k.
+    * Sum: by Cauchy-Schwarz the f part is at most sqrt(2 ||f||^2 Q4).  The s
+      part alternates in sign with magnitudes 2 / d_k falling to 0, so it is
+      at most its first term 2 / d_{K+1}.
+    * Squares: (x + y)^2 <= 2 x^2 + 2 y^2 gives
+      q_k^2 <= 2 f_k^2 / d_{K+1}^2 + 8 / d_k^2, summing to at most
+      4 ||f||^2 / d_{K+1}^2 + 8 Q4.
+    """
+    l2_sq = profile_l2_norm_sq(f, basis="integer")
+    quartic = _quartic_remainder(b, TAIL_SERIES_LIMIT)[0]
+    d_next = np.pi ** 2 * (TAIL_SERIES_LIMIT + 1) ** 2 - b
+    return (math.sqrt(2.0 * l2_sq * quartic) + 2.0 / d_next,
+            4.0 * l2_sq / d_next ** 2 + 8.0 * quartic)
 
 
 def _lift_pieces(b: float, f: SourceProfile, a: float, N_resolved: int,
-                 far: _FarTable) -> dict:
+                 far_sum: float) -> dict:
     """Resolved lift coefficients plus the u output weight for lift parameter a.
 
-    far is the _FarTable of (b, f, N_resolved); its g1 sum completes u_output,
-    so a grid of lift parameters shares one table.
+    h(0) is the sum of every h_k, so u_output = h(0) + sum g1_k equals
+    sum_{k <= N} (h_k + g1_k) + far_sum, the a-free sum of q_k over k > N (see
+    _FarTable); the kernel mode keeps its h_k.  The work per a is O(N).
     """
-    scale_b = max(1.0, abs(b))
     ks = np.arange(N_resolved + 1, dtype=np.float64)
-    norm_sq = np.where(ks == 0.0, 1.0, 0.5)
-    f_coeffs = modal_input_coeffs(f, ks, norm_sq)
+    f_coeffs = fourier_cos_coeffs(f, N_resolved)
     h_coeffs = _lift_h_coeffs(a, b, ks)
     lam = b - np.pi ** 2 * ks ** 2
     kernel = _kernel_index(b, N_resolved + 1)
 
-    g1 = np.zeros(N_resolved + 1)
-    g2 = np.zeros(N_resolved + 1)
-    for k in range(N_resolved + 1):
-        if k == kernel:
-            g2[k] = f_coeffs[k] + a * h_coeffs[k]
-        else:
-            g1[k] = -(f_coeffs[k] + a * h_coeffs[k]) / lam[k]
+    drive = f_coeffs + a * h_coeffs
+    on_kernel = ks == kernel
+    g1 = np.where(on_kernel, 0.0, -drive / np.where(on_kernel, 1.0, lam))
+    g2 = np.where(on_kernel, drive, 0.0)
 
-    c = math.sqrt(a - b)
-    h_at_0 = 1.0 / (c * math.sinh(c))
-    # far modes: lambda_k < 0 throughout, so g1 alone carries the series
-    u_output = h_at_0 + float(np.sum(g1)) + far.g1_sum(a)
-
-    l2_sq = profile_l2_norm_sq(f, basis="integer")
-    lam_tail_sq = _quartic_remainder(b, TAIL_SERIES_LIMIT)[0]
-    remainder = (math.sqrt(2.0 * l2_sq * lam_tail_sq)
-                 + 2.0 * (a + 2.0) * lam_tail_sq ** 0.5 / math.pi)
-
-    return {
-        "ks": ks, "f": f_coeffs, "h": h_coeffs, "lam": lam, "kernel": kernel,
-        "g1": g1, "g2": g2, "h_at_0": h_at_0, "u_output": u_output,
-        "remainder": remainder, "scale_b": scale_b, "l2_sq": l2_sq,
-    }
+    return {"f": f_coeffs, "h": h_coeffs, "lam": lam, "kernel": kernel, "g1": g1, "g2": g2,
+            "u_output": float(np.sum(h_coeffs + g1)) + far_sum}
 
 
 def _constraint_entries(pieces: dict, b: float) -> list:
     """Raw (name, k, value) triples of the lifted plant's non-degeneracy system."""
     out = []
-    scale_b = pieces["scale_b"]
-    for k in range(len(pieces["ks"])):
+    scale_b = max(1.0, abs(b))
+    for k in range(len(pieces["lam"])):
         lam_k = pieces["lam"][k]
         if k == pieces["kernel"] or lam_k <= KERNEL_ATOL * scale_b:
             continue
@@ -631,11 +630,12 @@ def default_lift_grid(b: float) -> list:
     return [b + j for j in range(1, 33)]
 
 
-def search_lift_parameter(b: float, f: SourceProfile, grid=None) -> float:
+def search_lift_parameter(b: float, f: SourceProfile, grid=None, *, _far=None) -> float:
     """First lift parameter on the grid whose constraint system clears tolerance.
 
     Thresholds are relative to the largest constraint magnitude anywhere on
-    the grid, so a uniformly tiny system cannot vacuously pass.
+    the grid, so a uniformly tiny system cannot vacuously pass.  _far: see
+    _command_far_table.
     """
     b = float(b)
     if grid is None:
@@ -645,9 +645,9 @@ def search_lift_parameter(b: float, f: SourceProfile, grid=None) -> float:
         raise ValueError("lift parameter grid must be nonempty")
     if any(a <= b for a in grid):
         raise ValueError("every grid entry must exceed b")
-    n_check = int(math.ceil(math.sqrt(max(b, 0.0)) / math.pi)) + 1
-    far = _FarTable(b, f, n_check)
-    per_a = [_constraint_entries(_lift_pieces(b, f, a, n_check, far), b) for a in grid]
+    n_check = _lift_check_order(b)
+    far_sum = float(np.sum((_far or _FarTable(b, f, n_check)).past(n_check)[0]))
+    per_a = [_constraint_entries(_lift_pieces(b, f, a, n_check, far_sum), b) for a in grid]
     scale = max(1.0, max(abs(v) for entries in per_a for _, _, v in entries))
     tolerance = 1e-8
     for a, entries in zip(grid, per_a):
@@ -662,7 +662,7 @@ def search_lift_parameter(b: float, f: SourceProfile, grid=None) -> float:
 
 
 def build_heat_boundary(b: float, f: SourceProfile, a: float,
-                        N_max: int = DEFAULT_N_MAX):
+                        N_max: int = DEFAULT_N_MAX, *, _far=None):
     """Boundary-actuated heat plant, lifted to modal form.
 
     The physical state x feels the control only through the flux boundary
@@ -672,7 +672,8 @@ def build_heat_boundary(b: float, f: SourceProfile, a: float,
     absorb its share of f + a h into a coordinate change, so the u state and
     that mode form one 2x2 block coupled through g2.
 
-    Returns the modal system together with the lift coefficients.
+    Returns the modal system together with the lift coefficients.  _far: see
+    _command_far_table.
     """
     if N_max < 1:
         raise ValueError("N_max must be >= 1")
@@ -684,8 +685,9 @@ def build_heat_boundary(b: float, f: SourceProfile, a: float,
             "increase N_max")
     if a <= b:
         raise ValueError("lift parameter must satisfy a > b")
-    far = _FarTable(b, f, N_max)
-    pieces = _lift_pieces(b, f, a, N_max, far)
+    q, decay = (_far or _FarTable(b, f, N_max)).past(N_max)
+    pieces = _lift_pieces(b, f, a, N_max, float(np.sum(q)))
+    u_remainder, far_sq_remainder = _lift_remainders(b, f)
     kernel = pieces["kernel"]
 
     raw_entries = _constraint_entries(pieces, b)
@@ -698,10 +700,10 @@ def build_heat_boundary(b: float, f: SourceProfile, a: float,
         g1_coeffs=pieces["g1"].copy(),
         g2_coeffs=pieces["g2"].copy(),
         f_coeffs=pieces["f"].copy(),
-        h_at_0=pieces["h_at_0"],
+        h_at_0=float(lift_h(a, b, 0.0)),
         u_output=pieces["u_output"],
         kernel_index=kernel,
-        series_remainder=pieces["remainder"],
+        series_remainder=u_remainder,
         constraint_report=report,
     )
 
@@ -724,15 +726,10 @@ def build_heat_boundary(b: float, f: SourceProfile, a: float,
             np.array([[0.0]]), np.array([[1.0]]), np.array([[pieces["u_output"]]]),
             label=-1))
 
-    tail_in_sq = far.input_sq(a)
-    K = TAIL_SERIES_LIMIT
-    quartic, slack = _quartic_remainder(b, K)
-    far_sq_remainder = (8.0 * (a + 2.0) ** 2 * quartic
-                        + 2.0 * pieces["l2_sq"] / (np.pi ** 2 * K ** 2 * slack) ** 2)
     tail = TailModel(
         decay_alpha=alpha_tail,
-        input_norm=math.sqrt(tail_in_sq + far_sq_remainder),
-        output_graph_norm=math.sqrt(_heat_tail_output_sq(b, far.decay)),
+        input_norm=math.sqrt(float(np.sum(np.square(q))) + far_sq_remainder),
+        output_graph_norm=math.sqrt(_heat_tail_output_sq(b, decay)),
         amplitude_a=1.0,
     )
     return ModalSystem(tuple(blocks), tail, 1, 1), data

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modalstab.cli import main
+from modalstab import plants
+from modalstab.cli import build_plant, main
 from modalstab.fileio import read_json, validate_document
+from modalstab.plants import SourceProfile, build_heat_boundary, search_lift_parameter
 
 GEOMETRIC = [1.0 / (k + 1) ** 2 for k in range(17)]
 
@@ -120,6 +122,41 @@ def test_simulate_rejects_wrong_x0_length(tmp_path):
            "x0": [1.0, 2.0], "N": 6, "horizon": 2.0, "dt": 0.1}
     code, _ = run(tmp_path, "simulate", cfg, tag="bad")
     assert code == 2
+
+
+@pytest.mark.parametrize("b, n_max", [(5.0, 64), (math.pi ** 2, 8), (-1.0, 3),
+                                      (5.0, 1), (42.0, 2)])
+def test_boundary_plant_shares_one_far_table(b, n_max):
+    # The CLI's search and build read one table built from the lower of the
+    # search's order and N_max (5.0/1 and 42.0/2 sit below the search's).
+    doc = {"type": "heat_boundary", "b": b, "f": {"kind": "constant", "value": 1.1},
+           "N_max": n_max}
+    sys_, data = build_plant(doc)
+    f = SourceProfile.constant(1.1)
+    a = search_lift_parameter(b, f)
+    ref_sys, ref = build_heat_boundary(b, f, a, n_max)
+    assert data.a == a
+    assert data.u_output == ref.u_output
+    assert data.series_remainder == ref.series_remainder
+    assert sys_.tail.input_norm == ref_sys.tail.input_norm
+    assert sys_.tail.output_graph_norm == ref_sys.tail.output_graph_norm
+
+
+def test_boundary_command_evaluates_far_profile_once(tmp_path, monkeypatch):
+    far_calls = []
+    inner = plants._raw_cos_inner
+
+    def counting(profile, ks):
+        if len(ks) > 10 ** 5:
+            far_calls.append(len(ks))
+        return inner(profile, ks)
+
+    monkeypatch.setattr(plants, "_raw_cos_inner", counting)
+    cfg = {"plant": {"type": "heat_boundary", "b": 5.0,
+                     "f": {"kind": "constant", "value": 1.2}, "N_max": 8}}
+    code, _ = run(tmp_path, "analyze", cfg)
+    assert code == 0
+    assert len(far_calls) == 1
 
 
 def test_unknown_config_key_is_schema_error(tmp_path):

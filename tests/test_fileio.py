@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from modalstab.fileio import (SCHEMA_NAMES, SchemaViolation, dumps_canonical,
+from modalstab.fileio import (SCHEMA_NAMES, SchemaViolation, _csv_cell, dumps_canonical,
                               format_float, matrix_from_doc, matrix_to_doc,
                               read_json, schema_text, validate_document,
                               write_json_atomic, write_sweep_csv,
@@ -113,6 +113,25 @@ def test_trajectory_csv_layout(tmp_path):
     first = lines[1].split(",")
     assert [float(v) for v in first] == [0.0, 1.0, 2.0, 3.0, 9.0, 7.0]
     assert len(lines) == 3
+
+
+def test_trajectory_csv_matches_per_cell_format(tmp_path):
+    # Integer-valued times, signed zeros, non-finite values, the smallest
+    # subnormal and a large exponent, in complex and real columns alike.
+    times = np.array([0.0, 1.0, 2.5])
+    states = np.array([[math.nan, -0.0, 5e-324], [math.inf, -math.inf, 1e22],
+                       [0.1, -2.0, 3.0]], dtype=np.complex128)
+    inputs = np.array([[-0.0], [1e22], [math.nan]])
+    outputs = np.array([[5e-324], [-math.inf], [7.0]])
+    traj = Trajectory(times, states, outputs, inputs, dt=0.5)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(str(path), traj, n_plant=2)
+    rows = ["t,x_1,x_2,w_1,u_1,y_1"]
+    for i, t in enumerate(times):
+        row = [t, *states[i].real, *inputs[i].real, *outputs[i].real]
+        rows.append(",".join(_csv_cell(v) for v in row))
+    assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+    assert rows[1] == "0,nan,-0,4.9406564584124654e-324,-0,4.9406564584124654e-324"
 
 
 def test_sweep_csv_layout(tmp_path):

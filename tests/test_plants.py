@@ -263,25 +263,70 @@ _PROFILES = (SourceProfile.constant(1.2), SourceProfile.indicator(0.1, 0.6),
 _BS = (5.0, -1.0, math.pi ** 2)
 
 
+def _per_a_resolved(b, f, a, N):
+    """Resolved (f, h, g1, g2) written per lift parameter, kernel mode by lambda = 0."""
+    ks = np.arange(N + 1, dtype=np.float64)
+    f_k = modal_input_coeffs(f, ks, np.where(ks == 0.0, 1.0, 0.5))
+    h_k = _lift_h_coeffs(a, b, ks)
+    lam = b - np.pi ** 2 * ks ** 2
+    kernel = lam == 0.0
+    g1 = np.where(kernel, 0.0, -(f_k + a * h_k) / np.where(kernel, 1.0, lam))
+    g2 = np.where(kernel, f_k + a * h_k, 0.0)
+    return f_k, h_k, g1, g2
+
+
 @pytest.mark.parametrize("i_f, i_b", [(i, j) for i in range(3) for j in range(3)])
 def test_boundary_far_series_matches_per_a_formula_exactly(i_f, i_b):
     # N_max alternates parity so every profile and every b meets both; the
     # sign of h_k flips on odd k, and an off-by-one there moves u_output.
+    # The far series sums the a-free q_k = h_k + g1_k in place of h(0) plus the
+    # far g1_k, so u_output matches the per-a sum only up to the dropped
+    # h_k past TAIL_SERIES_LIMIT and rounding; series_remainder covers both.
     f, b = _PROFILES[i_f], _BS[i_b]
     N, a = 8 + (i_f + i_b) % 2, b + 1.0
     sys_, data = build_heat_boundary(b, f, a, N_max=N)
-    g1_sum, in_sq, out_sq = _per_a_far_series(b, f, a, N)
-    assert data.u_output == data.h_at_0 + float(np.sum(data.g1_coeffs)) + g1_sum
+    f_k, h_k, g1, g2 = _per_a_resolved(b, f, a, N)
+    assert np.array_equal(data.f_coeffs, f_k)
+    assert np.array_equal(data.h_coeffs, h_k)
+    assert np.array_equal(data.g1_coeffs, g1)
+    assert np.array_equal(data.g2_coeffs, g2)
 
-    K = TAIL_SERIES_LIMIT
-    quartic, slack = _quartic_remainder(b, K)
-    l2_sq = profile_l2_norm_sq(f, basis="integer")
-    assert data.series_remainder == (math.sqrt(2.0 * l2_sq * quartic)
-                                     + 2.0 * (a + 2.0) * quartic ** 0.5 / math.pi)
-    far_sq_remainder = (8.0 * (a + 2.0) ** 2 * quartic
-                        + 2.0 * l2_sq / (np.pi ** 2 * K ** 2 * slack) ** 2)
-    assert sys_.tail.input_norm == math.sqrt(in_sq + far_sq_remainder)
+    g1_sum, in_sq, out_sq = _per_a_far_series(b, f, a, N)
+    c = math.sqrt(a - b)
+    reference = 1.0 / (c * math.sinh(c)) + float(np.sum(g1)) + g1_sum
+    assert abs(data.u_output - reference) <= data.series_remainder
+    assert abs(data.u_output - reference) <= 1e-12
+    assert sys_.tail.input_norm >= math.sqrt(in_sq)
+    quartic = _quartic_remainder(b, TAIL_SERIES_LIMIT)[0]
     assert sys_.tail.output_graph_norm == math.sqrt(out_sq + quartic)
+
+
+@pytest.mark.parametrize("b", [5.0, -1.0, math.pi ** 2, 42.0, -10.0])
+def test_boundary_resolved_input_is_free_of_lift_parameter(b):
+    # h_k + g1_k = (f_k + n_k (-1)^k) / (pi^2 k^2 - b) off the kernel, for any a.
+    f, N = SourceProfile.indicator(0.1, 0.6), 9
+    ks = np.arange(N + 1)
+    s_k = np.where(ks == 0, 1.0, 2.0) * np.where(ks % 2 == 0, 1.0, -1.0)
+    for a in (b + 1.0, b + 7.5):
+        _, data = build_heat_boundary(b, f, a, N_max=N)
+        for k in range(N + 1):
+            if k == data.kernel_index:
+                continue
+            q_k = (data.f_coeffs[k] + s_k[k]) / (np.pi ** 2 * k ** 2 - b)
+            assert data.h_coeffs[k] + data.g1_coeffs[k] == pytest.approx(q_k, rel=1e-15)
+
+
+def test_boundary_series_remainder_bounds_u_output_below_a_minus_two():
+    # At b = -10 the search picks a = -9; a remainder linear in a + 2 went
+    # negative there and bounded nothing.
+    b, f, N = -10.0, SourceProfile.constant(1.0), 8
+    a = search_lift_parameter(b, f)
+    assert a < -2.0
+    _, data = build_heat_boundary(b, f, a, N_max=N)
+    g1_sum = _per_a_far_series(b, f, a, N)[0]
+    reference = data.h_at_0 + float(np.sum(data.g1_coeffs)) + g1_sum
+    assert data.series_remainder > 0.0
+    assert data.series_remainder >= abs(data.u_output - reference)
 
 
 def test_boundary_coefficients_profile_indexes_far_modes_by_mode():

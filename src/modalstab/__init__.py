@@ -19,9 +19,8 @@ from .gains import (DecayEnvelope, GainBound, StabilityCertificate, certify_smal
 from .modal import (ModalBlock, ModalSystem, SpectrumPartition, StateSpaceSystem,
                     TailModel, close_loop, closed_loop_matrix, partition_spectrum,
                     select_truncation, truncate)
-from .plants import (BoundaryLiftData, SourceProfile, boundary_derivative_check,
-                     build_heat, build_heat_boundary, build_wave, fourier_cos_coeffs,
-                     search_lift_parameter)
+from .plants import (BoundaryLiftData, SourceProfile, build_heat, build_heat_boundary,
+                     build_wave, fourier_cos_coeffs, search_lift_parameter)
 from .simulate import (GainProbe, Trajectory, brute_force_gain, estimate_decay_rate,
                        matrix_exponential, simulate_autonomous, simulate_closed_loop,
                        simulate_modal, spectral_abscissa)

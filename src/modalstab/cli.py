@@ -33,8 +33,8 @@ from .fileio import SchemaViolation
 from .gains import decay_envelope, scan_certificate
 from .modal import (ModalSystem, StateSpaceSystem, closed_loop_matrix,
                     partition_spectrum, select_truncation, truncate)
-from .plants import (DEFAULT_N_MAX, SourceProfile, _command_far_table, build_heat,
-                     build_heat_boundary, build_wave, search_lift_parameter)
+from .plants import (DEFAULT_N_MAX, SourceProfile, build_heat, build_heat_boundary,
+                     build_wave, search_lift_parameter)
 from .simulate import estimate_decay_rate, simulate_closed_loop, spectral_abscissa
 from .synthesis import (DesignInfo, ObserverController, check_stabilizable,
                         loop_system, matches_observer_structure, reduced_R_system,
@@ -108,9 +108,8 @@ def build_plant(doc: dict):
     if kind == "wave":
         return build_wave(float(doc["b"]), float(doc["kappa"]), f, n_max), None
     b = float(doc["b"])
-    far = _command_far_table(b, f, n_max)
-    a = search_lift_parameter(b, f, doc.get("a_grid"), _far=far)
-    return build_heat_boundary(b, f, a, n_max, _far=far)
+    a = search_lift_parameter(b, f, doc.get("a_grid"), n_max)
+    return build_heat_boundary(b, f, a, n_max)
 
 
 def controller_to_doc(controller: ObserverController, inputs: int, outputs: int) -> dict:

@@ -12,6 +12,7 @@ closed form or a controlled quadrature:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,10 +28,12 @@ from .modal import ModalBlock, ModalSystem, TailModel
 
 DEFAULT_N_MAX = 64
 # Last mode of the summed tail series: the heat output weights and, for the
-# boundary plant, the lift's a-free far terms q_k (see _FarTable).  Past it the
+# boundary plant, the lift's a-free far terms q_k (see _far_sums).  Past it the
 # output weights add _quartic_remainder's k^-4 bound, and the lift adds the
 # Cauchy-Schwarz and alternating-series bounds of _lift_remainders.
 TAIL_SERIES_LIMIT = 10 ** 6
+# A lift constraint entry passes when its magnitude exceeds this times the scale.
+LIFT_TOLERANCE = 1e-8
 WAVE_TAIL_BLOCKS = 200
 # |b - pi^2 k^2| below this pins mode k to the kernel of the generator.
 KERNEL_ATOL = 1e-9
@@ -38,6 +41,7 @@ KERNEL_AMBIGUOUS = 1e-6
 CRITICAL_ATOL = 1e-9
 
 _PROFILE_KINDS = ("constant", "cosine", "indicator", "coefficients", "samples")
+_SIN_QUARTER_TURNS = np.array([0.0, 1.0, 0.0, -1.0])
 
 
 def exact_sin_pi(x: float) -> float:
@@ -60,20 +64,20 @@ def _sin_pi_arr(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     two_x = 2.0 * x
     n = np.round(two_x)
-    exact = two_x == n
     out = np.sin(np.pi * x)
-    n_int = n.astype(np.int64, copy=False)
-    exact_val = np.where(
-        n_int % 2 == 0, 0.0, np.where(((n_int - 1) // 2) % 2 == 0, 1.0, -1.0))
-    return np.where(exact, exact_val, out)
+    # exact values where 2x is an integer n: sin(pi n / 2) cycles 0, 1, 0, -1
+    idx = np.flatnonzero(two_x == n)
+    out.flat[idx] = _SIN_QUARTER_TURNS[n.flat[idx].astype(np.int64) % 4]
+    return out
 
 
 def _sinc_pi_arr(x: np.ndarray) -> np.ndarray:
     """sin(pi x)/(pi x) with the removable singularity filled in."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.ones_like(x)
-    nz = x != 0.0
-    out[nz] = _sin_pi_arr(x[nz]) / (np.pi * x[nz])
+    zero = x == 0.0
+    out = _sin_pi_arr(x)
+    np.divide(out, np.pi * x, out=out, where=~zero)
+    out[zero] = 1.0
     return out
 
 
@@ -280,20 +284,29 @@ def _heat_tail_input_sq(profile: SourceProfile, coeffs: np.ndarray) -> float:
     return max(0.0, 2.0 * norm_sq - float(resolved))
 
 
+def _tail_alpha(b: float, N_max: int) -> float:
+    """Decay rate pi^2 (N_max + 1)^2 - b of a heat-family tail past N_max.
+
+    Raises unless N_max >= 1 and the first unresolved mode (so every one) is stable.
+    """
+    if N_max < 1:
+        raise ValueError("N_max must be >= 1")
+    alpha_tail = np.pi ** 2 * (N_max + 1) ** 2 - b
+    if alpha_tail <= 0.0:
+        raise TailUnstable(
+            f"mode {N_max + 1} beyond the resolved range is unstable for b = {b:g}; "
+            "increase N_max")
+    return alpha_tail
+
+
 def build_heat(b: float, f: SourceProfile, N_max: int = DEFAULT_N_MAX) -> ModalSystem:
     """Reaction-diffusion plant in modal form.
 
     Mode k carries eigenvalue b - pi^2 k^2, input coefficient from the
     cosine expansion of f, and unit output weight (boundary point value).
     """
-    if N_max < 1:
-        raise ValueError("N_max must be >= 1")
     b = float(b)
-    alpha_tail = np.pi ** 2 * (N_max + 1) ** 2 - b
-    if alpha_tail <= 0.0:
-        raise TailUnstable(
-            f"mode {N_max + 1} beyond the resolved range is unstable for b = {b:g}; "
-            "increase N_max")
+    alpha_tail = _tail_alpha(b, N_max)
     coeffs = fourier_cos_coeffs(f, N_max)
     blocks = []
     for k in range(N_max + 1):
@@ -427,21 +440,6 @@ def _lift_h_coeffs(a: float, b: float, ks: np.ndarray) -> np.ndarray:
     return n_k * sign / (c_sq + np.pi ** 2 * ks ** 2)
 
 
-def boundary_derivative_check(a: float, b: float, K: int = 2 * 10 ** 6) -> float:
-    """Partial sum of the cosine expansion of h' evaluated at xi = 1.
-
-    Converges to 1 like 1/K; used to confirm that reconstructed states
-    recover the flux boundary condition.
-    """
-    c = math.sqrt(a - b)
-    ks = np.arange(1, K + 1, dtype=np.float64)
-    sign = np.where(ks.astype(np.int64) % 2 == 0, 1.0, -1.0)
-    d0 = (math.cosh(c) - 1.0) / (c * math.sinh(c))
-    # the k-th cosine coefficient of h' times cos(pi k) is already sign-folded
-    terms = 2.0 * c * (math.cosh(c) - sign) / ((c ** 2 + np.pi ** 2 * ks ** 2) * math.sinh(c))
-    return float(d0 + np.sum(terms))
-
-
 @dataclass(frozen=True)
 class ConstraintEntry:
     """One scalar non-degeneracy condition of the lifted plant."""
@@ -491,8 +489,9 @@ def _kernel_index(b: float, count: int) -> int:
     return -1
 
 
-class _FarTable:
-    """The lift's far terms over k = first .. TAIL_SERIES_LIMIT, free of a.
+@functools.lru_cache(maxsize=1)
+def _far_sums(b: float, f: SourceProfile, N: int) -> tuple:
+    """(sum q_k, sum q_k^2, heat output series) over k = N+1 .. TAIL_SERIES_LIMIT.
 
     With s_k = n_k (-1)^k, c^2 = a - b and d_k = pi^2 k^2 - b = -lambda_k, the
     lift has h_k = s_k / (pi^2 k^2 + c^2) and, off the kernel,
@@ -500,58 +499,38 @@ class _FarTable:
     fractions give a h_k / d_k = s_k / d_k - h_k, so for every a
     h_k + g1_k = q_k := (f_k + s_k) / d_k.
 
-    It holds d_k (``decay``) and q_k, built on first use, and their suffixes
-    serve every a and every order N >= first - 1.  Only stable tails
-    (d_k > 0) are read: a build whose tail is not stable raises first.
+    The third value is _heat_tail_output_sq over the same d_k.  The caller
+    checks that the tail is stable (d_k > 0).  The last call is cached, so a
+    command's search and build share one pass over the 10^6 modes; only the
+    three floats are kept, no array.
     """
-
-    def __init__(self, b: float, f: SourceProfile, N: int):
-        self.b, self.f, self.first, self.q = b, f, N + 1, None
-
-    def _build(self):
-        f, N = self.f, self.first - 1
-        if f.kind == "samples":
-            raise QuadratureNotConverged(
-                "the boundary lift sums coefficient series far past any fixed quadrature "
-                "budget; convert the profile with fourier_cos_coeffs to a coefficients "
-                "profile first")
-        ks = np.arange(N + 1, TAIL_SERIES_LIMIT + 1, dtype=np.float64)
-        # f first, so its inner-product temporaries are freed before d_k exists
-        if f.kind == "coefficients":
-            # profile entry j is the coefficient of mode k = j
-            q = np.zeros(len(ks))
-            values = f.values[N + 1:N + 1 + len(ks)]
-            q[:len(values)] = values
-        else:
-            q = _raw_cos_inner(f, ks)
-            q /= 0.5
-        # every k here is >= 1, so s_k = 2 (-1)^k; index N % 2 is the first odd k
-        q[N % 2::2] -= 2.0
-        q[1 - N % 2::2] += 2.0
-        np.square(ks, out=ks)
-        ks *= np.pi ** 2
-        ks -= self.b
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q /= ks
-        self.q, self.decay = q, ks
-
-    def past(self, N: int) -> tuple:
-        """Views of (q_k, d_k) over k = N+1 .. TAIL_SERIES_LIMIT."""
-        if N + 1 < self.first:
-            raise ValueError(f"far table starts at mode {self.first}, past {N + 1}")
-        if self.q is None:
-            self._build()
-        return self.q[N + 1 - self.first:], self.decay[N + 1 - self.first:]
-
-
-def _lift_check_order(b: float) -> int:
-    """Resolved order of the lift search: every mode past it is stable."""
-    return int(math.ceil(math.sqrt(max(b, 0.0)) / math.pi)) + 1
-
-
-def _command_far_table(b: float, f: SourceProfile, N_max: int) -> _FarTable:
-    """The table one command's search and build at N_max share, from the lower mode they read."""
-    return _FarTable(b, f, min(_lift_check_order(b), N_max))
+    if f.kind == "samples":
+        raise QuadratureNotConverged(
+            "the boundary lift sums coefficient series far past any fixed quadrature "
+            "budget; convert the profile with fourier_cos_coeffs to a coefficients "
+            "profile first")
+    ks = np.arange(N + 1, TAIL_SERIES_LIMIT + 1, dtype=np.float64)
+    # f first, so its inner-product temporaries are freed before d_k exists
+    if f.kind == "coefficients":
+        # profile entry j is the coefficient of mode k = j
+        q = np.zeros(len(ks))
+        values = f.values[N + 1:N + 1 + len(ks)]
+        q[:len(values)] = values
+    else:
+        q = _raw_cos_inner(f, ks)
+        q /= 0.5
+    # every k here is >= 1, so s_k = 2 (-1)^k; index N % 2 is the first odd k
+    q[N % 2::2] -= 2.0
+    q[1 - N % 2::2] += 2.0
+    np.square(ks, out=ks)
+    ks *= np.pi ** 2
+    ks -= b
+    q /= ks
+    q_sum = float(np.sum(q))
+    np.square(q, out=q)
+    q_sq = float(np.sum(q))
+    del q  # freed before the output series allocates its temporaries
+    return q_sum, q_sq, _heat_tail_output_sq(b, ks)
 
 
 def _lift_remainders(b: float, f: SourceProfile) -> tuple:
@@ -580,7 +559,7 @@ def _lift_pieces(b: float, f: SourceProfile, a: float, N_resolved: int,
 
     h(0) is the sum of every h_k, so u_output = h(0) + sum g1_k equals
     sum_{k <= N} (h_k + g1_k) + far_sum, the a-free sum of q_k over k > N (see
-    _FarTable); the kernel mode keeps its h_k.  The work per a is O(N).
+    _far_sums); the kernel mode keeps its h_k.  The work per a is O(N).
     """
     ks = np.arange(N_resolved + 1, dtype=np.float64)
     f_coeffs = fourier_cos_coeffs(f, N_resolved)
@@ -614,14 +593,14 @@ def _constraint_entries(pieces: dict, b: float) -> list:
     return out
 
 
-def _entries_to_report(raw_entries: list, tolerance: float, scale: float) -> ConstraintReport:
+def _entries_to_report(raw_entries: list, scale: float) -> ConstraintReport:
     entries = tuple(
-        ConstraintEntry(name, k, value, abs(value) > tolerance * scale)
+        ConstraintEntry(name, k, value, abs(value) > LIFT_TOLERANCE * scale)
         for name, k, value in raw_entries)
     return ConstraintReport(
         entries=entries,
         all_pass=all(e.passed for e in entries),
-        tolerance=tolerance,
+        tolerance=LIFT_TOLERANCE,
         scale=scale,
     )
 
@@ -630,12 +609,13 @@ def default_lift_grid(b: float) -> list:
     return [b + j for j in range(1, 33)]
 
 
-def search_lift_parameter(b: float, f: SourceProfile, grid=None, *, _far=None) -> float:
+def search_lift_parameter(b: float, f: SourceProfile, grid=None,
+                          N_max: int = DEFAULT_N_MAX) -> float:
     """First lift parameter on the grid whose constraint system clears tolerance.
 
+    The constraints are those of the plant build_heat_boundary makes at N_max.
     Thresholds are relative to the largest constraint magnitude anywhere on
-    the grid, so a uniformly tiny system cannot vacuously pass.  _far: see
-    _command_far_table.
+    the grid, so a uniformly tiny system cannot vacuously pass.
     """
     b = float(b)
     if grid is None:
@@ -645,13 +625,12 @@ def search_lift_parameter(b: float, f: SourceProfile, grid=None, *, _far=None) -
         raise ValueError("lift parameter grid must be nonempty")
     if any(a <= b for a in grid):
         raise ValueError("every grid entry must exceed b")
-    n_check = _lift_check_order(b)
-    far_sum = float(np.sum((_far or _FarTable(b, f, n_check)).past(n_check)[0]))
-    per_a = [_constraint_entries(_lift_pieces(b, f, a, n_check, far_sum), b) for a in grid]
+    _tail_alpha(b, N_max)
+    far_sum = _far_sums(b, f, N_max)[0]
+    per_a = [_constraint_entries(_lift_pieces(b, f, a, N_max, far_sum), b) for a in grid]
     scale = max(1.0, max(abs(v) for entries in per_a for _, _, v in entries))
-    tolerance = 1e-8
     for a, entries in zip(grid, per_a):
-        if all(abs(v) > tolerance * scale for _, _, v in entries):
+        if _entries_to_report(entries, scale).all_pass:
             return a
     worst = [
         f"a = {a:g}: {min(entries, key=lambda e: abs(e[2]))}"
@@ -662,7 +641,7 @@ def search_lift_parameter(b: float, f: SourceProfile, grid=None, *, _far=None) -
 
 
 def build_heat_boundary(b: float, f: SourceProfile, a: float,
-                        N_max: int = DEFAULT_N_MAX, *, _far=None):
+                        N_max: int = DEFAULT_N_MAX):
     """Boundary-actuated heat plant, lifted to modal form.
 
     The physical state x feels the control only through the flux boundary
@@ -672,27 +651,20 @@ def build_heat_boundary(b: float, f: SourceProfile, a: float,
     absorb its share of f + a h into a coordinate change, so the u state and
     that mode form one 2x2 block coupled through g2.
 
-    Returns the modal system together with the lift coefficients.  _far: see
-    _command_far_table.
+    Returns the modal system together with the lift coefficients.
     """
-    if N_max < 1:
-        raise ValueError("N_max must be >= 1")
     b, a = float(b), float(a)
-    alpha_tail = np.pi ** 2 * (N_max + 1) ** 2 - b
-    if alpha_tail <= 0.0:
-        raise TailUnstable(
-            f"mode {N_max + 1} beyond the resolved range is unstable for b = {b:g}; "
-            "increase N_max")
+    alpha_tail = _tail_alpha(b, N_max)
     if a <= b:
         raise ValueError("lift parameter must satisfy a > b")
-    q, decay = (_far or _FarTable(b, f, N_max)).past(N_max)
-    pieces = _lift_pieces(b, f, a, N_max, float(np.sum(q)))
+    far_sum, far_sq, output_sq = _far_sums(b, f, N_max)
+    pieces = _lift_pieces(b, f, a, N_max, far_sum)
     u_remainder, far_sq_remainder = _lift_remainders(b, f)
     kernel = pieces["kernel"]
 
     raw_entries = _constraint_entries(pieces, b)
     scale = max(1.0, max(abs(v) for _, _, v in raw_entries))
-    report = _entries_to_report(raw_entries, 1e-8, scale)
+    report = _entries_to_report(raw_entries, scale)
 
     data = BoundaryLiftData(
         a=a,
@@ -728,8 +700,8 @@ def build_heat_boundary(b: float, f: SourceProfile, a: float,
 
     tail = TailModel(
         decay_alpha=alpha_tail,
-        input_norm=math.sqrt(float(np.sum(np.square(q))) + far_sq_remainder),
-        output_graph_norm=math.sqrt(_heat_tail_output_sq(b, decay)),
+        input_norm=math.sqrt(far_sq + far_sq_remainder),
+        output_graph_norm=math.sqrt(output_sq),
         amplitude_a=1.0,
     )
     return ModalSystem(tuple(blocks), tail, 1, 1), data

@@ -1,5 +1,7 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -127,13 +129,14 @@ def test_simulate_rejects_wrong_x0_length(tmp_path):
 @pytest.mark.parametrize("b, n_max", [(5.0, 64), (math.pi ** 2, 8), (-1.0, 3),
                                       (5.0, 1), (42.0, 2)])
 def test_boundary_plant_shares_one_far_table(b, n_max):
-    # The CLI's search and build read one table built from the lower of the
-    # search's order and N_max (5.0/1 and 42.0/2 sit below the search's).
+    # The CLI's search and build both work at N_max and share one cached far
+    # sum, so its plant equals standalone calls at that N_max, also at the
+    # smallest N_max with a stable tail (5.0/1, 42.0/2).
     doc = {"type": "heat_boundary", "b": b, "f": {"kind": "constant", "value": 1.1},
            "N_max": n_max}
     sys_, data = build_plant(doc)
     f = SourceProfile.constant(1.1)
-    a = search_lift_parameter(b, f)
+    a = search_lift_parameter(b, f, N_max=n_max)
     ref_sys, ref = build_heat_boundary(b, f, a, n_max)
     assert data.a == a
     assert data.u_output == ref.u_output
@@ -152,11 +155,22 @@ def test_boundary_command_evaluates_far_profile_once(tmp_path, monkeypatch):
         return inner(profile, ks)
 
     monkeypatch.setattr(plants, "_raw_cos_inner", counting)
+    plants._far_sums.cache_clear()
     cfg = {"plant": {"type": "heat_boundary", "b": 5.0,
                      "f": {"kind": "constant", "value": 1.2}, "N_max": 8}}
     code, _ = run(tmp_path, "analyze", cfg)
     assert code == 0
     assert len(far_calls) == 1
+
+
+def test_cli_imports_no_private_names():
+    tree = ast.parse((Path(__file__).parents[1] / "src" / "modalstab" / "cli.py").read_text())
+    private = [
+        (node.module, alias.name) for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("modalstab"))
+        for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_unknown_config_key_is_schema_error(tmp_path):

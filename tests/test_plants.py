@@ -10,7 +10,7 @@ from modalstab.errors import (InfiniteUnstablePart, KernelResonance,
                               NoAdmissibleParameter, QuadratureNotConverged,
                               TailUnstable)
 from modalstab.plants import (TAIL_SERIES_LIMIT, _lift_h_coeffs, _quartic_remainder,
-                              boundary_derivative_check, default_lift_grid, exact_sin_pi,
+                              _sin_pi_arr, _sinc_pi_arr, default_lift_grid, exact_sin_pi,
                               fourier_cos_coeffs, lift_h, modal_input_coeffs,
                               profile_l2_norm_sq)
 
@@ -20,6 +20,35 @@ def test_exact_trig_values():
     assert exact_sin_pi(0.5) == 1.0
     assert exact_sin_pi(1.5) == -1.0
     assert exact_sin_pi(0.3) == pytest.approx(math.sin(0.3 * math.pi), rel=1e-15)
+
+
+def _masked_sin_pi(x):
+    """sin(pi x) with exact values where 2x is an integer, written with full-size masks."""
+    two_x = 2.0 * x
+    n = np.round(two_x)
+    n_int = n.astype(np.int64)
+    exact_val = np.where(
+        n_int % 2 == 0, 0.0, np.where(((n_int - 1) // 2) % 2 == 0, 1.0, -1.0))
+    return np.where(two_x == n, exact_val, np.sin(np.pi * x))
+
+
+def _masked_sinc_pi(x):
+    out = np.ones_like(x)
+    nz = x != 0.0
+    out[nz] = _masked_sin_pi(x[nz]) / (np.pi * x[nz])
+    return out
+
+
+def test_array_sin_and_sinc_match_masked_formulas_bitwise():
+    ks = np.arange(-2 * 10 ** 5, 2 * 10 ** 5, dtype=np.float64)
+    rng = np.random.default_rng(3)
+    inputs = [ks, ks + 0.5, np.array([0.0, -0.0, 0.5, -1.5, 2.0])]
+    inputs += [ks * xi for xi in (0.1, 0.5, 0.6, 0.9)]
+    inputs.append(rng.uniform(-1e6, 1e6, 4 * 10 ** 5))
+    for x in inputs:
+        assert np.array_equal(_sin_pi_arr(x).view(np.int64), _masked_sin_pi(x).view(np.int64))
+        assert np.array_equal(_sinc_pi_arr(x).view(np.int64),
+                              _masked_sinc_pi(x).view(np.int64))
 
 
 def test_profile_validation():
@@ -146,7 +175,6 @@ def test_lift_h_satisfies_flux_normalization():
         h = 1e-6
         deriv = (lift_h(a, b, 1.0) - lift_h(a, b, 1.0 - h)) / h
         assert deriv == pytest.approx(1.0, rel=1e-5)
-        assert boundary_derivative_check(a, b) == pytest.approx(1.0, abs=5e-6)
         assert lift_h(a, b, 0.0) == pytest.approx(1.0 / (c * math.sinh(c)))
 
 
@@ -233,6 +261,14 @@ def test_boundary_parameter_validation():
         search_lift_parameter(5.0, f, grid=[])
     with pytest.raises(ValueError):
         search_lift_parameter(5.0, f, grid=[4.0, 6.0])
+
+
+def test_search_lift_parameter_needs_a_stable_tail():
+    # At b = 42 mode 2 has pi^2 2^2 - 42 < 0, so N_max = 1 leaves it unresolved.
+    with pytest.raises(TailUnstable):
+        search_lift_parameter(42.0, SourceProfile.indicator(0.1, 0.9), N_max=1)
+    with pytest.raises(ValueError):
+        search_lift_parameter(5.0, SourceProfile.constant(1.0), N_max=0)
 
 
 def test_search_lift_parameter_default_grid():

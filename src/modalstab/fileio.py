@@ -152,14 +152,6 @@ def read_json(path: str, schema_name: str = None) -> dict:
     return doc
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format_float(float(value)).strip('"')
-
-
 def write_trajectory_csv(path: str, traj, n_plant: int):
     """t, x_1..x_n, w_1..w_q, u_1..u_m, y_1..y_p rows at full precision."""
     n_total = traj.states.shape[1]
@@ -175,7 +167,7 @@ def write_trajectory_csv(path: str, traj, n_plant: int):
         row.extend(traj.states[i].real)
         row.extend(traj.inputs[i].real)
         row.extend(traj.outputs[i].real)
-        # %.17g writes nan, inf, -inf and -0 exactly as _csv_cell does
+        # %.17g writes nan, inf, -inf and -0 as format_float does, unquoted
         lines.append(",".join(map("%.17g".__mod__, row)))
     write_text_atomic(path, "\n".join(lines) + "\n")
 
@@ -184,7 +176,5 @@ def write_sweep_csv(path: str, rows: list):
     """Rows of (N, tail_gain, gain_R, product, verdict)."""
     lines = ["N,tail_gain,gain_R,product,verdict"]
     for N, tail_g, gain_r, product, verdict in rows:
-        lines.append(",".join([
-            str(int(N)), _csv_cell(tail_g), _csv_cell(gain_r),
-            _csv_cell(product), str(verdict)]))
+        lines.append("%d,%.17g,%.17g,%.17g,%s" % (N, tail_g, gain_r, product, verdict))
     write_text_atomic(path, "\n".join(lines) + "\n")

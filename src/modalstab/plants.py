@@ -12,7 +12,6 @@ closed form or a controlled quadrature:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -27,11 +26,14 @@ from .errors import (
 from .modal import ModalBlock, ModalSystem, TailModel
 
 DEFAULT_N_MAX = 64
-# Last mode of the summed tail series: the heat output weights and, for the
-# boundary plant, the lift's a-free far terms q_k (see _far_sums).  Past it the
-# output weights add _quartic_remainder's k^-4 bound, and the lift adds the
-# Cauchy-Schwarz and alternating-series bounds of _lift_remainders.
-TAIL_SERIES_LIMIT = 10 ** 6
+# Terms each tail series sums past N_max (the heat and wave output weights and
+# the boundary lift's far terms); a closed-form bound covers the rest.
+TAIL_SUMMED_TERMS = 10 ** 4
+# gamma_32 = 32u / (1 - 32u), u = 2^-53, rounded up.  A term of at most 32
+# roundings, sines faithful to a few ulps of rounded arguments, is off by at
+# most this times its envelope: the term on magnitudes, where a difference
+# D = x - y in a denominator also scales it by (|x| + |y|) / |D| (Higham 2002, ch. 3).
+_ROUNDING = 33 * 2.0 ** -53
 # A lift constraint entry passes when its magnitude exceeds this times the scale.
 LIFT_TOLERANCE = 1e-8
 WAVE_TAIL_BLOCKS = 200
@@ -41,6 +43,9 @@ KERNEL_AMBIGUOUS = 1e-6
 CRITICAL_ATOL = 1e-9
 
 _PROFILE_KINDS = ("constant", "cosine", "indicator", "coefficients", "samples")
+# Their integer-mode coefficients come from sines of rounded arguments, off by
+# an absolute error below _ROUNDING; the other kinds give exact ones.
+_SINE_PROFILES = ("cosine", "indicator")
 _SIN_QUARTER_TURNS = np.array([0.0, 1.0, 0.0, -1.0])
 
 
@@ -258,30 +263,23 @@ def _quartic_remainder(b: float, K: float) -> tuple:
     return 1.0 / (3.0 * np.pi ** 4 * K ** 3 * slack ** 2), slack
 
 
-def _tail_decay(b: float, N: int) -> np.ndarray:
-    """pi^2 k^2 - b for k = N+1 .. TAIL_SERIES_LIMIT: |lambda_k| once the tail is stable."""
-    return np.pi ** 2 * np.arange(N + 1, TAIL_SERIES_LIMIT + 1, dtype=np.float64) ** 2 - b
+def _heat_tail_output_sq(b: float, N: int) -> float:
+    """Upper bound on the sum over k > N of (1 / (1 + |b - pi^2 k^2|))^2 for a
+    stable tail: past the summed range _quartic_remainder bounds the terms."""
+    ks = np.arange(N + 1, N + TAIL_SUMMED_TERMS + 1, dtype=np.float64)
+    partial = float(np.sum((1.0 / (1.0 + (np.pi ** 2 * ks ** 2 - b))) ** 2))
+    return partial + _quartic_remainder(b, ks[-1])[0]
 
 
-def _heat_tail_output_sq(b: float, decay: np.ndarray) -> float:
-    """sum over k > N of (1 / (1 + |b - pi^2 k^2|))^2 with remainder bound.
-
-    decay is _tail_decay(b, N).  Valid once the tail is stable
-    (pi^2 (N+1)^2 > b): terms decay like k^-4, so the series past
-    TAIL_SERIES_LIMIT is dominated by the integral of (pi^2 k^2 - b)^-2.
-    """
-    partial = float(np.sum((1.0 / (1.0 + decay)) ** 2))
-    return partial + _quartic_remainder(b, TAIL_SERIES_LIMIT)[0]
-
-
-def _heat_tail_input_sq(profile: SourceProfile, coeffs: np.ndarray) -> float:
-    """Parseval remainder: sum of squared coefficients beyond the resolved set."""
+def _tail_input_sq(profile: SourceProfile, coeffs: np.ndarray, basis: str) -> float:
+    """Parseval remainder beyond the resolved set; every basis mode has squared
+    norm 1/2 except mode 0 of the integer basis, which has 1."""
     if profile.kind == "coefficients":
         extra = np.asarray(profile.values[len(coeffs):], dtype=np.float64)
         return float(np.sum(extra ** 2))
-    norm_sq = profile_l2_norm_sq(profile, basis="integer")
-    resolved = 2.0 * coeffs[0] ** 2 + np.sum(coeffs[1:] ** 2)
-    return max(0.0, 2.0 * norm_sq - float(resolved))
+    resolved = (2.0 * coeffs[0] ** 2 + np.sum(coeffs[1:] ** 2) if basis == "integer"
+                else np.sum(coeffs ** 2))
+    return max(0.0, 2.0 * profile_l2_norm_sq(profile, basis) - float(resolved))
 
 
 def _tail_alpha(b: float, N_max: int) -> float:
@@ -315,8 +313,8 @@ def build_heat(b: float, f: SourceProfile, N_max: int = DEFAULT_N_MAX) -> ModalS
             np.array([[lam]]), np.array([[coeffs[k]]]), np.array([[1.0]]), label=k))
     tail = TailModel(
         decay_alpha=alpha_tail,
-        input_norm=math.sqrt(_heat_tail_input_sq(f, coeffs)),
-        output_graph_norm=math.sqrt(_heat_tail_output_sq(b, _tail_decay(b, N_max))),
+        input_norm=math.sqrt(_tail_input_sq(f, coeffs, "integer")),
+        output_graph_norm=math.sqrt(_heat_tail_output_sq(b, N_max)),
         amplitude_a=1.0,
     )
     return ModalSystem(tuple(blocks), tail, 1, 1)
@@ -391,9 +389,9 @@ def build_wave(b: float, kappa: float, f: SourceProfile,
     amplitude = float(max(1.0, conds[0]))
 
     decay = 0.99 * 0.5 * kappa if kappa > 0.0 else 1.01 * 0.5 * kappa
-    tail_input_sq = _wave_tail_input_sq(f, coeffs)
+    tail_input_sq = _tail_input_sq(f, coeffs, "half")
 
-    tail_ks = k_first + np.arange(10 ** 5, dtype=np.float64)
+    tail_ks = k_first + np.arange(TAIL_SUMMED_TERMS, dtype=np.float64)
     tail_omega = np.sqrt(np.pi ** 2 * tail_ks ** 2 - b)
     sig_min_sq = (tail_omega ** 2 + kappa ** 2 / 2.0
                   - abs(kappa) * np.sqrt(kappa ** 2 / 4.0 + tail_omega ** 2))
@@ -412,14 +410,6 @@ def build_wave(b: float, kappa: float, f: SourceProfile,
     return ModalSystem(tuple(blocks), tail, 1, 1)
 
 
-def _wave_tail_input_sq(profile: SourceProfile, coeffs: np.ndarray) -> float:
-    if profile.kind == "coefficients":
-        extra = np.asarray(profile.values[len(coeffs):], dtype=np.float64)
-        return float(np.sum(extra ** 2))
-    norm_sq = profile_l2_norm_sq(profile, basis="half")
-    return max(0.0, 2.0 * norm_sq - float(np.sum(coeffs ** 2)))
-
-
 def lift_h(a: float, b: float, xi) -> np.ndarray:
     """Lift function h(xi) = cosh(c xi) / (c sinh c), c = sqrt(a - b).
 
@@ -431,13 +421,15 @@ def lift_h(a: float, b: float, xi) -> np.ndarray:
     return np.cosh(c * np.asarray(xi, dtype=np.float64)) / (c * math.sinh(c))
 
 
-def _lift_h_coeffs(a: float, b: float, ks: np.ndarray) -> np.ndarray:
-    """Normalized cosine coefficients of the lift: n_k (-1)^k / (c^2 + pi^2 k^2)."""
-    c_sq = a - b
-    ks = np.asarray(ks, dtype=np.float64)
+def _lift_signs(ks: np.ndarray) -> np.ndarray:
+    """s_k = n_k (-1)^k, the cosine coefficients of the unit flux at the right end."""
     n_k = np.where(ks == 0.0, 1.0, 2.0)
-    sign = np.where(ks.astype(np.int64) % 2 == 0, 1.0, -1.0)
-    return n_k * sign / (c_sq + np.pi ** 2 * ks ** 2)
+    return n_k * np.where(ks.astype(np.int64) % 2 == 0, 1.0, -1.0)
+
+
+def _lift_h_coeffs(a: float, b: float, ks: np.ndarray) -> np.ndarray:
+    """Normalized cosine coefficients of the lift: s_k / (c^2 + pi^2 k^2)."""
+    return _lift_signs(ks) / (a - b + np.pi ** 2 * ks ** 2)
 
 
 @dataclass(frozen=True)
@@ -489,77 +481,91 @@ def _kernel_index(b: float, count: int) -> int:
     return -1
 
 
-@functools.lru_cache(maxsize=1)
-def _far_sums(b: float, f: SourceProfile, N: int) -> tuple:
-    """(sum q_k, sum q_k^2, heat output series) over k = N+1 .. TAIL_SERIES_LIMIT.
+def _lift_q_sums(b: float, f: SourceProfile, N: int) -> tuple:
+    """(sum q_k over every mode off the kernel, a bound on its error, an upper
+    bound on the sum of q_k^2 over k > N).
 
     With s_k = n_k (-1)^k, c^2 = a - b and d_k = pi^2 k^2 - b = -lambda_k, the
     lift has h_k = s_k / (pi^2 k^2 + c^2) and, off the kernel,
     g1_k = (f_k + a h_k) / d_k.  As (pi^2 k^2 + c^2) - d_k = a, partial
     fractions give a h_k / d_k = s_k / d_k - h_k, so for every a
-    h_k + g1_k = q_k := (f_k + s_k) / d_k.
+    h_k + g1_k = q_k := (f_k + s_k) / d_k.  The caller checks that the tail is
+    stable (d_k > 0 for k > N); the kernel mode, given d_k = inf, drops out.
 
-    The third value is _heat_tail_output_sq over the same d_k.  The caller
-    checks that the tail is stable (d_k > 0).  The last call is cached, so a
-    command's search and build share one pass over the 10^6 modes; only the
-    three floats are kept, no array.
+    The work is O(N + M), M = TAIL_SUMMED_TERMS, K = N + M.  Past N, s_k =
+    2 (-1)^k and an indicator's f_k = 2 (sin k t_2 - sin k t_1) / (pi k),
+    t = pi xi, go through 1/d_k = 1/(pi^2 k^2) + b / (pi^2 k^2 d_k), which
+    meets no kernel mode: a closed form over k >= 1 less its N-term partial
+    sum, from sum (-1)^k / k^2 = -pi^2 / 12 and
+    sum sin(k t) / k^3 = t (t - pi)(t - 2 pi) / 12 on [0, 2 pi], plus a k^-4
+    series summed over N < k <= K.  Other profiles sum f_k / d_k there: a
+    cosine's f_k fall like k^-2, a coefficients profile's stop, and a
+    constant's are 0.  Past K, where d_k >= sl pi^2 k^2 and
+    sum d_k^-2 <= Q4 (_quartic_remainder), the rest is at most:
+    * s: the first term, as b s_k / (pi^2 k^2 d_k) alternates and shrinks;
+    * indicator: |b| / (pi^5 sl K^4), as |f_k| <= 4 / (pi k);
+    * cosine: f_k = (-1)^k 2 k0 sin(pi k0) / (pi (k0^2 - k^2)) alternates and
+      shrinks past k0, so the first term if k0 <= K, else Cauchy-Schwarz with
+      Parseval (sum f_k^2 <= 2 ||f||^2): sqrt(2 ||f||^2 Q4);
+    * coefficients: Cauchy-Schwarz on the entries past K.
+    The squares add 4 ||f||^2 / d_{K+1}^2 + 8 Q4 past K, as
+    (x + y)^2 <= 2 x^2 + 2 y^2.  Each term's rounding is bounded as in
+    _ROUNDING, and math.fsum rounds the total once.
     """
     if f.kind == "samples":
         raise QuadratureNotConverged(
             "the boundary lift sums coefficient series far past any fixed quadrature "
             "budget; convert the profile with fourier_cos_coeffs to a coefficients "
             "profile first")
-    ks = np.arange(N + 1, TAIL_SERIES_LIMIT + 1, dtype=np.float64)
-    # f first, so its inner-product temporaries are freed before d_k exists
-    if f.kind == "coefficients":
-        # profile entry j is the coefficient of mode k = j
-        q = np.zeros(len(ks))
-        values = f.values[N + 1:N + 1 + len(ks)]
-        q[:len(values)] = values
-    else:
-        q = _raw_cos_inner(f, ks)
-        q /= 0.5
-    # every k here is >= 1, so s_k = 2 (-1)^k; index N % 2 is the first odd k
-    q[N % 2::2] -= 2.0
-    q[1 - N % 2::2] += 2.0
-    np.square(ks, out=ks)
-    ks *= np.pi ** 2
-    ks -= b
-    q /= ks
-    q_sum = float(np.sum(q))
-    np.square(q, out=q)
-    q_sq = float(np.sum(q))
-    del q  # freed before the output series allocates its temporaries
-    return q_sum, q_sq, _heat_tail_output_sq(b, ks)
-
-
-def _lift_remainders(b: float, f: SourceProfile) -> tuple:
-    """Bounds on |sum q_k| and on sum q_k^2 over k > K = TAIL_SERIES_LIMIT.
-
-    For k > K, d_k is positive and increasing; Parseval gives
-    sum_{k>=1} f_k^2 <= 2 ||f||^2, and _quartic_remainder bounds
-    sum_{k>K} d_k^-2 by Q4.  Split q_k = f_k / d_k + s_k / d_k.
-    * Sum: by Cauchy-Schwarz the f part is at most sqrt(2 ||f||^2 Q4).  The s
-      part alternates in sign with magnitudes 2 / d_k falling to 0, so it is
-      at most its first term 2 / d_{K+1}.
-    * Squares: (x + y)^2 <= 2 x^2 + 2 y^2 gives
-      q_k^2 <= 2 f_k^2 / d_{K+1}^2 + 8 / d_k^2, summing to at most
-      4 ||f||^2 / d_{K+1}^2 + 8 Q4.
-    """
+    res = np.arange(N + 1, dtype=np.float64)
+    f_res = fourier_cos_coeffs(f, N)
+    d_res = np.where(res == _kernel_index(b, N + 1), np.inf, np.pi ** 2 * res ** 2 - b)
+    K = N + TAIL_SUMMED_TERMS
+    ks = np.arange(N + 1, K + 1, dtype=np.float64)
+    pk = np.pi ** 2 * ks ** 2
+    d, s = pk - b, _lift_signs(ks)
     l2_sq = profile_l2_norm_sq(f, basis="integer")
-    quartic = _quartic_remainder(b, TAIL_SERIES_LIMIT)[0]
-    d_next = np.pi ** 2 * (TAIL_SERIES_LIMIT + 1) ** 2 - b
-    return (math.sqrt(2.0 * l2_sq * quartic) + 2.0 / d_next,
-            4.0 * l2_sq / d_next ** 2 + 8.0 * quartic)
+    quartic, sl = _quartic_remainder(b, K)
+    d_next = np.pi ** 2 * (K + 1) ** 2 - b
+    trunc = 2.0 * abs(b) / (np.pi ** 2 * (K + 1) ** 2 * d_next)
+    f_far = np.zeros(len(ks))
+    if f.kind == "coefficients":  # profile entry j is the coefficient of mode k = j
+        values = np.asarray(f.values[N + 1:], dtype=np.float64)
+        f_far[:len(values[:len(ks)])] = values[:len(ks)]
+        trunc += math.sqrt(float(np.sum(values[len(ks):] ** 2)) * quartic)
+    elif f.kind != "constant":
+        f_far = modal_input_coeffs(f, ks, np.full(len(ks), 0.5))
+    split = f.kind == "indicator"
+    near_f, closed = (f_res[1:] if split else 0.0), [-1.0 / 6.0]
+    if split:
+        t = np.pi * np.array([f.xi1, f.xi2])
+        cubic = t * (t - np.pi) * (t - 2.0 * np.pi) / (6.0 * np.pi ** 3)
+        closed += [cubic[1], -cubic[0]]
+        trunc += abs(b) / (np.pi ** 5 * sl * K ** 4)
+    elif f.kind == "cosine":
+        trunc += (2.0 * f.k0 * abs(exact_sin_pi(f.k0))
+                  / (np.pi * ((K + 1) ** 2 - f.k0 ** 2) * d_next) if f.k0 <= K
+                  else math.sqrt(2.0 * l2_sq * quartic))
+    terms = np.concatenate([
+        (f_res + _lift_signs(res)) / d_res,
+        -(_lift_signs(res[1:]) + near_f) / (np.pi ** 2 * res[1:] ** 2),
+        ((b * (s + f_far) / pk) if split else (b * s / pk + f_far)) / d])
+    f_err = float(f.kind in _SINE_PROFILES)
+    # closed forms and partial sums on magnitudes: <= 1 + 2 split (t <= pi, |f_k| <= 2)
+    env = 1.0 + 2.0 * split + float(
+        np.sum((2.0 + np.abs(f_res) + f_err) * (abs(b) + np.pi ** 2 * res ** 2) / d_res ** 2)
+        + np.sum((2.0 + np.abs(f_far) + f_err) * (pk + abs(b)) ** 2 / (pk * d ** 2)))
+    far_sq = float(np.sum(((f_far + s) / d) ** 2)) + 4.0 * l2_sq / d_next ** 2 + 8.0 * quartic
+    return math.fsum(closed + terms.tolist()), trunc + _ROUNDING * env, far_sq
 
 
 def _lift_pieces(b: float, f: SourceProfile, a: float, N_resolved: int,
-                 far_sum: float) -> dict:
+                 q_sum: float) -> dict:
     """Resolved lift coefficients plus the u output weight for lift parameter a.
 
-    h(0) is the sum of every h_k, so u_output = h(0) + sum g1_k equals
-    sum_{k <= N} (h_k + g1_k) + far_sum, the a-free sum of q_k over k > N (see
-    _far_sums); the kernel mode keeps its h_k.  The work per a is O(N).
+    h(0) is the sum of every h_k, so u_output = h(0) + sum g1_k is the kernel
+    mode's h_k plus q_sum, the a-free sum of q_k over every other mode (see
+    _lift_q_sums).  The work per a is O(N).
     """
     ks = np.arange(N_resolved + 1, dtype=np.float64)
     f_coeffs = fourier_cos_coeffs(f, N_resolved)
@@ -573,7 +579,7 @@ def _lift_pieces(b: float, f: SourceProfile, a: float, N_resolved: int,
     g2 = np.where(on_kernel, drive, 0.0)
 
     return {"f": f_coeffs, "h": h_coeffs, "lam": lam, "kernel": kernel, "g1": g1, "g2": g2,
-            "u_output": float(np.sum(h_coeffs + g1)) + far_sum}
+            "u_output": float(q_sum + (h_coeffs[kernel] if kernel >= 0 else 0.0))}
 
 
 def _constraint_entries(pieces: dict, b: float) -> list:
@@ -626,8 +632,8 @@ def search_lift_parameter(b: float, f: SourceProfile, grid=None,
     if any(a <= b for a in grid):
         raise ValueError("every grid entry must exceed b")
     _tail_alpha(b, N_max)
-    far_sum = _far_sums(b, f, N_max)[0]
-    per_a = [_constraint_entries(_lift_pieces(b, f, a, N_max, far_sum), b) for a in grid]
+    q_sum = _lift_q_sums(b, f, N_max)[0]
+    per_a = [_constraint_entries(_lift_pieces(b, f, a, N_max, q_sum), b) for a in grid]
     scale = max(1.0, max(abs(v) for entries in per_a for _, _, v in entries))
     for a, entries in zip(grid, per_a):
         if _entries_to_report(entries, scale).all_pass:
@@ -657,10 +663,12 @@ def build_heat_boundary(b: float, f: SourceProfile, a: float,
     alpha_tail = _tail_alpha(b, N_max)
     if a <= b:
         raise ValueError("lift parameter must satisfy a > b")
-    far_sum, far_sq, output_sq = _far_sums(b, f, N_max)
-    pieces = _lift_pieces(b, f, a, N_max, far_sum)
-    u_remainder, far_sq_remainder = _lift_remainders(b, f)
+    q_sum, q_err, far_sq = _lift_q_sums(b, f, N_max)
+    pieces = _lift_pieces(b, f, a, N_max, q_sum)
     kernel = pieces["kernel"]
+    if kernel >= 0:  # the kernel's h_k, whose c^2 = a - b rounds relative to |a| + |b|
+        pk = np.pi ** 2 * kernel ** 2
+        q_err += _ROUNDING * abs(pieces["h"][kernel]) * (abs(a) + abs(b) + pk) / (a - b + pk)
 
     raw_entries = _constraint_entries(pieces, b)
     scale = max(1.0, max(abs(v) for _, _, v in raw_entries))
@@ -675,7 +683,7 @@ def build_heat_boundary(b: float, f: SourceProfile, a: float,
         h_at_0=float(lift_h(a, b, 0.0)),
         u_output=pieces["u_output"],
         kernel_index=kernel,
-        series_remainder=u_remainder,
+        series_remainder=q_err,
         constraint_report=report,
     )
 
@@ -700,8 +708,8 @@ def build_heat_boundary(b: float, f: SourceProfile, a: float,
 
     tail = TailModel(
         decay_alpha=alpha_tail,
-        input_norm=math.sqrt(far_sq + far_sq_remainder),
-        output_graph_norm=math.sqrt(output_sq),
+        input_norm=math.sqrt(far_sq),
+        output_graph_norm=math.sqrt(_heat_tail_output_sq(b, N_max)),
         amplitude_a=1.0,
     )
     return ModalSystem(tuple(blocks), tail, 1, 1), data

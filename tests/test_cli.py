@@ -145,22 +145,26 @@ def test_boundary_plant_shares_one_far_table(b, n_max):
     assert sys_.tail.output_graph_norm == ref_sys.tail.output_graph_norm
 
 
-def test_boundary_command_evaluates_far_profile_once(tmp_path, monkeypatch):
-    far_calls = []
+def test_boundary_command_evaluates_far_profile_on_summed_range(tmp_path, monkeypatch):
+    # The far series evaluates f on at most TAIL_SUMMED_TERMS modes past N_max,
+    # once for the search and once for the build; a constant profile has
+    # f_k = 0 there, so it evaluates none.
+    n_max, far_calls = 8, []
     inner = plants._raw_cos_inner
 
     def counting(profile, ks):
-        if len(ks) > 10 ** 5:
-            far_calls.append(len(ks))
+        if max(ks, default=0.0) > n_max:
+            far_calls.append((profile.kind, len(ks)))
         return inner(profile, ks)
 
     monkeypatch.setattr(plants, "_raw_cos_inner", counting)
-    plants._far_sums.cache_clear()
-    cfg = {"plant": {"type": "heat_boundary", "b": 5.0,
-                     "f": {"kind": "constant", "value": 1.2}, "N_max": 8}}
-    code, _ = run(tmp_path, "analyze", cfg)
-    assert code == 0
-    assert len(far_calls) == 1
+    for tag, f in (("constant", {"kind": "constant", "value": 1.2}),
+                   ("indicator", {"kind": "indicator", "xi1": 0.1, "xi2": 0.6})):
+        cfg = {"plant": {"type": "heat_boundary", "b": 5.0, "f": f, "N_max": n_max}}
+        code, _ = run(tmp_path, "analyze", cfg, tag=tag)
+        assert code == 0
+    assert [kind for kind, _ in far_calls] == ["indicator", "indicator"]
+    assert all(count <= plants.TAIL_SUMMED_TERMS for _, count in far_calls)
 
 
 def test_cli_imports_no_private_names():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from modalstab.fileio import (SCHEMA_NAMES, SchemaViolation, _csv_cell, dumps_canonical,
+from modalstab.fileio import (SCHEMA_NAMES, SchemaViolation, dumps_canonical,
                               format_float, matrix_from_doc, matrix_to_doc,
                               read_json, schema_text, validate_document,
                               write_json_atomic, write_sweep_csv,
@@ -115,6 +115,15 @@ def test_trajectory_csv_layout(tmp_path):
     assert len(lines) == 3
 
 
+def _csv_cell(value) -> str:
+    """The former per-cell CSV formatter, kept as the reference for both writers."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format_float(float(value)).strip('"')
+
+
 def test_trajectory_csv_matches_per_cell_format(tmp_path):
     # Integer-valued times, signed zeros, non-finite values, the smallest
     # subnormal and a large exponent, in complex and real columns alike.
@@ -142,6 +151,18 @@ def test_sweep_csv_layout(tmp_path):
     assert lines[0] == "N,tail_gain,gain_R,product,verdict"
     assert lines[1].split(",") == ["2", "0.5", "3", "1.5", "Failed"]
     assert lines[2].endswith("Certified")
+
+
+def test_sweep_csv_matches_per_cell_format(tmp_path):
+    rows = [(2, math.nan, math.inf, -math.inf, "Failed"),
+            (np.int64(4), -0.0, 5e-324, 1e22, "Certified"),
+            (65, 0.1, 3.0, 0.30000000000000004, "Failed")]
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(str(path), rows)
+    lines = ["N,tail_gain,gain_R,product,verdict"]
+    lines += [",".join(_csv_cell(v) for v in row) for row in rows]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert lines[1] == "2,nan,inf,-inf,Failed"
 
 
 def test_schema_text_is_valid_json():

@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 from scipy.integrate import quad
 
 from modalstab import (SourceProfile, build_heat, build_heat_boundary, build_wave,
@@ -9,7 +11,7 @@ from modalstab import (SourceProfile, build_heat, build_heat_boundary, build_wav
 from modalstab.errors import (InfiniteUnstablePart, KernelResonance,
                               NoAdmissibleParameter, QuadratureNotConverged,
                               TailUnstable)
-from modalstab.plants import (TAIL_SERIES_LIMIT, _lift_h_coeffs, _quartic_remainder,
+from modalstab.plants import (DEFAULT_N_MAX, _lift_h_coeffs, _quartic_remainder,
                               _sin_pi_arr, _sinc_pi_arr, default_lift_grid, exact_sin_pi,
                               fourier_cos_coeffs, lift_h, modal_input_coeffs,
                               profile_l2_norm_sq)
@@ -281,11 +283,15 @@ def test_search_lift_parameter_default_grid():
         assert data.constraint_report.all_pass
 
 
+# Last mode of the reference far series below.
+_REFERENCE_LIMIT = 10 ** 6
+
+
 def _per_a_far_series(b, f, a, N):
     """The lift's far series written per lift parameter: full 10^6-element
     arrays for this a, then np.sum.  Returns (sum g1, sum (h + g1)^2,
-    sum (1 / (1 + |lambda|))^2) over k = N+1 .. TAIL_SERIES_LIMIT."""
-    far = np.arange(N + 1, TAIL_SERIES_LIMIT + 1, dtype=np.float64)
+    sum (1 / (1 + |lambda|))^2) over k = N+1 .. _REFERENCE_LIMIT."""
+    far = np.arange(N + 1, _REFERENCE_LIMIT + 1, dtype=np.float64)
     f_far = modal_input_coeffs(f, far, np.full(len(far), 0.5))
     h_far = _lift_h_coeffs(a, b, far)
     lam_far = b - np.pi ** 2 * far ** 2
@@ -315,9 +321,11 @@ def _per_a_resolved(b, f, a, N):
 def test_boundary_far_series_matches_per_a_formula_exactly(i_f, i_b):
     # N_max alternates parity so every profile and every b meets both; the
     # sign of h_k flips on odd k, and an off-by-one there moves u_output.
-    # The far series sums the a-free q_k = h_k + g1_k in place of h(0) plus the
-    # far g1_k, so u_output matches the per-a sum only up to the dropped
-    # h_k past TAIL_SERIES_LIMIT and rounding; series_remainder covers both.
+    # u_output sums the a-free q_k = h_k + g1_k in place of h(0) plus the g1_k,
+    # so it matches the per-a sum only up to rounding and the g1_k past
+    # _REFERENCE_LIMIT; series_remainder covers both.  The tail output norm
+    # sums fewer terms than the reference and bounds the rest in closed form,
+    # so it may only lie above it, and by far less than 1e-6.
     f, b = _PROFILES[i_f], _BS[i_b]
     N, a = 8 + (i_f + i_b) % 2, b + 1.0
     sys_, data = build_heat_boundary(b, f, a, N_max=N)
@@ -333,8 +341,8 @@ def test_boundary_far_series_matches_per_a_formula_exactly(i_f, i_b):
     assert abs(data.u_output - reference) <= data.series_remainder
     assert abs(data.u_output - reference) <= 1e-12
     assert sys_.tail.input_norm >= math.sqrt(in_sq)
-    quartic = _quartic_remainder(b, TAIL_SERIES_LIMIT)[0]
-    assert sys_.tail.output_graph_norm == math.sqrt(out_sq + quartic)
+    reference_out = math.sqrt(out_sq + _quartic_remainder(b, _REFERENCE_LIMIT)[0])
+    assert reference_out <= sys_.tail.output_graph_norm <= reference_out * (1.0 + 1e-6)
 
 
 @pytest.mark.parametrize("b", [5.0, -1.0, math.pi ** 2, 42.0, -10.0])
@@ -363,6 +371,89 @@ def test_boundary_series_remainder_bounds_u_output_below_a_minus_two():
     reference = data.h_at_0 + float(np.sum(data.g1_coeffs)) + g1_sum
     assert data.series_remainder > 0.0
     assert data.series_remainder >= abs(data.u_output - reference)
+
+
+def _mp_coeff(f, k):
+    """Exact normalized cosine coefficient f_k of a built-in profile."""
+    pi = mp.pi
+    if f.kind == "constant":
+        return mpf(f.value) if k == 0 else mpf(0)
+    if f.kind == "coefficients":
+        return mpf(f.values[k]) if k < len(f.values) else mpf(0)
+    if f.kind == "indicator":
+        if k == 0:
+            return mpf(f.xi2) - mpf(f.xi1)
+        return 2 * (mpmath.sinpi(k * mpf(f.xi2)) - mpmath.sinpi(k * mpf(f.xi1))) / (pi * k)
+    k0 = mpf(f.k0)
+    if k0 == int(k0):
+        return mpf(k == k0)
+    if k == 0:
+        return mpmath.sinpi(k0) / (pi * k0)
+    return (-1) ** k * 2 * k0 * mpmath.sinpi(k0) / (pi * (k0 ** 2 - k ** 2))
+
+
+def _mp_far_sum(b, f, N):
+    """sum over k > N of (f_k + 2 (-1)^k) / (pi^2 k^2 - b), from the full sums over
+    k >= 1 in closed form: the cosecant series
+    sum (-1)^k / (k^2 - w^2) = 1 / (2 w^2) - pi / (2 w sin(pi w)), and for an
+    indicator the Neumann Green's function series
+    sum sin(k t) / (k (k^2 - z^2)) = (pi sin(z (pi - t)) / (2 sin(pi z)) - (pi - t) / 2) / z^2."""
+    pi, b = mp.pi, mpf(b)
+    z = mpmath.sqrt(b) / pi
+
+    def csc_sum(w):
+        return 1 / (2 * w ** 2) - pi / (2 * w * mpmath.sin(pi * w))
+
+    def green(t):
+        return (pi * mpmath.sin(z * (pi - t)) / (2 * mpmath.sin(pi * z)) - (pi - t) / 2) / z ** 2
+
+    full = 2 / pi ** 2 * csc_sum(z)
+    if f.kind == "indicator":
+        full += 2 / pi ** 3 * sum(sign * green(pi * mpf(xi)) for sign, xi in
+                                  ((1, f.xi2), (-1, f.xi1)) if xi > 0)
+    elif f.kind == "cosine" and f.k0 != int(f.k0):
+        k0 = mpf(f.k0)
+        full += (2 * k0 * mpmath.sinpi(k0) / pi ** 3
+                 * (csc_sum(z) - csc_sum(k0)) / (k0 ** 2 - z ** 2))
+    else:  # finitely many f_k with k >= 1 are nonzero
+        top = {"constant": 1, "cosine": int(f.k0) + 1}.get(f.kind) or len(f.values)
+        full += mpmath.fsum(_mp_coeff(f, k) / (pi ** 2 * k ** 2 - b) for k in range(1, top))
+    partial = mpmath.fsum((_mp_coeff(f, k) + 2 * (-1) ** k) / (pi ** 2 * k ** 2 - b)
+                          for k in range(1, N + 1))
+    return mpmath.re(full - partial)
+
+
+_LIFT_PLANTS = (
+    (5.0, SourceProfile.constant(1.2), DEFAULT_N_MAX),
+    (5.0, SourceProfile.indicator(0.0, 0.5), 9),
+    (5.0, SourceProfile.cosine(2.0), 33),
+    (5.0, SourceProfile.coefficients([1.0, 0.5, 0.25]), 8),
+    (math.pi ** 2, SourceProfile.constant(1.1), 8),
+    (-1.0, SourceProfile.constant(0.0), DEFAULT_N_MAX),
+    (-10.0, SourceProfile.constant(1.0), 8),
+    (15.0, SourceProfile.indicator(0.1, 0.6), 31),
+    (42.0, SourceProfile.indicator(0.1, 0.9), 2),
+    (5.0, SourceProfile.cosine(1.5), 20),
+)
+
+
+@pytest.mark.parametrize("b, f, N", _LIFT_PLANTS)
+def test_boundary_series_remainder_bounds_u_output_against_mpmath(b, f, N):
+    # u_output = sum of (f_k + s_k) / d_k over every mode off the kernel, plus
+    # the kernel mode's h_k, taken exactly; 60 digits absorb the cancellation
+    # near the kernel pole at b = pi^2.
+    a = search_lift_parameter(b, f, N_max=N)
+    _, data = build_heat_boundary(b, f, a, N_max=N)
+    with mp.workdps(60):
+        pi, kernel = mp.pi, data.kernel_index
+        exact = _mp_far_sum(b, f, N) + mpmath.fsum(
+            (_mp_coeff(f, k) + (1 if k == 0 else 2) * (-1) ** k) / (pi ** 2 * k ** 2 - mpf(b))
+            for k in range(N + 1) if k != kernel)
+        if kernel >= 0:
+            exact += 2 * (-1) ** kernel / (mpf(a) - mpf(b) + pi ** 2 * kernel ** 2)
+        error = abs(mpf(data.u_output) - exact)
+    assert error <= data.series_remainder
+    assert data.series_remainder <= 1e-12
 
 
 def test_boundary_coefficients_profile_indexes_far_modes_by_mode():

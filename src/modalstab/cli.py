@@ -30,14 +30,14 @@ from .errors import (BetaExceedsDecay, CertificateNotFound, DimensionMismatch,
                      NoAdmissibleParameter, NotDetectable, NotHurwitz, NotReachable,
                      NotStabilizable, RiccatiDivergence)
 from .fileio import SchemaViolation
-from .gains import decay_envelope, scan_certificate
+from .gains import loop_bounds, scan_certificate
 from .modal import (ModalSystem, StateSpaceSystem, closed_loop_matrix,
-                    partition_spectrum, select_truncation, truncate)
+                    partition_spectrum, select_truncation, truncate, truncate_tail)
 from .plants import (DEFAULT_N_MAX, SourceProfile, build_heat, build_heat_boundary,
                      build_wave, search_lift_parameter)
 from .simulate import estimate_decay_rate, simulate_closed_loop, spectral_abscissa
-from .synthesis import (DesignInfo, ObserverController, check_stabilizable,
-                        loop_system, matches_observer_structure, reduced_R_system,
+from .synthesis import (DesignInfo, ObserverController, check_stabilizable, loop_system,
+                        matches_observer_structure, observer_controller, reduced_R_system,
                         synthesize_controller)
 
 EXIT_OK = 0
@@ -315,6 +315,23 @@ def _epsilon_halving(sys_: ModalSystem, epsilon: float):
     yield count
 
 
+def _prefix_design(sys_: ModalSystem, part, margin_fraction: float):
+    """The controller over the unstable prefix and the bounds of its reduced loop.
+
+    Neither depends on the truncation order, so one serves every candidate N.
+    """
+    prefix, _tail = truncate(sys_, len(part.unstable_indices))
+    design = synthesize_controller(part, prefix)
+    return design, loop_bounds(_controller_loop(prefix, design), margin_fraction)
+
+
+def _write_design(out_dir: str, sys_: ModalSystem, design: ObserverController, cert):
+    truncated, _tail = truncate(sys_, cert.truncation_N)
+    controller = observer_controller(truncated, design.K_u, design.L_u, design.info)
+    _write_controller(out_dir, controller, truncated)
+    write_certificate(out_dir, cert)
+
+
 def cmd_synthesize(cfg: dict, out_dir: str) -> int:
     sys_, lift = build_plant(cfg["plant"])
     part = partition_spectrum(sys_)
@@ -325,31 +342,29 @@ def cmd_synthesize(cfg: dict, out_dir: str) -> int:
     else:
         candidates = _epsilon_halving(sys_, float(cfg["epsilon"]))
 
-    best = None
+    design = best = None
     tried = set()
     for N in candidates:
         if N in tried:
             continue
         tried.add(N)
-        truncated, tail = truncate(sys_, N)
-        controller = synthesize_controller(part, truncated)
-        r_sys = _controller_loop(truncated, controller)
-        cert = scan_certificate(tail, r_sys, N, margin_fraction=float(cfg["margin_fraction"]),
-                                depth=int(cfg["beta_depth"]))
+        tail = truncate_tail(sys_, N)
+        if design is None:
+            # after the first tail, so that an inadmissible N is reported first
+            design, loop = _prefix_design(sys_, part, float(cfg["margin_fraction"]))
+        cert = scan_certificate(tail, loop, N, depth=int(cfg["beta_depth"]))
         if cert.verdict == "Certified":
-            _write_controller(out_dir, controller, truncated)
-            write_certificate(out_dir, cert)
+            _write_design(out_dir, sys_, design, cert)
             print(f"synthesize: Certified at N={N} beta={cert.beta:.9g} "
                   f"product={cert.product:.9g}")
             return EXIT_OK
-        if best is None or cert.product < best[1].product:
-            best = (controller, cert, truncated)
+        if best is None or cert.product < best.product:
+            best = cert
 
     detail = ""
     if best is not None:
-        _write_controller(out_dir, best[0], best[2])
-        write_certificate(out_dir, best[1])
-        detail = (f"; best product {best[1].product:.6g} at N={best[1].truncation_N}"
+        _write_design(out_dir, sys_, design, best)
+        detail = (f"; best product {best.product:.6g} at N={best.truncation_N}"
                   " (documents written for inspection)")
     raise CertificateNotFound(
         f"no truncation up to {len(sys_.blocks)} blocks certified; increase N_max{detail}")
@@ -441,20 +456,17 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
             raise ValueError(
                 f"sweep N={N} outside [{n_unstable_blocks}, {len(sys_.blocks)}]")
 
+    _design, loop = _prefix_design(sys_, part, float(cfg["margin_fraction"]))
+    if loop.env is None:
+        raise NotHurwitz(loop.failure)
     # One beta for every row keeps the columns comparable: the most
     # permissive grid point admissible at the smallest N.
-    trunc0, tail0 = truncate(sys_, ns[0])
-    controller0 = synthesize_controller(part, trunc0)
-    r_env = decay_envelope(_controller_loop(trunc0, controller0).A,
-                           float(cfg["margin_fraction"]))
-    beta = min(tail0.decay_alpha, r_env.alpha) / 2.0 ** int(cfg["beta_depth"])
+    alpha_min = min(truncate_tail(sys_, ns[0]).decay_alpha, loop.env.alpha)
+    beta = alpha_min / 2.0 ** int(cfg["beta_depth"])
 
     rows = []
     for N in ns:
-        truncated, tail = truncate(sys_, N)
-        controller = synthesize_controller(part, truncated)
-        cert = scan_certificate(tail, _controller_loop(truncated, controller), N,
-                                margin_fraction=float(cfg["margin_fraction"]),
+        cert = scan_certificate(truncate_tail(sys_, N), loop, N,
                                 depth=int(cfg["beta_depth"]), fixed_beta=beta)
         rows.append((N, cert.gain_tail.value, cert.gain_R.value, cert.product, cert.verdict))
     fileio.write_sweep_csv(os.path.join(out_dir, "sweep.csv"), rows)

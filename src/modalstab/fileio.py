@@ -14,7 +14,7 @@ import tempfile
 from importlib import resources
 
 import numpy as np
-from jsonschema import Draft202012Validator
+from jsonschema import Draft202012Validator, validators
 from referencing import Registry, Resource
 
 from .errors import ModalToolkitError
@@ -48,6 +48,8 @@ def dumps_canonical(doc, indent: int = 0) -> str:
         seq = list(doc)
         if not seq:
             return "[]"
+        if all(type(v) is float for v in seq):
+            return "[" + ", ".join(map(format_float, seq)) + "]"
         flat = all(isinstance(v, (int, float, bool)) or v is None for v in seq)
         if flat:
             return "[" + ", ".join(dumps_canonical(v) for v in seq) + "]"
@@ -90,7 +92,7 @@ def matrix_to_doc(M: np.ndarray) -> list:
     scale = 1.0 + float(np.max(np.abs(M.real), initial=0.0))
     if residue > 1e-10 * scale:
         raise ValueError(f"matrix has imaginary residue {residue:g}; cannot export")
-    return [[float(v) for v in row] for row in M.real]
+    return M.real.tolist()
 
 
 def matrix_from_doc(doc, rows: int = None, cols: int = None) -> np.ndarray:
@@ -109,6 +111,19 @@ def matrix_from_doc(doc, rows: int = None, cols: int = None) -> np.ndarray:
 
 _REGISTRY = None
 _VALIDATORS = {}
+_NUMBER = {"type": "number"}
+
+
+def _items(validator, items, instance, schema):
+    """Draft 2020-12 ``items``, without one subschema descent per entry for a
+    flat array of numbers (a controller matrix has thousands of entries)."""
+    if (items == _NUMBER and type(instance) is list and "prefixItems" not in schema
+            and all(type(v) is float or type(v) is int for v in instance)):
+        return
+    yield from Draft202012Validator.VALIDATORS["items"](validator, items, instance, schema)
+
+
+_Validator = validators.extend(Draft202012Validator, {"items": _items})
 
 
 def _schema_registry():
@@ -133,7 +148,7 @@ def validate_document(doc: dict, schema_name: str):
         raise ValueError(f"unknown schema {schema_name!r}")
     if schema_name not in _VALIDATORS:
         schema = json.loads(schema_text(schema_name))
-        _VALIDATORS[schema_name] = Draft202012Validator(schema, registry=_schema_registry())
+        _VALIDATORS[schema_name] = _Validator(schema, registry=_schema_registry())
     errors = sorted(_VALIDATORS[schema_name].iter_errors(doc), key=lambda e: list(e.path))
     if errors:
         first = errors[0]

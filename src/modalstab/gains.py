@@ -213,6 +213,10 @@ class StabilityCertificate:
         }
 
 
+def _small_gain_holds(beta: float, product: float, bounds) -> bool:
+    return beta > 0 and product < 1.0 and all(math.isfinite(b.value) for b in bounds)
+
+
 def certify_small_gain(gain_R: GainBound, is_R: GainBound, gain_tail_bound: GainBound,
                        is_tail: GainBound, N: int) -> StabilityCertificate:
     """Combine tail and controller-loop bounds into a verdict.
@@ -236,7 +240,7 @@ def certify_small_gain(gain_R: GainBound, is_R: GainBound, gain_tail_bound: Gain
 
     product = gain_R.value * gain_tail_bound.value
     finite = all(math.isfinite(b.value) for b in (gain_R, is_R, gain_tail_bound, is_tail))
-    certified = beta > 0 and finite and product < 1.0
+    certified = _small_gain_holds(beta, product, (gain_R, is_R, gain_tail_bound, is_tail))
     diagnostics = [
         f"beta={beta:.9g}",
         f"gain_tail={gain_tail_bound.value:.9g}",
@@ -272,13 +276,33 @@ def beta_grid(alpha_min: float, depth: int = BETA_GRID_DEPTH) -> list:
     return [alpha_min / (2.0 ** j) for j in range(depth + 1)]
 
 
-def r_system_gains(r_env: DecayEnvelope, r_sys, beta: float):
-    """(IO, IS) bounds of a finite controller-loop system at shift beta."""
-    norm_a = float(np.linalg.norm(r_sys.A, 2)) if r_sys.n else 0.0
-    norm_b = float(np.linalg.norm(r_sys.B, 2)) if r_sys.B.size else 0.0
-    norm_c = float(np.linalg.norm(r_sys.C, 2)) if r_sys.C.size else 0.0
-    h, g = gain_strong(r_env, beta, norm_b, norm_c, norm_a)
-    return g, h
+@dataclass(frozen=True)
+class LoopBounds:
+    """The beta-free data of a finite controller loop's gain bounds.
+
+    Its decay envelope and the 2-norms of its (A, B, C); one serves every
+    truncation order of a plant.  ``env`` is None when the loop is not
+    exponentially stable, and ``failure`` then says why.
+    """
+
+    env: DecayEnvelope
+    norm_a: float
+    norm_b: float
+    norm_c: float
+    failure: str = ""
+
+
+def loop_bounds(r_sys, margin_fraction: float = 0.5) -> LoopBounds:
+    """Decay envelope and 2-norms of a finite controller-loop system."""
+    try:
+        env = decay_envelope(r_sys.A, margin_fraction)
+    except NotHurwitz as exc:
+        return LoopBounds(None, math.inf, math.inf, math.inf, str(exc))
+    return LoopBounds(
+        env,
+        float(np.linalg.norm(r_sys.A, 2)) if r_sys.n else 0.0,
+        float(np.linalg.norm(r_sys.B, 2)) if r_sys.B.size else 0.0,
+        float(np.linalg.norm(r_sys.C, 2)) if r_sys.C.size else 0.0)
 
 
 def scan_certificate(tail: TailModel, r_sys, N: int,
@@ -287,37 +311,39 @@ def scan_certificate(tail: TailModel, r_sys, N: int,
                      fixed_beta: float = None) -> StabilityCertificate:
     """Scan the beta grid and return the first Certified certificate.
 
-    The grid is {alpha_min / 2^j} with alpha_min the smaller of the tail
-    decay rate and the controller-loop envelope rate.  If no grid point
-    certifies, the minimum-product attempt is returned with verdict Failed.
-    With ``fixed_beta`` set, only that single beta is evaluated.
+    ``r_sys`` is the controller-loop system, or its ``loop_bounds`` (then
+    ``margin_fraction`` is not used), which lets one envelope serve many
+    tails.  The grid is {alpha_min / 2^j} with alpha_min the smaller of the
+    tail decay rate and the controller-loop envelope rate.  If no grid point
+    certifies, the first minimum-product attempt is returned with verdict
+    Failed.  With ``fixed_beta`` set, only that single beta is evaluated.
     """
     if tail.decay_alpha <= 0:
         raise BetaExceedsDecay(f"tail decay rate {tail.decay_alpha:g} <= 0")
-    try:
-        r_env = decay_envelope(r_sys.A, margin_fraction)
-    except NotHurwitz as exc:
+    loop = r_sys if isinstance(r_sys, LoopBounds) else loop_bounds(r_sys, margin_fraction)
+    if loop.env is None:
         dummy = GainBound(0.0, math.inf, "IO", (0, 1), BOUNDED_GENERATOR)
         t_io = GainBound(0.0, tail.input_norm * tail.output_graph_norm, "IO", (1, 0), GRAPH_BOUND)
         return StabilityCertificate(
             beta=0.0, gain_R=dummy, gain_tail=t_io, product=math.inf,
             truncation_N=int(N), verdict="Failed",
-            diagnostics=(f"controller loop is not exponentially stable: {exc}",))
-    alpha_min = min(tail.decay_alpha, r_env.alpha)
+            diagnostics=(f"controller loop is not exponentially stable: {loop.failure}",))
+    tail_env = DecayEnvelope(tail.amplitude_a, tail.decay_alpha)
+    alpha_min = min(tail.decay_alpha, loop.env.alpha)
     grid = [float(fixed_beta)] if fixed_beta is not None else beta_grid(alpha_min, depth)
     best = None
     for beta in grid:
         try:
-            g_tail = tail_gain(tail, beta)
-            h_tail = tail_is_gain(tail, beta)
-            g_r, h_r = r_system_gains(r_env, r_sys, beta)
+            h_tail, g_tail = gain_weak(tail_env, beta, tail.input_norm, tail.output_graph_norm)
+            h_r, g_r = gain_strong(loop.env, beta, loop.norm_b, loop.norm_c, loop.norm_a)
         except BetaExceedsDecay:
             continue
-        cert = certify_small_gain(g_r, h_r, g_tail, h_tail, N)
-        if cert.verdict == "Certified":
-            return cert
-        if best is None or cert.product < best.product:
-            best = cert
+        bounds = (g_r, h_r, g_tail, h_tail)
+        product = g_r.value * g_tail.value
+        if _small_gain_holds(beta, product, bounds):
+            return certify_small_gain(*bounds, N)
+        if best is None or product < best[0]:
+            best = (product, bounds)
     if best is None:
         raise BetaExceedsDecay("no grid beta lies strictly below both decay rates")
-    return best
+    return certify_small_gain(*best[1], N)

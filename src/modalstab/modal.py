@@ -9,6 +9,7 @@ controller synthesis, small-gain certification) works on this representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -111,6 +112,17 @@ class ModalBlock:
             return float("inf")
         return float(sv[0] / sv[-1])
 
+    @cached_property
+    def tail_terms(self) -> tuple:
+        """What this block adds to a tail that absorbs it.
+
+        ``(||input_row||^2, graph output bound^2, -max_real, eigenvector
+        condition)``, computed once per block: every truncation order tried
+        on a plant reuses them.
+        """
+        return (float(np.linalg.norm(self.input_row)) ** 2, _graph_output_bound(self) ** 2,
+                -self.max_real(), self.eigenvector_condition())
+
     def _sort_key(self) -> tuple:
         eigs = self.eigenvalues()
         max_re = float(np.max(eigs.real))
@@ -172,6 +184,16 @@ class ModalSystem:
             if blk.output_dim != self.output_dim:
                 raise DimensionMismatch(
                     f"block {blk.label} has output dim {blk.output_dim}, system has {self.output_dim}")
+
+    @cached_property
+    def _input_suffix_sq(self) -> np.ndarray:
+        """Entry N: squared tail input norm after keeping the first N blocks."""
+        count = len(self.blocks)
+        suffix_sq = np.zeros(count + 1)
+        suffix_sq[count] = self.tail.input_norm ** 2
+        for i in range(count - 1, -1, -1):
+            suffix_sq[i] = suffix_sq[i + 1] + self.blocks[i].tail_terms[0]
+        return suffix_sq
 
 
 @dataclass(frozen=True)
@@ -348,22 +370,46 @@ def _graph_output_bound(blk: ModalBlock) -> float:
     return c_norm / (1.0 + blk.min_singular_value())
 
 
-def truncate(sys: ModalSystem, N: int):
-    """Keep the first N blocks dense; absorb the rest into the tail.
+def truncate_tail(sys: ModalSystem, N: int) -> TailModel:
+    """The tail left after keeping the first N blocks: ``truncate(sys, N)[1]``.
 
-    Returns ``(StateSpaceSystem, TailModel)``.  Raises
-    ``UnstableModeDiscarded`` if any discarded block has an eigenvalue with
-    Re >= 0.
+    Costs scalar work only, so each candidate truncation order is cheap.
+    Raises ``UnstableModeDiscarded`` if any discarded block has an eigenvalue
+    with Re >= 0.
     """
     N = int(N)
     if N < 0 or N > len(sys.blocks):
         raise ValueError(f"N must lie in [0, {len(sys.blocks)}], got {N}")
-    kept, discarded = sys.blocks[:N], sys.blocks[N:]
-    for blk in discarded:
-        if blk.max_real() >= 0.0:
+    tail = sys.tail
+    input_sq = tail.input_norm ** 2
+    output_sq = tail.output_graph_norm ** 2
+    alpha = tail.decay_alpha
+    amp = tail.amplitude_a
+    for blk in sys.blocks[N:]:
+        blk_input_sq, blk_output_sq, blk_decay, blk_condition = blk.tail_terms
+        if blk_decay <= 0.0:
             raise UnstableModeDiscarded(
                 f"block {blk.label} has eigenvalue real part {blk.max_real():g} >= 0")
+        input_sq += blk_input_sq
+        output_sq += blk_output_sq
+        alpha = min(alpha, blk_decay)
+        amp = max(amp, blk_condition)
+    return TailModel(
+        decay_alpha=alpha,
+        input_norm=float(np.sqrt(input_sq)),
+        output_graph_norm=float(np.sqrt(output_sq)),
+        amplitude_a=amp if np.isfinite(amp) else 1e308,
+    )
 
+
+def truncate(sys: ModalSystem, N: int):
+    """Keep the first N blocks dense; absorb the rest into the tail.
+
+    Returns ``(StateSpaceSystem, TailModel)``; the tail is
+    ``truncate_tail(sys, N)``, whose checks apply.
+    """
+    tail = truncate_tail(sys, N)
+    kept = sys.blocks[:int(N)]
     n = sum(blk.dim for blk in kept)
     A = np.zeros((n, n), dtype=np.complex128)
     B = np.zeros((n, sys.input_dim), dtype=np.complex128)
@@ -375,24 +421,7 @@ def truncate(sys: ModalSystem, N: int):
         B[pos:pos + d, :] = blk.input_row
         C[:, pos:pos + d] = blk.output_col
         pos += d
-
-    tail = sys.tail
-    input_sq = tail.input_norm ** 2
-    output_sq = tail.output_graph_norm ** 2
-    alpha = tail.decay_alpha
-    amp = tail.amplitude_a
-    for blk in discarded:
-        input_sq += float(np.linalg.norm(blk.input_row)) ** 2
-        output_sq += _graph_output_bound(blk) ** 2
-        alpha = min(alpha, -blk.max_real())
-        amp = max(amp, blk.eigenvector_condition())
-    new_tail = TailModel(
-        decay_alpha=alpha,
-        input_norm=float(np.sqrt(input_sq)),
-        output_graph_norm=float(np.sqrt(output_sq)),
-        amplitude_a=amp if np.isfinite(amp) else 1e308,
-    )
-    return StateSpaceSystem(A, B, C), new_tail
+    return StateSpaceSystem(A, B, C), tail
 
 
 def select_truncation(sys: ModalSystem, epsilon: float) -> int:
@@ -405,13 +434,9 @@ def select_truncation(sys: ModalSystem, epsilon: float) -> int:
     epsilon = float(epsilon)
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon:g}")
-    n_unstable = sum(1 for blk in sys.blocks if blk.max_real() >= 0.0)
-    # suffix_sq[N] = squared tail input norm after keeping the first N blocks
+    n_unstable = sum(1 for blk in sys.blocks if blk.tail_terms[2] <= 0.0)
     count = len(sys.blocks)
-    suffix_sq = np.zeros(count + 1)
-    suffix_sq[count] = sys.tail.input_norm ** 2
-    for i in range(count - 1, -1, -1):
-        suffix_sq[i] = suffix_sq[i + 1] + float(np.linalg.norm(sys.blocks[i].input_row)) ** 2
+    suffix_sq = sys._input_suffix_sq
     for N in range(n_unstable, count + 1):
         if np.sqrt(suffix_sq[N]) < epsilon:
             return N

@@ -245,9 +245,9 @@ def synthesize_controller(partition: SpectrumPartition,
     """Observer-based controller over the truncated plant.
 
     The feedback acts on the unstable prefix only, the observer estimates
-    the whole truncated state:
-
-        E = A + [L; 0] C + B [K, 0],   F = -[L; 0],   G = [K, 0].
+    the whole truncated state (see ``observer_controller``).  The gains
+    depend on the prefix alone: a controller synthesized over the prefix
+    serves every finer truncation through ``observer_controller``.
     """
     n = truncated.n
     n_u = int(partition.unstable_dim)
@@ -261,15 +261,6 @@ def synthesize_controller(partition: SpectrumPartition,
     K_u = design_feedback(A_u, B_u)
     L_u = design_observer(A_u, C_u)
 
-    K_full = np.zeros((truncated.m, n), dtype=np.complex128)
-    K_full[:, :n_u] = K_u
-    L_full = np.zeros((n, truncated.p), dtype=np.complex128)
-    L_full[:n_u, :] = L_u
-
-    E = A + L_full @ C + B @ K_full
-    F = -L_full
-    G = K_full
-
     if n_u:
         fb_rate = -float(np.max(np.linalg.eigvals(A_u + B_u @ K_u).real))
         ob_rate = -float(np.max(np.linalg.eigvals(A_u + L_u @ C_u).real))
@@ -278,11 +269,24 @@ def synthesize_controller(partition: SpectrumPartition,
     else:
         fb_rate = ob_rate = np.inf
         fb_res = ob_res = 0.0
+    return observer_controller(truncated, K_u, L_u, DesignInfo(fb_rate, ob_rate, fb_res, ob_res))
+
+
+def observer_controller(truncated: StateSpaceSystem, K_u: np.ndarray, L_u: np.ndarray,
+                        info: DesignInfo) -> ObserverController:
+    """The observer controller with prefix gains K_u, L_u over ``truncated``:
+
+        E = A + [L; 0] C + B [K, 0],   F = -[L; 0],   G = [K, 0].
+    """
+    n = truncated.n
+    n_u = K_u.shape[1]
+    K_full = np.zeros((truncated.m, n), dtype=np.complex128)
+    K_full[:, :n_u] = K_u
+    L_full = np.zeros((n, truncated.p), dtype=np.complex128)
+    L_full[:n_u, :] = L_u
     return ObserverController(
-        E=E, F=F, G=G, K_u=K_u, L_u=L_u,
-        n_unstable=n_u, n_retained=n - n_u,
-        info=DesignInfo(fb_rate, ob_rate, fb_res, ob_res),
-    )
+        E=truncated.A + L_full @ truncated.C + truncated.B @ K_full, F=-L_full, G=K_full,
+        K_u=K_u, L_u=L_u, n_unstable=n_u, n_retained=n - n_u, info=info)
 
 
 def reduced_R_system(A_u: np.ndarray, B_u: np.ndarray, C_u: np.ndarray,
@@ -354,13 +358,9 @@ def matches_observer_structure(truncated: StateSpaceSystem, controller: Observer
     n_u = controller.n_unstable
     if controller.n != n or n_u > n:
         return False
-    K_full = np.zeros((truncated.m, n), dtype=np.complex128)
-    K_full[:, :n_u] = controller.K_u
-    L_full = np.zeros((n, truncated.p), dtype=np.complex128)
-    L_full[:n_u, :] = controller.L_u
-    E_ref = truncated.A + L_full @ truncated.C + truncated.B @ K_full
-    scale = 1.0 + max(float(np.linalg.norm(truncated.A)), float(np.linalg.norm(E_ref)))
-    ok_e = float(np.linalg.norm(controller.E - E_ref)) <= rtol * scale
-    ok_f = float(np.linalg.norm(controller.F + L_full)) <= rtol * (1.0 + float(np.linalg.norm(L_full)))
-    ok_g = float(np.linalg.norm(controller.G - K_full)) <= rtol * (1.0 + float(np.linalg.norm(K_full)))
-    return bool(ok_e and ok_f and ok_g)
+    ref = observer_controller(truncated, controller.K_u, controller.L_u, controller.info)
+    scale = 1.0 + max(float(np.linalg.norm(truncated.A)), float(np.linalg.norm(ref.E)))
+    return all(float(np.linalg.norm(mine - theirs)) <= rtol * bound for mine, theirs, bound in (
+        (controller.E, ref.E, scale),
+        (controller.F, ref.F, 1.0 + float(np.linalg.norm(ref.F))),
+        (controller.G, ref.G, 1.0 + float(np.linalg.norm(ref.G)))))

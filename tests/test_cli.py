@@ -3,14 +3,23 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
-from modalstab import plants
+from modalstab import (StateSpaceSystem, TailModel, certify_small_gain, cli, decay_envelope,
+                       gain_strong, partition_spectrum, plants, reduced_R_system,
+                       select_truncation, synthesize_controller, tail_gain, tail_is_gain)
 from modalstab.cli import build_plant, main
-from modalstab.fileio import read_json, validate_document
+from modalstab.errors import (BetaExceedsDecay, CertificateNotFound, NotReachable,
+                              UnstableModeDiscarded)
+from modalstab.fileio import (read_json, validate_document, write_json_atomic,
+                              write_sweep_csv)
+from modalstab.gains import beta_grid
 from modalstab.plants import SourceProfile, build_heat_boundary, search_lift_parameter
+from modalstab.synthesis import check_stabilizable
 
 GEOMETRIC = [1.0 / (k + 1) ** 2 for k in range(17)]
 
@@ -167,6 +176,186 @@ def test_boundary_command_evaluates_far_profile_on_summed_range(tmp_path, monkey
     assert all(count <= plants.TAIL_SUMMED_TERMS for _, count in far_calls)
 
 
+# The synthesize and sweep commands as they were before the controller design
+# moved out of the candidate loop: every truncation order N gets its own dense
+# truncation, tail sum, Riccati design, reduced loop, decay envelope and
+# per-beta certificates.
+def _reference_truncate(sys_, N):
+    kept, discarded = sys_.blocks[:N], sys_.blocks[N:]
+    for blk in discarded:
+        if blk.max_real() >= 0.0:
+            raise UnstableModeDiscarded(
+                f"block {blk.label} has eigenvalue real part {blk.max_real():g} >= 0")
+    dense = StateSpaceSystem(block_diag(*[blk.block_matrix for blk in kept]),
+                             np.vstack([blk.input_row for blk in kept]),
+                             np.hstack([blk.output_col for blk in kept]))
+    tail = sys_.tail
+    input_sq, output_sq = tail.input_norm ** 2, tail.output_graph_norm ** 2
+    alpha, amp = tail.decay_alpha, tail.amplitude_a
+    for blk in discarded:
+        input_sq += float(np.linalg.norm(blk.input_row)) ** 2
+        c_norm = float(np.linalg.norm(blk.output_col, 2))
+        output_sq += (c_norm / (1.0 + blk.min_singular_value())) ** 2
+        alpha = min(alpha, -blk.max_real())
+        amp = max(amp, blk.eigenvector_condition())
+    return dense, TailModel(alpha, float(np.sqrt(input_sq)), float(np.sqrt(output_sq)),
+                            amp if np.isfinite(amp) else 1e308)
+
+
+def _reference_scan(tail, r_sys, N, margin, depth, fixed_beta=None):
+    r_env = decay_envelope(r_sys.A, margin)
+    norms = [float(np.linalg.norm(M, 2)) if M.size else 0.0 for M in (r_sys.B, r_sys.C, r_sys.A)]
+    alpha_min = min(tail.decay_alpha, r_env.alpha)
+    best = None
+    for beta in [fixed_beta] if fixed_beta is not None else beta_grid(alpha_min, depth):
+        try:
+            g_tail, h_tail = tail_gain(tail, beta), tail_is_gain(tail, beta)
+            h_r, g_r = gain_strong(r_env, beta, *norms)
+        except BetaExceedsDecay:
+            continue
+        cert = certify_small_gain(g_r, h_r, g_tail, h_tail, N)
+        if cert.verdict == "Certified":
+            return cert
+        if best is None or cert.product < best.product:
+            best = cert
+    return best
+
+
+def _reference_loop(truncated, controller):
+    n_u = controller.n_unstable
+    return reduced_R_system(truncated.A[:n_u, :n_u], truncated.B[:n_u, :],
+                            truncated.C[:, :n_u], controller.K_u, controller.L_u)
+
+
+def _reference_candidates(sys_, epsilon):
+    count = len(sys_.blocks)
+    for j in range(cli.MAX_EPSILON_HALVINGS):
+        try:
+            N = select_truncation(sys_, epsilon / 2.0 ** j)
+        except NotReachable:
+            yield count
+            return
+        yield N
+        if N >= count:
+            return
+    yield count
+
+
+def _reference_write(out_dir, controller, truncated, cert):
+    doc = cli.controller_to_doc(controller, truncated.m, truncated.p)
+    validate_document(doc, "controller")
+    write_json_atomic(str(Path(out_dir) / "controller.json"), doc)
+    cli.write_certificate(out_dir, cert)
+
+
+def _reference_synthesize(cfg, out_dir):
+    sys_, _ = build_plant(cfg["plant"])
+    part = partition_spectrum(sys_)
+    cli._require_synthesizable(check_stabilizable(sys_))
+    if cfg.get("N") is not None:
+        candidates = [int(cfg["N"])]
+    else:
+        candidates = _reference_candidates(sys_, float(cfg["epsilon"]))
+    best, tried = None, set()
+    for N in candidates:
+        if N in tried:
+            continue
+        tried.add(N)
+        truncated, tail = _reference_truncate(sys_, N)
+        controller = synthesize_controller(part, truncated)
+        cert = _reference_scan(tail, _reference_loop(truncated, controller), N,
+                               float(cfg["margin_fraction"]), int(cfg["beta_depth"]))
+        if cert.verdict == "Certified":
+            _reference_write(out_dir, controller, truncated, cert)
+            print(f"synthesize: Certified at N={N} beta={cert.beta:.9g} "
+                  f"product={cert.product:.9g}")
+            return 0
+        if best is None or cert.product < best[1].product:
+            best = (controller, cert, truncated)
+    detail = ""
+    if best is not None:
+        _reference_write(out_dir, best[0], best[2], best[1])
+        detail = (f"; best product {best[1].product:.6g} at N={best[1].truncation_N}"
+                  " (documents written for inspection)")
+    raise CertificateNotFound(
+        f"no truncation up to {len(sys_.blocks)} blocks certified; increase N_max{detail}")
+
+
+def _reference_sweep(cfg, out_dir):
+    sys_, _ = build_plant(cfg["plant"])
+    part = partition_spectrum(sys_)
+    cli._require_synthesizable(check_stabilizable(sys_))
+    ns = sorted({int(N) for N in cfg["sweep_N"]})
+    margin, depth = float(cfg["margin_fraction"]), int(cfg["beta_depth"])
+    trunc0, tail0 = _reference_truncate(sys_, ns[0])
+    r_env = decay_envelope(_reference_loop(trunc0, synthesize_controller(part, trunc0)).A,
+                           margin)
+    beta = min(tail0.decay_alpha, r_env.alpha) / 2.0 ** depth
+    rows = []
+    for N in ns:
+        truncated, tail = _reference_truncate(sys_, N)
+        controller = synthesize_controller(part, truncated)
+        cert = _reference_scan(tail, _reference_loop(truncated, controller), N, margin, depth,
+                               fixed_beta=beta)
+        rows.append((N, cert.gain_tail.value, cert.gain_R.value, cert.product, cert.verdict))
+    write_sweep_csv(str(Path(out_dir) / "sweep.csv"), rows)
+    certified = [r for r in rows if r[4] == "Certified"]
+    first = f" first Certified at N={certified[0][0]}" if certified else ""
+    print(f"sweep: {len(certified)}/{len(rows)} rows Certified{first}")
+    return 0
+
+
+def _constant(value):
+    return {"kind": "constant", "value": value}
+
+
+def _indicator(xi1, xi2):
+    return {"kind": "indicator", "xi1": xi1, "xi2": xi2}
+
+
+REFERENCE_PLANTS = {
+    "boundary_b5": {"type": "heat_boundary", "b": 5.0, "f": _constant(1.2)},
+    "boundary_pi2": {"type": "heat_boundary", "b": math.pi ** 2, "f": _constant(1.1)},
+    "boundary_m1": {"type": "heat_boundary", "b": -1.0, "f": _constant(0.0)},
+    "boundary_b15": {"type": "heat_boundary", "b": 15.0, "f": _indicator(0.1, 0.6)},
+    "boundary_b42": {"type": "heat_boundary", "b": 42.0, "f": _indicator(0.1, 0.9),
+                     "N_max": 2},
+    "heat_b5": {"type": "heat", "b": 5.0, "f": _constant(1.0)},
+    "heat_b15": {"type": "heat", "b": 15.0, "f": _indicator(0.0, 0.5)},
+    "heat_m3": {"type": "heat", "b": -3.0, "f": _constant(1.0)},
+    "heat_b30": {"type": "heat", "b": 30.0, "f": {"kind": "cosine", "k0": 1.5}},
+    "wave_b3": {"type": "wave", "b": 3.0, "kappa": 1.0, "f": _indicator(0.0, 0.5)},
+    "wave_b30": {"type": "wave", "b": 30.0, "kappa": 1.0, "f": _indicator(0.0, 0.5)},
+}
+
+
+@pytest.mark.parametrize("plant", REFERENCE_PLANTS.values(), ids=REFERENCE_PLANTS.keys())
+def test_one_design_per_plant_matches_per_truncation_reference(tmp_path, capsys, monkeypatch,
+                                                               plant):
+    sys_, _ = build_plant(plant)
+    n_u, count = len(partition_spectrum(sys_).unstable_indices), len(sys_.blocks)
+    sweep_N = sorted({N for N in (n_u, n_u + 1, (n_u + count) // 2, count) if 1 <= N <= count})
+    configs = [("synthesize", {"plant": plant}),
+               # N = 1 discards an unstable block of plants that have two
+               ("synthesize", {"plant": plant, "N": 1}),
+               ("sweep", {"plant": plant, "sweep_N": sweep_N})]
+
+    def outcomes(side):
+        seen = []
+        for i, (command, cfg) in enumerate(configs):
+            code, out = run(tmp_path, command, cfg, tag=f"{side}{i}")
+            std = capsys.readouterr()
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            seen.append((code, std.out, std.err, files))
+        return seen
+
+    ours = outcomes("ours")
+    monkeypatch.setitem(cli.COMMANDS, "synthesize", _reference_synthesize)
+    monkeypatch.setitem(cli.COMMANDS, "sweep", _reference_sweep)
+    assert ours == outcomes("reference")
+    assert ours[0][0] in (0, 4) and ours[2][0] == 0 and ours[2][3]
+
+
 def test_cli_imports_no_private_names():
     tree = ast.parse((Path(__file__).parents[1] / "src" / "modalstab" / "cli.py").read_text())
     private = [
@@ -298,6 +487,19 @@ def test_former_tracebacks_exit_with_one_line(tmp_path, capsys, const_heat_contr
     code, _ = run(tmp_path, command, cfg)
     assert code == expected
     assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("entry", ["1.0", True, None, [1.0], {}],
+                         ids=["string", "bool", "null", "nested_list", "object"])
+def test_certify_rejects_controller_with_non_number_entry(tmp_path, capsys,
+                                                          const_heat_controller, entry):
+    doc = json.loads(Path(const_heat_controller).read_text())
+    doc["E"][0][0] = entry
+    bad = tmp_path / "controller.json"
+    bad.write_text(json.dumps(doc))
+    code, _ = run(tmp_path, "certify", {"plant": CONST_HEAT, "controller_file": str(bad)})
+    assert code == 2
+    assert capsys.readouterr().err.startswith("invalid configuration: controller schema: ")
 
 
 # Most draws land where plants build and controllers certify; the rest may be

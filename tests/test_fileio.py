@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from jsonschema import Draft202012Validator
+from referencing import Registry, Resource
 
 from modalstab.fileio import (SCHEMA_NAMES, SchemaViolation, dumps_canonical,
                               format_float, matrix_from_doc, matrix_to_doc,
@@ -39,6 +41,25 @@ def test_dumps_canonical_is_deterministic():
     assert json.loads(one) == doc
     # flat numeric lists stay on one line
     assert "[1, 2, 3]" in one.replace("1.0", "1").replace("\n", " ") or "1, 2, 3" in one
+
+
+def _per_entry_list(seq, indent=0):
+    """dumps_canonical's list branch with one recursive call per entry."""
+    if all(isinstance(v, (int, float, bool)) or v is None for v in seq):
+        return "[" + ", ".join(dumps_canonical(v) for v in seq) + "]"
+    pad = "  " * indent
+    items = [f"{pad}  {dumps_canonical(v, indent + 1)}" for v in seq]
+    return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+
+
+@pytest.mark.parametrize("seq", [
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e22, 0.1],
+    [1.5, 3, True, None, -0.0, math.nan],
+    [2.0, np.int64(4), np.float64(0.1), np.float32(0.1)],
+], ids=["floats", "mixed", "numpy_scalars"])
+def test_dumps_canonical_flat_list_matches_per_entry_format(seq):
+    assert dumps_canonical(seq) == _per_entry_list(seq)
+    assert dumps_canonical({"row": seq}) == '{\n  "row": ' + _per_entry_list(seq, 1) + "\n}"
 
 
 def test_write_json_atomic_round_trip(tmp_path):
@@ -78,6 +99,57 @@ def test_validate_document_reports_first_error():
                            "extra": 1}, "plant")
     with pytest.raises(ValueError):
         validate_document({}, "no_such_schema")
+
+
+def _controller_doc(rng, n=5):
+    return {"E": matrix_to_doc(rng.standard_normal((n, n))),
+            "F": matrix_to_doc(rng.standard_normal((n, 1))),
+            "G": matrix_to_doc(rng.standard_normal((1, n))),
+            "dims": {"n_unstable": 1, "n_retained": n - 1, "inputs": 1, "outputs": 1},
+            "design": {"feedback_rate": 1.0, "observer_rate": "inf",
+                       "feedback_residual": 0, "observer_residual": 1e-15}}
+
+
+def _stock_validator(schema_name):
+    """A stock Draft 2020-12 validator that resolves references to the shipped schemas."""
+    schemas = [json.loads(schema_text(name)) for name in SCHEMA_NAMES]
+    registry = Registry().with_resources(
+        (schema["$id"], Resource.from_contents(schema)) for schema in schemas)
+    return Draft202012Validator(json.loads(schema_text(schema_name)), registry=registry)
+
+
+def _stock_message(doc, schema_name):
+    """validate_document's message, from a stock validator."""
+    first = sorted(_stock_validator(schema_name).iter_errors(doc), key=lambda e: list(e.path))[0]
+    return f"{schema_name} schema: {first.message} (at {'/'.join(map(str, first.path))})"
+
+
+def test_controller_validation_accepts_what_the_stock_validator_accepts(rng):
+    doc = _controller_doc(rng)
+    doc["E"][0] = [0, 1, -2, 3.5, 1e300]  # ints and floats mixed
+    assert not list(_stock_validator("controller").iter_errors(doc))
+    validate_document(doc, "controller")
+
+
+@pytest.mark.parametrize("entry", ["1.0", True, None, [1.0], {}],
+                         ids=["string", "bool", "null", "nested_list", "object"])
+@pytest.mark.parametrize("matrix, row, col", [("E", 2, 3), ("F", 4, 0), ("G", 0, 0)])
+def test_controller_validation_reports_the_stock_first_error(rng, entry, matrix, row, col):
+    doc = _controller_doc(rng)
+    doc[matrix][row][col] = entry
+    with pytest.raises(SchemaViolation) as info:
+        validate_document(doc, "controller")
+    assert str(info.value) == _stock_message(doc, "controller")
+    assert str(info.value).endswith(f"(at {matrix}/{row}/{col})")
+
+
+@pytest.mark.parametrize("sweep_N", [[0], [2, 2.5], [3, True]])
+def test_other_item_schemas_report_the_stock_first_error(sweep_N):
+    # number entries under {"type": "integer", "minimum": 1} still get descended into
+    doc = {"plant": _plant_doc(), "sweep_N": sweep_N}
+    with pytest.raises(SchemaViolation) as info:
+        validate_document(doc, "config")
+    assert str(info.value) == _stock_message(doc, "config")
 
 
 def test_matrix_round_trip(rng):

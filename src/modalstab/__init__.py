@@ -14,8 +14,7 @@ from .errors import (CertificateNotFound, DegenerateTrajectory, DimensionMismatc
                      QuadratureNotConverged, ResolventAtEigenvalue, RiccatiDivergence,
                      TailUnstable, UnstableModeDiscarded)
 from .gains import (DecayEnvelope, GainBound, StabilityCertificate, certify_small_gain,
-                    decay_envelope, gain_strong, gain_weak, scan_certificate, tail_gain,
-                    tail_is_gain)
+                    decay_envelope, gain_strong, gain_weak, scan_certificate)
 from .modal import (ModalBlock, ModalSystem, SpectrumPartition, StateSpaceSystem,
                     TailModel, close_loop, closed_loop_matrix, partition_spectrum,
                     select_truncation, truncate)

@@ -30,7 +30,7 @@ from .errors import (BetaExceedsDecay, CertificateNotFound, DimensionMismatch,
                      NoAdmissibleParameter, NotDetectable, NotHurwitz, NotReachable,
                      NotStabilizable, RiccatiDivergence)
 from .fileio import SchemaViolation
-from .gains import loop_bounds, scan_certificate
+from .gains import BETA_GRID_DEPTH, loop_bounds, scan_certificate
 from .modal import (ModalSystem, StateSpaceSystem, closed_loop_matrix,
                     partition_spectrum, select_truncation, truncate, truncate_tail)
 from .plants import (DEFAULT_N_MAX, SourceProfile, build_heat, build_heat_boundary,
@@ -64,7 +64,7 @@ MAX_EPSILON_HALVINGS = 32
 
 CONFIG_DEFAULTS = {
     "epsilon": 0.1,
-    "beta_depth": 12,
+    "beta_depth": BETA_GRID_DEPTH,
     "margin_fraction": 0.5,
     "horizon": 20.0,
     "dt": 0.01,
@@ -113,7 +113,6 @@ def build_plant(doc: dict):
 
 
 def controller_to_doc(controller: ObserverController, inputs: int, outputs: int) -> dict:
-    info = controller.info or DesignInfo(0.0, 0.0, 0.0, 0.0)
     return {
         "E": fileio.matrix_to_doc(controller.E),
         "F": fileio.matrix_to_doc(controller.F),
@@ -125,10 +124,10 @@ def controller_to_doc(controller: ObserverController, inputs: int, outputs: int)
             "outputs": int(outputs),
         },
         "design": {
-            "feedback_rate": float(info.feedback_rate),
-            "observer_rate": float(info.observer_rate),
-            "feedback_residual": float(info.feedback_residual),
-            "observer_residual": float(info.observer_residual),
+            "feedback_rate": float(controller.info.feedback_rate),
+            "observer_rate": float(controller.info.observer_rate),
+            "feedback_residual": float(controller.info.feedback_residual),
+            "observer_residual": float(controller.info.observer_residual),
         },
     }
 
@@ -196,7 +195,7 @@ def _recheck_certificate(sys_: ModalSystem, controller: ObserverController, cfg:
             r_sys = None
     if r_sys is None:
         r_sys = loop_system(truncated, controller.as_state_space())
-    cert = scan_certificate(tail, r_sys, N, margin_fraction=float(cfg["margin_fraction"]),
+    cert = scan_certificate(tail, loop_bounds(r_sys, float(cfg["margin_fraction"])), N,
                             depth=int(cfg["beta_depth"]))
     return cert, N
 
@@ -415,7 +414,7 @@ def cmd_simulate(cfg: dict, out_dir: str) -> int:
     _check_io_dims(truncated, controller)
 
     x0 = _resolve_x0(cfg, truncated.n)
-    traj = simulate_closed_loop(truncated, controller.as_state_space(), x0, None,
+    traj = simulate_closed_loop(truncated, controller.as_state_space(), x0,
                                 float(cfg["horizon"]), float(cfg["dt"]))
     abscissa, witness = spectral_abscissa(
         closed_loop_matrix(truncated, controller.as_state_space()))

@@ -169,20 +169,6 @@ def decay_envelope(A: np.ndarray, margin_fraction: float = 0.5) -> DecayEnvelope
     return DecayEnvelope(max(1.0, amp), alpha)
 
 
-def tail_gain(tail: TailModel, beta: float) -> GainBound:
-    """IO-(1,0) bound of the spectral tail at shift beta."""
-    env = DecayEnvelope(tail.amplitude_a, tail.decay_alpha)
-    _, g = gain_weak(env, beta, tail.input_norm, tail.output_graph_norm)
-    return g
-
-
-def tail_is_gain(tail: TailModel, beta: float) -> GainBound:
-    """IS-(1,1) bound of the spectral tail at shift beta."""
-    env = DecayEnvelope(tail.amplitude_a, tail.decay_alpha)
-    h, _ = gain_weak(env, beta, tail.input_norm, tail.output_graph_norm)
-    return h
-
-
 @dataclass(frozen=True)
 class StabilityCertificate:
     """Small-gain certificate for the interconnected closed loop.
@@ -305,22 +291,20 @@ def loop_bounds(r_sys, margin_fraction: float = 0.5) -> LoopBounds:
         float(np.linalg.norm(r_sys.C, 2)) if r_sys.C.size else 0.0)
 
 
-def scan_certificate(tail: TailModel, r_sys, N: int,
-                     margin_fraction: float = 0.5,
+def scan_certificate(tail: TailModel, loop: LoopBounds, N: int,
                      depth: int = BETA_GRID_DEPTH,
                      fixed_beta: float = None) -> StabilityCertificate:
     """Scan the beta grid and return the first Certified certificate.
 
-    ``r_sys`` is the controller-loop system, or its ``loop_bounds`` (then
-    ``margin_fraction`` is not used), which lets one envelope serve many
-    tails.  The grid is {alpha_min / 2^j} with alpha_min the smaller of the
-    tail decay rate and the controller-loop envelope rate.  If no grid point
-    certifies, the first minimum-product attempt is returned with verdict
-    Failed.  With ``fixed_beta`` set, only that single beta is evaluated.
+    ``loop`` is the controller loop's ``loop_bounds``, so one envelope serves
+    many tails.  The grid is {alpha_min / 2^j} with alpha_min the smaller of
+    the tail decay rate and the controller-loop envelope rate.  If no grid
+    point certifies, the first minimum-product attempt is returned with
+    verdict Failed.  With ``fixed_beta`` set, only that single beta is
+    evaluated.
     """
     if tail.decay_alpha <= 0:
         raise BetaExceedsDecay(f"tail decay rate {tail.decay_alpha:g} <= 0")
-    loop = r_sys if isinstance(r_sys, LoopBounds) else loop_bounds(r_sys, margin_fraction)
     if loop.env is None:
         dummy = GainBound(0.0, math.inf, "IO", (0, 1), BOUNDED_GENERATOR)
         t_io = GainBound(0.0, tail.input_norm * tail.output_graph_norm, "IO", (1, 0), GRAPH_BOUND)

@@ -198,43 +198,26 @@ class ModalSystem:
 
 @dataclass(frozen=True)
 class StateSpaceSystem:
-    """Dense finite-dimensional LTI system (A, B, C, D)."""
+    """Dense finite-dimensional strictly proper LTI system (A, B, C)."""
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    D: np.ndarray = None
 
     def __post_init__(self):
         A = _as_matrix(self.A, "A")
         n = A.shape[0]
         if A.shape != (n, n):
             raise DimensionMismatch(f"A must be square, got {A.shape}")
-        # 1-D convenience: a length-n B is a single input column, a length-n
-        # C a single output row.
-        B = np.asarray(self.B, dtype=np.complex128)
-        if B.ndim == 1 and n > 0:
-            B = B.reshape(n, -1)
-        B = _as_matrix(B, "B")
-        C = np.asarray(self.C, dtype=np.complex128)
-        if C.ndim == 1 and n > 0:
-            C = C.reshape(-1, n)
-        C = _as_matrix(C, "C")
+        B = _as_matrix(self.B, "B")
+        C = _as_matrix(self.C, "C")
         if B.shape[0] != n:
             raise DimensionMismatch(f"B has {B.shape[0]} rows, expected {n}")
         if C.shape[1] != n:
             raise DimensionMismatch(f"C has {C.shape[1]} columns, expected {n}")
-        if self.D is None:
-            D = np.zeros((C.shape[0], B.shape[1]), dtype=np.complex128)
-        else:
-            D = _as_matrix(self.D, "D")
-            if D.shape != (C.shape[0], B.shape[1]):
-                raise DimensionMismatch(
-                    f"D must have shape {(C.shape[0], B.shape[1])}, got {D.shape}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
-        object.__setattr__(self, "D", D)
 
     @property
     def n(self) -> int:
@@ -265,12 +248,12 @@ class SpectrumPartition:
     unstable_dim: int
 
 
-def partition_spectrum(sys: ModalSystem, margin: float = None) -> SpectrumPartition:
+def partition_spectrum(sys: ModalSystem) -> SpectrumPartition:
     """Classify blocks by the sign of their rightmost eigenvalue real part.
 
-    A block is unstable when any of its eigenvalues has Re >= 0.  ``margin``
-    (default: -tail.decay_alpha) must dominate the tail; the achieved stable
-    margin is reported as ``margin_omega``.
+    A block is unstable when any of its eigenvalues has Re >= 0.  The
+    rightmost stable real part, the tail's -decay_alpha included, is
+    reported as ``margin_omega``.
 
     Raises ``InfiniteUnstablePart`` when the tail itself is not strictly
     stable (decay_alpha <= 0), since then infinitely many non-decaying modes
@@ -280,14 +263,6 @@ def partition_spectrum(sys: ModalSystem, margin: float = None) -> SpectrumPartit
     if tail.decay_alpha <= 0.0:
         raise InfiniteUnstablePart(
             f"tail decay rate {tail.decay_alpha:g} <= 0 implies infinitely many non-decaying modes")
-    if margin is None:
-        margin = -tail.decay_alpha
-    margin = float(margin)
-    if margin >= 0.0:
-        raise ValueError(f"margin must be negative, got {margin:g}")
-    if -tail.decay_alpha > margin:
-        raise ValueError(
-            f"tail eigenvalues reach Re = {-tail.decay_alpha:g} > margin {margin:g}")
 
     unstable, stable = [], []
     stable_res = [-tail.decay_alpha]
@@ -315,14 +290,12 @@ def closed_loop_matrix(plant: StateSpaceSystem, controller: StateSpaceSystem) ->
     """Generator of the output-feedback interconnection in direct coordinates.
 
     Plant (A,B,C) in feedback with controller (E,F,G): u = G w, controller is
-    driven by y = C x.  Feedthrough terms are not supported.
+    driven by y = C x.
     """
     if plant.m != controller.p:
         raise DimensionMismatch(f"controller emits {controller.p} inputs, plant expects {plant.m}")
     if plant.p != controller.m:
         raise DimensionMismatch(f"plant emits {plant.p} outputs, controller expects {controller.m}")
-    if np.any(plant.D != 0) or np.any(controller.D != 0):
-        raise ValueError("closed loop requires strictly proper plant and controller")
     n, q = plant.n, controller.n
     M = np.zeros((n + q, n + q), dtype=np.complex128)
     M[:n, :n] = plant.A

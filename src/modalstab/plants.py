@@ -41,6 +41,8 @@ WAVE_TAIL_BLOCKS = 200
 KERNEL_ATOL = 1e-9
 KERNEL_AMBIGUOUS = 1e-6
 CRITICAL_ATOL = 1e-9
+# Allowed samples-quadrature error, relative to max(sample scale, |integral|).
+SAMPLES_RTOL = 1e-6
 
 _PROFILE_KINDS = ("constant", "cosine", "indicator", "coefficients", "samples")
 # Their integer-mode coefficients come from sines of rounded arguments, off by
@@ -155,13 +157,12 @@ def _simpson(vals: np.ndarray, h: float) -> float:
     return float(h / 3.0 * np.dot(weights, vals))
 
 
-def _samples_integral(sample_vals: np.ndarray, weight_fn=None,
-                      rtol: float = 1e-6) -> float:
+def _samples_integral(sample_vals: np.ndarray, weight_fn=None) -> float:
     """Composite-Simpson integral of samples times an optional weight.
 
     The same rule on every other sample estimates the error by Richardson
-    halving; disagreement beyond rtol of the sample scale means the grid is
-    too coarse for the requested weight frequency.
+    halving; disagreement beyond SAMPLES_RTOL of the sample scale means the
+    grid is too coarse for the requested weight frequency.
     """
     m = len(sample_vals) - 1
     grid = np.linspace(0.0, 1.0, m + 1)
@@ -172,7 +173,7 @@ def _samples_integral(sample_vals: np.ndarray, weight_fn=None,
     half = _simpson(vals[::2], 2.0 / m)
     err = abs(full - half) / 15.0
     scale = max(1.0, float(np.max(np.abs(sample_vals))))
-    if err > max(rtol * scale, rtol * abs(full)):
+    if err > SAMPLES_RTOL * max(scale, abs(full)):
         raise QuadratureNotConverged(
             f"sample grid too coarse: Richardson error {err:.3e}; supply more samples")
     return full

@@ -32,6 +32,8 @@ _B13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
 _MAX_SQUARINGS = 60
+# Leading share of a trajectory that the decay-rate fit skips as transient.
+DECAY_SKIP_FRACTION = 0.3
 
 
 def _pade_low(A: np.ndarray, order: int) -> np.ndarray:
@@ -142,18 +144,16 @@ def _steps_grid(T: float, dt: float):
 
 
 def simulate_closed_loop(plant: StateSpaceSystem, controller: StateSpaceSystem,
-                         x0, w0, T: float, dt: float) -> Trajectory:
+                         x0, T: float, dt: float) -> Trajectory:
     """Exact-step simulation of the plant/controller interconnection.
 
-    One matrix exponential of the closed-loop generator is reused for every
-    step, so grid values carry no integration error.  Records y = C x and
-    u = G w alongside the stacked state.
+    The controller starts at rest.  One matrix exponential of the closed-loop
+    generator is reused for every step, so grid values carry no integration
+    error.  Records y = C x and u = G w alongside the stacked state.
     """
     M = closed_loop_matrix(plant, controller)
     n, q = plant.n, controller.n
-    x0 = np.zeros(n) if x0 is None else np.asarray(x0).reshape(n)
-    w0 = np.zeros(q) if w0 is None else np.asarray(w0).reshape(q)
-    state = np.concatenate([x0, w0]).astype(M.dtype)
+    state = np.concatenate([np.asarray(x0).reshape(n), np.zeros(q)]).astype(M.dtype)
     times, n_steps = _steps_grid(T, dt)
     Phi = matrix_exponential(M, dt)
     states = np.empty((n_steps + 1, n + q), dtype=M.dtype)
@@ -201,12 +201,10 @@ def simulate_modal(blocks, x0, T: float, dt: float) -> Trajectory:
                       np.zeros((n_steps + 1, 0)), dt=dt)
 
 
-def estimate_decay_rate(traj: Trajectory, skip_fraction: float = 0.3) -> float:
+def estimate_decay_rate(traj: Trajectory) -> float:
     """Negated least-squares slope of log ||x(t)|| past the transient window."""
-    if not 0.0 <= skip_fraction < 1.0:
-        raise ValueError("skip_fraction must lie in [0, 1)")
     norms = traj.state_norms()
-    start = int(math.floor(len(norms) * skip_fraction))
+    start = int(math.floor(len(norms) * DECAY_SKIP_FRACTION))
     t = traj.times[start:]
     r = norms[start:]
     keep = r > 0.0
@@ -230,6 +228,8 @@ class GainProbe:
 
 
 BRUTE_FORCE_OMEGAS = tuple(np.logspace(-2.0, 3.0, 40))
+# Cap on the gain probe's time grid.
+BRUTE_FORCE_MAX_STEPS = 12000
 
 
 def _probe_best(Y_weighted: np.ndarray, omegas: np.ndarray, best: tuple) -> tuple:
@@ -250,8 +250,7 @@ def _probe_best(Y_weighted: np.ndarray, omegas: np.ndarray, best: tuple) -> tupl
     return (float(col_max[j]), 0.0, "step")
 
 
-def brute_force_gain(sys: StateSpaceSystem, beta: float, horizon: float = 20.0,
-                     max_steps: int = 12000) -> GainProbe:
+def brute_force_gain(sys: StateSpaceSystem, beta: float, horizon: float = 20.0) -> GainProbe:
     """Largest observed sup_t ||e^{beta t} y(t)|| over a fixed input family.
 
     Inputs are e^{-beta t} sin(w t + phi) per channel (40 log-spaced
@@ -264,20 +263,21 @@ def brute_force_gain(sys: StateSpaceSystem, beta: float, horizon: float = 20.0,
 
     Requires real system data with the spectrum strictly left of -beta.
     """
-    for name in ("A", "B", "C", "D"):
+    for name in ("A", "B", "C"):
         if float(np.max(np.abs(getattr(sys, name).imag), initial=0.0)) != 0.0:
             raise ValueError("gain probe expects real system data")
     abscissa, _ = spectral_abscissa(sys.A)
     if sys.n and abscissa >= -beta:
         raise ValueError(
             f"spectral abscissa {abscissa:g} is not strictly left of -beta = {-beta:g}")
-    if sys.n == 0 or sys.m == 0 or (np.all(sys.C == 0.0) and np.all(sys.D == 0.0)):
+    if sys.n == 0 or sys.m == 0 or np.all(sys.C == 0.0):
         return GainProbe(0.0, 0.0, 0.0, "empty")
 
     omegas = np.asarray(BRUTE_FORCE_OMEGAS)
     # one complex frequency serves both phases: z = i w - beta; step uses w = 0
     zs = np.concatenate([1j * omegas - beta, [complex(-beta)]])
-    n_steps = int(min(max_steps, max(2000, math.ceil(horizon * 8.0 * omegas[-1] / (2 * np.pi)))))
+    n_steps = int(min(BRUTE_FORCE_MAX_STEPS,
+                      max(2000, math.ceil(horizon * 8.0 * omegas[-1] / (2 * np.pi)))))
     dt = horizon / n_steps
     times = np.arange(n_steps + 1) * dt
     weight = np.exp(beta * times)
@@ -294,7 +294,6 @@ def brute_force_gain(sys: StateSpaceSystem, beta: float, horizon: float = 20.0,
     best = (0.0, 0.0, "step")
     for ch in range(sys.m):
         b = sys.B[:, ch]
-        d = sys.D[:, ch].real
         if eigvals is not None:
             # closed form: X_z(t) = (zI - A)^{-1} (e^{zt} - e^{At}) b
             vb = np.linalg.solve(V, b)
@@ -304,8 +303,7 @@ def brute_force_gain(sys: StateSpaceSystem, beta: float, horizon: float = 20.0,
             for j, z in enumerate(zs):
                 coeff = vb / (z - eigvals)
                 u_t = np.exp(z * times)
-                resp = (u_t[:, None] - exp_lam) @ (CV * coeff[None, :]).T
-                yc = resp + np.outer(u_t, d)
+                yc = (u_t[:, None] - exp_lam) @ (CV * coeff[None, :]).T
                 if j < len(omegas):
                     table[:, j] = np.max(np.abs(yc.imag), axis=1)
                     table[:, len(omegas) + j] = np.max(np.abs(yc.real), axis=1)
@@ -324,7 +322,7 @@ def brute_force_gain(sys: StateSpaceSystem, beta: float, horizon: float = 20.0,
         for i in range(n_steps):
             X = Phi @ X + Wb * phase[None, :]
             phase = phase * step_mult
-            Y = sys.C @ X + np.outer(d, phase)
+            Y = sys.C @ X
             table[i + 1, :len(omegas)] = np.max(np.abs(Y[:, :len(omegas)].imag), axis=0)
             table[i + 1, len(omegas):2 * len(omegas)] = np.max(
                 np.abs(Y[:, :len(omegas)].real), axis=0)

@@ -25,16 +25,8 @@ from .modal import ModalSystem, SpectrumPartition, StateSpaceSystem
 
 # Singular values below RANK_RTOL * sigma_max count as zero in rank tests.
 RANK_RTOL = 1e-10
-
-
-def _as_2d(M: np.ndarray, rows: int = None, cols: int = None) -> np.ndarray:
-    """Coerce to a 2-D complex array; -1 reshape cannot infer a size-0 axis."""
-    M = np.asarray(M, dtype=np.complex128)
-    if M.ndim == 2:
-        return M
-    if rows is not None:
-        return M.reshape(rows, -1) if M.size else M.reshape(rows, 0)
-    return M.reshape(-1, cols) if M.size else M.reshape(0, cols)
+# Relative entrywise mismatch up to which a controller has the observer structure.
+STRUCTURE_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -63,16 +55,16 @@ class ModeCheckReport:
     offending_detectable: tuple
 
 
-def _pencil_rank_margin(pencil: np.ndarray, dim: int, rank_rtol: float):
+def _pencil_rank_margin(pencil: np.ndarray, dim: int):
     """(full_rank, margin): margin is sigma_dim / sigma_1 (0 if sigma_1 = 0)."""
     sv = np.linalg.svd(pencil, compute_uv=False)
     if sv[0] == 0.0:
         return dim == 0, 0.0
     margin = float(sv[dim - 1] / sv[0]) if dim >= 1 else 1.0
-    return margin > rank_rtol, margin
+    return margin > RANK_RTOL, margin
 
 
-def check_stabilizable(sys: ModalSystem, rank_rtol: float = RANK_RTOL) -> ModeCheckReport:
+def check_stabilizable(sys: ModalSystem) -> ModeCheckReport:
     """Rank test [lambda I - A_k, B_k] at every unstable block eigenvalue.
 
     Block spectra are disjoint by construction, so per-block tests decide
@@ -91,11 +83,11 @@ def check_stabilizable(sys: ModalSystem, rank_rtol: float = RANK_RTOL) -> ModeCh
         eye = np.eye(d, dtype=np.complex128)
         for ev in unstable:
             pencil_b = np.hstack([ev * eye - blk.block_matrix, blk.input_row])
-            ok_b, m_b = _pencil_rank_margin(pencil_b, d, rank_rtol)
+            ok_b, m_b = _pencil_rank_margin(pencil_b, d)
             stab_ok &= ok_b
             stab_margin = min(stab_margin, m_b)
             pencil_c = np.vstack([ev * eye - blk.block_matrix, blk.output_col])
-            ok_c, m_c = _pencil_rank_margin(pencil_c, d, rank_rtol)
+            ok_c, m_c = _pencil_rank_margin(pencil_c, d)
             det_ok &= ok_c
             det_margin = min(det_margin, m_c)
         if not stab_ok:
@@ -122,7 +114,7 @@ def check_stabilizable(sys: ModalSystem, rank_rtol: float = RANK_RTOL) -> ModeCh
     )
 
 
-def _pbh_dense(A: np.ndarray, B: np.ndarray, rank_rtol: float) -> bool:
+def _pbh_dense(A: np.ndarray, B: np.ndarray) -> bool:
     """Dense stabilizability PBH test at every eigenvalue with Re >= 0."""
     n = A.shape[0]
     if n == 0:
@@ -131,7 +123,7 @@ def _pbh_dense(A: np.ndarray, B: np.ndarray, rank_rtol: float) -> bool:
     for ev in np.linalg.eigvals(A):
         if ev.real < 0.0:
             continue
-        ok, _ = _pencil_rank_margin(np.hstack([ev * eye - A, B]), n, rank_rtol)
+        ok, _ = _pencil_rank_margin(np.hstack([ev * eye - A, B]), n)
         if not ok:
             return False
     return True
@@ -146,12 +138,11 @@ def care_stabilizing_solution(A: np.ndarray, B: np.ndarray):
     norm.  Raises ``RiccatiDivergence`` when no stabilizing solution exists
     within tolerance.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=np.complex128))
+    A = np.asarray(A, dtype=np.complex128)
     B = np.asarray(B, dtype=np.complex128)
     n = A.shape[0]
     if n == 0:
         return np.zeros((0, 0), dtype=np.complex128), 0.0
-    B = B.reshape(n, -1)
     H = np.block([
         [A, -B @ B.conj().T],
         [-np.eye(n, dtype=np.complex128), -A.conj().T],
@@ -178,12 +169,12 @@ def care_stabilizing_solution(A: np.ndarray, B: np.ndarray):
     return P, residual
 
 
-def design_feedback(A: np.ndarray, B: np.ndarray, rank_rtol: float = RANK_RTOL) -> np.ndarray:
+def design_feedback(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """State feedback K = -B* P making A + B K Hurwitz (unit-weight Riccati)."""
-    A = np.atleast_2d(np.asarray(A, dtype=np.complex128))
+    A = np.asarray(A, dtype=np.complex128)
     n = A.shape[0]
-    B = _as_2d(B, rows=n)
-    if not _pbh_dense(A, B, rank_rtol):
+    B = np.asarray(B, dtype=np.complex128)
+    if not _pbh_dense(A, B):
         raise NotStabilizable("an eigenvalue with Re >= 0 is unreachable from the input")
     P, _ = care_stabilizing_solution(A, B)
     K = -B.conj().T @ P
@@ -197,13 +188,12 @@ def design_feedback(A: np.ndarray, B: np.ndarray, rank_rtol: float = RANK_RTOL) 
     return K
 
 
-def design_observer(A: np.ndarray, C: np.ndarray, rank_rtol: float = RANK_RTOL) -> np.ndarray:
+def design_observer(A: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Observer injection L making A + L C Hurwitz; dual of design_feedback."""
-    A = np.atleast_2d(np.asarray(A, dtype=np.complex128))
-    n = A.shape[0]
-    C = _as_2d(C, cols=n)
+    A = np.asarray(A, dtype=np.complex128)
+    C = np.asarray(C, dtype=np.complex128)
     try:
-        K_dual = design_feedback(A.conj().T, C.conj().T, rank_rtol)
+        K_dual = design_feedback(A.conj().T, C.conj().T)
     except NotStabilizable as exc:
         raise NotDetectable("an eigenvalue with Re >= 0 is invisible at the output") from exc
     return K_dual.conj().T
@@ -230,7 +220,7 @@ class ObserverController:
     L_u: np.ndarray
     n_unstable: int
     n_retained: int
-    info: DesignInfo = None
+    info: DesignInfo
 
     def as_state_space(self) -> StateSpaceSystem:
         return StateSpaceSystem(self.E, self.F, self.G)
@@ -301,12 +291,9 @@ def reduced_R_system(A_u: np.ndarray, B_u: np.ndarray, C_u: np.ndarray,
 
     independent of how many stable modes the observer retains.
     """
-    A_u = np.atleast_2d(np.asarray(A_u, dtype=np.complex128))
+    A_u, B_u, C_u, K_u, L_u = (np.asarray(M, dtype=np.complex128)
+                               for M in (A_u, B_u, C_u, K_u, L_u))
     n = A_u.shape[0]
-    B_u = _as_2d(B_u, rows=n)
-    C_u = _as_2d(C_u, cols=n)
-    K_u = _as_2d(K_u, cols=n)
-    L_u = _as_2d(L_u, rows=n)
     if K_u.shape[0] != B_u.shape[1]:
         raise DimensionMismatch("K rows must match input count")
     if L_u.shape[1] != C_u.shape[0]:
@@ -346,8 +333,8 @@ def loop_system(truncated: StateSpaceSystem, controller: StateSpaceSystem) -> St
     return StateSpaceSystem(A, B, C)
 
 
-def matches_observer_structure(truncated: StateSpaceSystem, controller: ObserverController,
-                               rtol: float = 1e-8) -> bool:
+def matches_observer_structure(truncated: StateSpaceSystem,
+                               controller: ObserverController) -> bool:
     """Verify the observer block identities entrywise against the plant.
 
     Checks E = A + [L;0] C + B [K,0], F = -[L;0], G = [K,0].  Only when these
@@ -360,7 +347,8 @@ def matches_observer_structure(truncated: StateSpaceSystem, controller: Observer
         return False
     ref = observer_controller(truncated, controller.K_u, controller.L_u, controller.info)
     scale = 1.0 + max(float(np.linalg.norm(truncated.A)), float(np.linalg.norm(ref.E)))
-    return all(float(np.linalg.norm(mine - theirs)) <= rtol * bound for mine, theirs, bound in (
-        (controller.E, ref.E, scale),
-        (controller.F, ref.F, 1.0 + float(np.linalg.norm(ref.F))),
-        (controller.G, ref.G, 1.0 + float(np.linalg.norm(ref.G)))))
+    pairs = ((controller.E, ref.E, scale),
+             (controller.F, ref.F, 1.0 + float(np.linalg.norm(ref.F))),
+             (controller.G, ref.G, 1.0 + float(np.linalg.norm(ref.G))))
+    return all(float(np.linalg.norm(mine - theirs)) <= STRUCTURE_RTOL * bound
+               for mine, theirs, bound in pairs)

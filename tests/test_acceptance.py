@@ -19,6 +19,7 @@ from modalstab import (SourceProfile, StateSpaceSystem, brute_force_gain,
                        simulate_modal, synthesize_controller, truncate)
 from modalstab.cli import main
 from modalstab.fileio import read_json
+from modalstab.gains import loop_bounds
 from modalstab.plants import default_lift_grid
 
 from conftest import eig_match_distance, random_system
@@ -230,7 +231,7 @@ def test_acceptance_8_reduced_R_bound_independence():
         ctrl = synthesize_controller(part, truncated)
         red = reduced_R_system(truncated.A[:n_u, :n_u], truncated.B[:n_u, :],
                                truncated.C[:, :n_u], ctrl.K_u, ctrl.L_u)
-        cert = scan_certificate(tail, red, n_u + n_r, fixed_beta=0.25)
+        cert = scan_certificate(tail, loop_bounds(red), n_u + n_r, fixed_beta=0.25)
         bounds.append(cert.gain_R.value)
     identical = bounds[0] == bounds[1] == bounds[2]  # bitwise
     _report(8, identical,

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
-from modalstab import (StateSpaceSystem, TailModel, certify_small_gain, cli, decay_envelope,
-                       gain_strong, partition_spectrum, plants, reduced_R_system,
-                       select_truncation, synthesize_controller, tail_gain, tail_is_gain)
+from modalstab import (DecayEnvelope, StateSpaceSystem, TailModel, certify_small_gain, cli,
+                       decay_envelope, gain_strong, gain_weak, partition_spectrum, plants,
+                       reduced_R_system, select_truncation, synthesize_controller)
 from modalstab.cli import build_plant, main
 from modalstab.errors import (BetaExceedsDecay, CertificateNotFound, NotReachable,
                               UnstableModeDiscarded)
@@ -138,9 +138,10 @@ def test_simulate_rejects_wrong_x0_length(tmp_path):
 @pytest.mark.parametrize("b, n_max", [(5.0, 64), (math.pi ** 2, 8), (-1.0, 3),
                                       (5.0, 1), (42.0, 2)])
 def test_boundary_plant_shares_one_far_table(b, n_max):
-    # The CLI's search and build both work at N_max and share one cached far
-    # sum, so its plant equals standalone calls at that N_max, also at the
-    # smallest N_max with a stable tail (5.0/1, 42.0/2).
+    # The CLI's search and build both work at N_max and call the same pure
+    # far-sum function, plants._lift_q_sums, so its plant equals standalone
+    # calls at that N_max, also at the smallest N_max with a stable tail
+    # (5.0/1, 42.0/2).
     doc = {"type": "heat_boundary", "b": b, "f": {"kind": "constant", "value": 1.1},
            "N_max": n_max}
     sys_, data = build_plant(doc)
@@ -206,10 +207,11 @@ def _reference_scan(tail, r_sys, N, margin, depth, fixed_beta=None):
     r_env = decay_envelope(r_sys.A, margin)
     norms = [float(np.linalg.norm(M, 2)) if M.size else 0.0 for M in (r_sys.B, r_sys.C, r_sys.A)]
     alpha_min = min(tail.decay_alpha, r_env.alpha)
+    tail_env = DecayEnvelope(tail.amplitude_a, tail.decay_alpha)
     best = None
     for beta in [fixed_beta] if fixed_beta is not None else beta_grid(alpha_min, depth):
         try:
-            g_tail, h_tail = tail_gain(tail, beta), tail_is_gain(tail, beta)
+            h_tail, g_tail = gain_weak(tail_env, beta, tail.input_norm, tail.output_graph_norm)
             h_r, g_r = gain_strong(r_env, beta, *norms)
         except BetaExceedsDecay:
             continue

@@ -5,10 +5,10 @@ import pytest
 
 from modalstab import (DecayEnvelope, GainBound, StabilityCertificate,
                        certify_small_gain, decay_envelope, gain_strong, gain_weak,
-                       scan_certificate, tail_gain, tail_is_gain, truncate)
+                       scan_certificate, truncate)
 from modalstab.errors import (BetaExceedsDecay, BetaMismatch, NotHurwitz,
                               SmoothnessMismatch)
-from modalstab.gains import beta_grid
+from modalstab.gains import beta_grid, loop_bounds
 from modalstab.modal import TailModel
 from modalstab.plants import SourceProfile, build_heat
 from modalstab.simulate import matrix_exponential
@@ -104,25 +104,29 @@ def test_decay_envelope_dominates_exponential(rng):
             assert norm <= env.amplitude_a * math.exp(-env.alpha * t) * (1.0 + 1e-8)
 
 
+def _tail_gains(tail, beta):
+    """(IS-(1,1), IO-(1,0)) bounds of a spectral tail at shift beta."""
+    env = DecayEnvelope(tail.amplitude_a, tail.decay_alpha)
+    return gain_weak(env, beta, tail.input_norm, tail.output_graph_norm)
+
+
 def test_tail_gain_zero_input():
     tail = TailModel(decay_alpha=3.0, input_norm=0.0, output_graph_norm=5.0)
-    assert tail_gain(tail, 0.1).value == 0.0
+    assert _tail_gains(tail, 0.1)[1].value == 0.0
 
 
 def test_tail_gain_decreases_with_truncation_order():
     vals = [1.0 / (k + 1) ** 2 for k in range(80)]
     sys_ = build_heat(0.0, SourceProfile.coefficients(vals), N_max=40)
-    g4 = tail_gain(truncate(sys_, 4)[1], 0.1).value
-    g8 = tail_gain(truncate(sys_, 8)[1], 0.1).value
+    g4 = _tail_gains(truncate(sys_, 4)[1], 0.1)[1].value
+    g8 = _tail_gains(truncate(sys_, 8)[1], 0.1)[1].value
     assert 0.0 < g8 < g4
 
 
 def test_tail_gain_beta_above_alpha():
     tail = TailModel(decay_alpha=0.05, input_norm=1.0, output_graph_norm=1.0)
     with pytest.raises(BetaExceedsDecay):
-        tail_gain(tail, 0.1)
-    with pytest.raises(BetaExceedsDecay):
-        tail_is_gain(tail, 0.1)
+        _tail_gains(tail, 0.1)
 
 
 def _cert_inputs(gain_r_value, gain_tail_value, beta=0.2):
@@ -181,7 +185,7 @@ def test_scan_certificate_certifies_stable_loop(rng):
     tail = TailModel(decay_alpha=5.0, input_norm=0.01, output_graph_norm=0.1)
     from conftest import random_system
     r_sys = random_system(rng, 3, margin=1.0)
-    cert = scan_certificate(tail, r_sys, N=3)
+    cert = scan_certificate(tail, loop_bounds(r_sys), N=3)
     assert cert.verdict == "Certified"
     assert cert.beta > 0.0
     assert cert.product < 1.0
@@ -191,7 +195,7 @@ def test_scan_certificate_unstable_loop_fails():
     from modalstab import StateSpaceSystem
     tail = TailModel(decay_alpha=5.0, input_norm=0.01, output_graph_norm=0.1)
     r_sys = StateSpaceSystem([[1.0]], [[1.0]], [[1.0]])
-    cert = scan_certificate(tail, r_sys, N=1)
+    cert = scan_certificate(tail, loop_bounds(r_sys), N=1)
     assert cert.verdict == "Failed"
     assert not math.isfinite(cert.gain_R.value)
 
@@ -200,5 +204,5 @@ def test_scan_certificate_fixed_beta():
     from modalstab import StateSpaceSystem
     tail = TailModel(decay_alpha=5.0, input_norm=0.01, output_graph_norm=0.1)
     r_sys = StateSpaceSystem([[-2.0]], [[1.0]], [[1.0]])
-    cert = scan_certificate(tail, r_sys, N=1, fixed_beta=0.125)
+    cert = scan_certificate(tail, loop_bounds(r_sys), N=1, fixed_beta=0.125)
     assert cert.beta == 0.125

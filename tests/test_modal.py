@@ -100,15 +100,6 @@ def test_partition_is_idempotent():
     assert p1 == p2
 
 
-def test_partition_margin_validation():
-    sys_ = toy_system([-1.0, -2.0], tail_alpha=0.5)
-    with pytest.raises(ValueError):
-        partition_spectrum(sys_, margin=0.0)
-    with pytest.raises(ValueError):
-        # Tail reaches Re = -0.5, stricter margin claims are rejected.
-        partition_spectrum(sys_, margin=-1.0)
-
-
 def test_close_loop_zero_controller():
     rng = np.random.default_rng(3)
     plant = random_system(rng, 4)

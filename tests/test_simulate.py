@@ -82,8 +82,7 @@ def test_simulate_closed_loop_wiring(rng):
     ctrl = synthesize_controller(part, truncated)
     n = truncated.n
     x0 = rng.standard_normal(n)
-    traj = simulate_closed_loop(truncated, ctrl.as_state_space(), x0, None,
-                                T=12.0, dt=0.05)
+    traj = simulate_closed_loop(truncated, ctrl.as_state_space(), x0, T=12.0, dt=0.05)
     assert traj.states.shape == (241, 2 * n)
     assert np.allclose(traj.outputs, traj.states[:, :n] @ truncated.C.T)
     assert np.allclose(traj.inputs, traj.states[:, n:] @ ctrl.G.T)
@@ -95,8 +94,6 @@ def test_estimate_decay_rate_oracle():
     states = np.exp(-0.7 * times)
     traj = Trajectory(times, states, states, np.zeros((len(times), 0)), dt=0.1)
     assert estimate_decay_rate(traj) == pytest.approx(0.7, rel=1e-10)
-    with pytest.raises(ValueError):
-        estimate_decay_rate(traj, skip_fraction=1.0)
 
 
 def test_estimate_decay_rate_rejects_zero_trajectory():

@@ -83,24 +83,9 @@ def load_config(path: str) -> dict:
     return {k: merged[k] for k in _CONFIG_KEY_ORDER if k in merged}
 
 
-def profile_from_doc(doc: dict) -> SourceProfile:
-    kind = doc["kind"]
-    if kind == "constant":
-        return SourceProfile.constant(doc["value"])
-    if kind == "cosine":
-        return SourceProfile.cosine(doc["k0"])
-    if kind == "indicator":
-        return SourceProfile.indicator(doc["xi1"], doc["xi2"])
-    if kind == "coefficients":
-        return SourceProfile.coefficients(doc["values"])
-    if kind == "samples":
-        return SourceProfile.samples(doc["values"])
-    raise SchemaViolation(f"unknown profile kind {kind!r}")
-
-
 def build_plant(doc: dict):
     """(ModalSystem, BoundaryLiftData or None) from a validated plant document."""
-    f = profile_from_doc(doc["f"])
+    f = SourceProfile(**doc["f"])  # the schema allows each kind's own field names only
     n_max = int(doc.get("N_max", DEFAULT_N_MAX))
     kind = doc["type"]
     if kind == "heat":
@@ -205,13 +190,12 @@ def _eig_doc(values) -> list:
 
 
 def analysis_document(plant_doc: dict, sys_: ModalSystem, part, report, lift) -> dict:
-    unstable = set(part.unstable_indices)
     modes = []
-    for blk, chk in zip(sys_.blocks, report.blocks):
+    for i, (blk, chk) in enumerate(zip(sys_.blocks, report.blocks)):
         modes.append({
             "label": int(blk.label),
             "dim": int(blk.dim),
-            "unstable": blk.label in unstable,
+            "unstable": i < sys_.n_unstable,
             "eigenvalues": _eig_doc(blk.eigenvalues()),
             "stabilizable": bool(chk.stabilizable),
             "detectable": bool(chk.detectable),
@@ -319,7 +303,7 @@ def _prefix_design(sys_: ModalSystem, part, margin_fraction: float):
 
     Neither depends on the truncation order, so one serves every candidate N.
     """
-    prefix, _tail = truncate(sys_, len(part.unstable_indices))
+    prefix, _tail = truncate(sys_, sys_.n_unstable)
     design = synthesize_controller(part, prefix)
     return design, loop_bounds(_controller_loop(prefix, design), margin_fraction)
 
@@ -449,11 +433,10 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
     _require_synthesizable(check_stabilizable(sys_))
 
     ns = sorted({int(N) for N in requested})
-    n_unstable_blocks = len(part.unstable_indices)
     for N in ns:
-        if N < n_unstable_blocks or N > len(sys_.blocks):
+        if N < sys_.n_unstable or N > len(sys_.blocks):
             raise ValueError(
-                f"sweep N={N} outside [{n_unstable_blocks}, {len(sys_.blocks)}]")
+                f"sweep N={N} outside [{sys_.n_unstable}, {len(sys_.blocks)}]")
 
     _design, loop = _prefix_design(sys_, part, float(cfg["margin_fraction"]))
     if loop.env is None:

@@ -8,7 +8,7 @@ controller synthesis, small-gain certification) works on this representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -25,14 +25,29 @@ from .errors import (
 EIG_COINCIDENCE_RTOL = 1e-9
 
 
-def _as_matrix(value, name: str) -> np.ndarray:
-    arr = np.atleast_2d(np.asarray(value, dtype=np.complex128))
-    if arr.ndim != 2:
-        raise DimensionMismatch(f"{name} must be a 2-D matrix, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr.view(np.float64))):
-        raise ValueError(f"{name} contains non-finite entries")
-    arr.setflags(write=False)
-    return arr
+def _freeze_abc(obj, names: tuple) -> int:
+    """Check and freeze the (A, B, C) fields ``names`` of a frozen dataclass.
+
+    Each becomes a read-only complex 2-D matrix with finite entries; A must be
+    square n x n, B have n rows and C n columns.  Returns n.
+    """
+    for name in names:
+        arr = np.atleast_2d(np.asarray(getattr(obj, name), dtype=np.complex128))
+        if arr.ndim != 2:
+            raise DimensionMismatch(f"{name} must be a 2-D matrix, got shape {arr.shape}")
+        if arr.size and not np.all(np.isfinite(arr.view(np.float64))):
+            raise ValueError(f"{name} contains non-finite entries")
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+    A, B, C = (getattr(obj, name) for name in names)
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise DimensionMismatch(f"{names[0]} must be square, got {A.shape}")
+    if B.shape[0] != n:
+        raise DimensionMismatch(f"{names[1]} has {B.shape[0]} rows, expected {n}")
+    if C.shape[1] != n:
+        raise DimensionMismatch(f"{names[2]} has {C.shape[1]} columns, expected {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -57,16 +72,8 @@ class ModalBlock:
     label: int
 
     def __post_init__(self):
-        object.__setattr__(self, "block_matrix", _as_matrix(self.block_matrix, "block_matrix"))
-        object.__setattr__(self, "input_row", _as_matrix(self.input_row, "input_row"))
-        object.__setattr__(self, "output_col", _as_matrix(self.output_col, "output_col"))
-        d = self.block_matrix.shape[0]
-        if self.block_matrix.shape != (d, d) or d < 1:
-            raise DimensionMismatch(f"block_matrix must be square and nonempty, got {self.block_matrix.shape}")
-        if self.input_row.shape[0] != d:
-            raise DimensionMismatch(f"input_row has {self.input_row.shape[0]} rows, expected {d}")
-        if self.output_col.shape[1] != d:
-            raise DimensionMismatch(f"output_col has {self.output_col.shape[1]} columns, expected {d}")
+        if _freeze_abc(self, ("block_matrix", "input_row", "output_col")) < 1:
+            raise DimensionMismatch("block_matrix must be nonempty")
 
     @property
     def dim(self) -> int:
@@ -163,17 +170,22 @@ class ModalSystem:
 
     Blocks are stored in canonical order: descending real part of the
     rightmost eigenvalue, ties broken by ascending |Im|, then ascending
-    label.  Any non-stable blocks therefore occupy a prefix.
+    label.  Any non-stable blocks therefore occupy a prefix, whose length
+    ``n_unstable`` is derived from the blocks and cannot be set.
     """
 
     blocks: tuple
     tail: TailModel
     input_dim: int
     output_dim: int
+    n_unstable: int = field(init=False)
 
     def __post_init__(self):
-        blocks = tuple(sorted(self.blocks, key=lambda blk: blk._sort_key()))
+        keyed = sorted(((blk._sort_key(), blk) for blk in self.blocks), key=lambda kb: kb[0])
+        blocks = tuple(blk for _, blk in keyed)
         object.__setattr__(self, "blocks", blocks)
+        # a block is unstable when its rightmost eigenvalue has Re >= 0
+        object.__setattr__(self, "n_unstable", sum(1 for key, _ in keyed if key[0] <= 0.0))
         labels = [blk.label for blk in blocks]
         if len(set(labels)) != len(labels):
             raise ValueError("block labels must be distinct")
@@ -205,19 +217,7 @@ class StateSpaceSystem:
     C: np.ndarray
 
     def __post_init__(self):
-        A = _as_matrix(self.A, "A")
-        n = A.shape[0]
-        if A.shape != (n, n):
-            raise DimensionMismatch(f"A must be square, got {A.shape}")
-        B = _as_matrix(self.B, "B")
-        C = _as_matrix(self.C, "C")
-        if B.shape[0] != n:
-            raise DimensionMismatch(f"B has {B.shape[0]} rows, expected {n}")
-        if C.shape[1] != n:
-            raise DimensionMismatch(f"C has {C.shape[1]} columns, expected {n}")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
+        _freeze_abc(self, ("A", "B", "C"))
 
     @property
     def n(self) -> int:
@@ -249,7 +249,7 @@ class SpectrumPartition:
 
 
 def partition_spectrum(sys: ModalSystem) -> SpectrumPartition:
-    """Classify blocks by the sign of their rightmost eigenvalue real part.
+    """Split the blocks after the unstable prefix of ``sys.n_unstable`` blocks.
 
     A block is unstable when any of its eigenvalues has Re >= 0.  The
     rightmost stable real part, the tail's -decay_alpha included, is
@@ -264,19 +264,9 @@ def partition_spectrum(sys: ModalSystem) -> SpectrumPartition:
         raise InfiniteUnstablePart(
             f"tail decay rate {tail.decay_alpha:g} <= 0 implies infinitely many non-decaying modes")
 
-    unstable, stable = [], []
-    stable_res = [-tail.decay_alpha]
-    for blk in sys.blocks:
-        top = blk.max_real()
-        if top >= 0.0:
-            unstable.append(blk)
-        else:
-            stable.append(blk)
-            stable_res.append(top)
-    # Canonical ordering puts unstable blocks first; paranoid double-check.
-    if any(blk.max_real() >= 0.0 for blk in sys.blocks[len(unstable):]):
-        raise AssertionError("canonical block order violated")
-    omega = float(max(stable_res))
+    unstable, stable = sys.blocks[:sys.n_unstable], sys.blocks[sys.n_unstable:]
+    # canonical order puts the rightmost stable block first
+    omega = max(-tail.decay_alpha, stable[0].max_real()) if stable else -tail.decay_alpha
     return SpectrumPartition(
         unstable_indices=tuple(blk.label for blk in unstable),
         retained_stable_indices=tuple(blk.label for blk in stable),
@@ -347,12 +337,15 @@ def truncate_tail(sys: ModalSystem, N: int) -> TailModel:
     """The tail left after keeping the first N blocks: ``truncate(sys, N)[1]``.
 
     Costs scalar work only, so each candidate truncation order is cheap.
-    Raises ``UnstableModeDiscarded`` if any discarded block has an eigenvalue
-    with Re >= 0.
+    Raises ``UnstableModeDiscarded`` if N < ``sys.n_unstable``.
     """
     N = int(N)
     if N < 0 or N > len(sys.blocks):
         raise ValueError(f"N must lie in [0, {len(sys.blocks)}], got {N}")
+    if N < sys.n_unstable:
+        blk = sys.blocks[N]
+        raise UnstableModeDiscarded(
+            f"block {blk.label} has eigenvalue real part {blk.max_real():g} >= 0")
     tail = sys.tail
     input_sq = tail.input_norm ** 2
     output_sq = tail.output_graph_norm ** 2
@@ -360,9 +353,6 @@ def truncate_tail(sys: ModalSystem, N: int) -> TailModel:
     amp = tail.amplitude_a
     for blk in sys.blocks[N:]:
         blk_input_sq, blk_output_sq, blk_decay, blk_condition = blk.tail_terms
-        if blk_decay <= 0.0:
-            raise UnstableModeDiscarded(
-                f"block {blk.label} has eigenvalue real part {blk.max_real():g} >= 0")
         input_sq += blk_input_sq
         output_sq += blk_output_sq
         alpha = min(alpha, blk_decay)
@@ -400,17 +390,16 @@ def truncate(sys: ModalSystem, N: int):
 def select_truncation(sys: ModalSystem, epsilon: float) -> int:
     """Smallest admissible N with post-truncation tail input norm < epsilon.
 
-    N never drops below the number of unstable blocks.  Raises
+    N never drops below ``sys.n_unstable``.  Raises
     ``NotReachable`` when keeping every resolved block still leaves
     ||B_tail|| >= epsilon.
     """
     epsilon = float(epsilon)
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon:g}")
-    n_unstable = sum(1 for blk in sys.blocks if blk.tail_terms[2] <= 0.0)
     count = len(sys.blocks)
     suffix_sq = sys._input_suffix_sq
-    for N in range(n_unstable, count + 1):
+    for N in range(sys.n_unstable, count + 1):
         if np.sqrt(suffix_sq[N]) < epsilon:
             return N
     raise NotReachable(

@@ -109,6 +109,8 @@ class SourceProfile:
     values: tuple = ()
 
     def __post_init__(self):
+        for name in ("value", "k0", "xi1", "xi2"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.kind not in _PROFILE_KINDS:
             raise ValueError(f"unknown profile kind {self.kind!r}")
         if self.kind == "indicator":
@@ -128,15 +130,15 @@ class SourceProfile:
 
     @classmethod
     def constant(cls, c: float) -> "SourceProfile":
-        return cls(kind="constant", value=float(c))
+        return cls(kind="constant", value=c)
 
     @classmethod
     def cosine(cls, k0: float) -> "SourceProfile":
-        return cls(kind="cosine", k0=float(k0))
+        return cls(kind="cosine", k0=k0)
 
     @classmethod
     def indicator(cls, xi1: float, xi2: float) -> "SourceProfile":
-        return cls(kind="indicator", xi1=float(xi1), xi2=float(xi2))
+        return cls(kind="indicator", xi1=xi1, xi2=xi2)
 
     @classmethod
     def coefficients(cls, values) -> "SourceProfile":
@@ -298,27 +300,31 @@ def _tail_alpha(b: float, N_max: int) -> float:
     return alpha_tail
 
 
-def build_heat(b: float, f: SourceProfile, N_max: int = DEFAULT_N_MAX) -> ModalSystem:
-    """Reaction-diffusion plant in modal form.
-
-    Mode k carries eigenvalue b - pi^2 k^2, input coefficient from the
-    cosine expansion of f, and unit output weight (boundary point value).
-    """
-    b = float(b)
-    alpha_tail = _tail_alpha(b, N_max)
-    coeffs = fourier_cos_coeffs(f, N_max)
-    blocks = []
-    for k in range(N_max + 1):
-        lam = b - np.pi ** 2 * k ** 2
-        blocks.append(ModalBlock(
-            np.array([[lam]]), np.array([[coeffs[k]]]), np.array([[1.0]]), label=k))
+def _heat_family(b: float, N_max: int, inputs, tail_input_sq: float, skip: int = -1,
+                 extra: tuple = ()) -> ModalSystem:
+    """A heat-family plant: mode k = 0..N_max, except ``skip``, is a 1x1 block with
+    eigenvalue b - pi^2 k^2, input inputs[k] and unit output weight (boundary
+    point value), next to the ``extra`` blocks; the tail past N_max has input
+    norm sqrt(tail_input_sq)."""
+    blocks = [ModalBlock(np.array([[b - np.pi ** 2 * k ** 2]]), np.array([[inputs[k]]]),
+                         np.array([[1.0]]), label=k)
+              for k in range(N_max + 1) if k != skip]
     tail = TailModel(
-        decay_alpha=alpha_tail,
-        input_norm=math.sqrt(_tail_input_sq(f, coeffs, "integer")),
+        decay_alpha=_tail_alpha(b, N_max),
+        input_norm=math.sqrt(tail_input_sq),
         output_graph_norm=math.sqrt(_heat_tail_output_sq(b, N_max)),
         amplitude_a=1.0,
     )
-    return ModalSystem(tuple(blocks), tail, 1, 1)
+    return ModalSystem(tuple(blocks) + tuple(extra), tail, 1, 1)
+
+
+def build_heat(b: float, f: SourceProfile, N_max: int = DEFAULT_N_MAX) -> ModalSystem:
+    """Reaction-diffusion plant in modal form: ``_heat_family`` whose mode k
+    takes the k-th cosine coefficient of f as its input."""
+    b = float(b)
+    _tail_alpha(b, N_max)  # reject the resolution before expanding f
+    coeffs = fourier_cos_coeffs(f, N_max)
+    return _heat_family(b, N_max, coeffs, _tail_input_sq(f, coeffs, "integer"))
 
 
 def _wave_eigenvector_cond(kappa: float, omega: float) -> float:
@@ -661,7 +667,7 @@ def build_heat_boundary(b: float, f: SourceProfile, a: float,
     Returns the modal system together with the lift coefficients.
     """
     b, a = float(b), float(a)
-    alpha_tail = _tail_alpha(b, N_max)
+    _tail_alpha(b, N_max)  # reject the resolution before summing the lift
     if a <= b:
         raise ValueError("lift parameter must satisfy a > b")
     q_sum, q_err, far_sq = _lift_q_sums(b, f, N_max)
@@ -688,29 +694,14 @@ def build_heat_boundary(b: float, f: SourceProfile, a: float,
         constraint_report=report,
     )
 
-    blocks = []
-    for k in range(N_max + 1):
-        if k == kernel:
-            continue
-        lam_k = float(pieces["lam"][k])
-        input_k = -(pieces["h"][k] + pieces["g1"][k])
-        blocks.append(ModalBlock(
-            np.array([[lam_k]]), np.array([[input_k]]), np.array([[1.0]]), label=k))
     if kernel >= 0:
         # integrator and kernel mode share a 2x2 block: u drives the mode via g2
         A = np.array([[0.0, 0.0], [pieces["g2"][kernel], float(pieces["lam"][kernel])]])
         B = np.array([[1.0], [-pieces["h"][kernel]]])
         C = np.array([[pieces["u_output"], 1.0]])
-        blocks.append(ModalBlock(A, B, C, label=-1))
+        u_block = ModalBlock(A, B, C, label=-1)
     else:
-        blocks.append(ModalBlock(
-            np.array([[0.0]]), np.array([[1.0]]), np.array([[pieces["u_output"]]]),
-            label=-1))
-
-    tail = TailModel(
-        decay_alpha=alpha_tail,
-        input_norm=math.sqrt(far_sq),
-        output_graph_norm=math.sqrt(_heat_tail_output_sq(b, N_max)),
-        amplitude_a=1.0,
-    )
-    return ModalSystem(tuple(blocks), tail, 1, 1), data
+        u_block = ModalBlock(
+            np.array([[0.0]]), np.array([[1.0]]), np.array([[pieces["u_output"]]]), label=-1)
+    inputs = -(pieces["h"] + pieces["g1"])
+    return _heat_family(b, N_max, inputs, far_sq, skip=kernel, extra=(u_block,)), data

@@ -147,27 +147,24 @@ def simulate_closed_loop(plant: StateSpaceSystem, controller: StateSpaceSystem,
                          x0, T: float, dt: float) -> Trajectory:
     """Exact-step simulation of the plant/controller interconnection.
 
-    The controller starts at rest.  One matrix exponential of the closed-loop
-    generator is reused for every step, so grid values carry no integration
-    error.  Records y = C x and u = G w alongside the stacked state.
+    The controller starts at rest: the stacked state evolves freely under
+    :func:`closed_loop_matrix` from (x0, 0).  Records y = C x and u = G w
+    alongside it.
     """
     M = closed_loop_matrix(plant, controller)
-    n, q = plant.n, controller.n
-    state = np.concatenate([np.asarray(x0).reshape(n), np.zeros(q)]).astype(M.dtype)
-    times, n_steps = _steps_grid(T, dt)
-    Phi = matrix_exponential(M, dt)
-    states = np.empty((n_steps + 1, n + q), dtype=M.dtype)
-    states[0] = state
-    for i in range(n_steps):
-        state = Phi @ state
-        states[i + 1] = state
-    outputs = states[:, :n] @ plant.C.T
-    inputs = states[:, n:] @ controller.C.T
-    return Trajectory(times, states, outputs, inputs, dt=dt)
+    n = plant.n
+    x0 = np.concatenate([np.asarray(x0).reshape(n), np.zeros(controller.n)])
+    free = simulate_autonomous(M, x0, T, dt)
+    return Trajectory(free.times, free.states, free.states[:, :n] @ plant.C.T,
+                      free.states[:, n:] @ controller.C.T, dt=dt)
 
 
 def simulate_autonomous(A: np.ndarray, x0, T: float, dt: float) -> Trajectory:
-    """Exact-step free evolution x' = A x."""
+    """Exact-step free evolution x' = A x, read out as y = x (one shared array).
+
+    One matrix exponential is reused for every step, so grid values carry no
+    integration error.
+    """
     A = np.atleast_2d(np.asarray(A))
     x0 = np.asarray(x0).reshape(A.shape[0])
     times, n_steps = _steps_grid(T, dt)
@@ -176,29 +173,19 @@ def simulate_autonomous(A: np.ndarray, x0, T: float, dt: float) -> Trajectory:
     states[0] = x0
     for i in range(n_steps):
         states[i + 1] = Phi @ states[i]
-    return Trajectory(times, states, states.copy(),
-                      np.zeros((n_steps + 1, 0)), dt=dt)
+    return Trajectory(times, states, states, np.zeros((n_steps + 1, 0)), dt=dt)
 
 
 def simulate_modal(blocks, x0, T: float, dt: float) -> Trajectory:
     """Free evolution through per-block exponentials, never assembling a
     dense generator; ordering matches the concatenation of the given blocks."""
-    dims = [blk.dim for blk in blocks]
-    total = sum(dims)
-    x0 = np.asarray(x0).reshape(total)
     times, n_steps = _steps_grid(T, dt)
-    states = np.empty((n_steps + 1, total), dtype=np.complex128)
-    pos = 0
-    for blk, d in zip(blocks, dims):
-        Phi = matrix_exponential(blk.block_matrix, dt)
-        seg = np.empty((n_steps + 1, d), dtype=np.complex128)
-        seg[0] = x0[pos:pos + d]
-        for i in range(n_steps):
-            seg[i + 1] = Phi @ seg[i]
-        states[:, pos:pos + d] = seg
-        pos += d
-    return Trajectory(times, states, states.copy(),
-                      np.zeros((n_steps + 1, 0)), dt=dt)
+    dims = [blk.dim for blk in blocks]
+    segments = np.split(np.asarray(x0).reshape(sum(dims)), np.cumsum(dims)[:-1])
+    states = np.hstack([np.empty((n_steps + 1, 0), dtype=np.complex128)] + [
+        simulate_autonomous(blk.block_matrix, seg, T, dt).states
+        for blk, seg in zip(blocks, segments)])
+    return Trajectory(times, states, states, np.zeros((n_steps + 1, 0)), dt=dt)
 
 
 def estimate_decay_rate(traj: Trajectory) -> float:

@@ -11,15 +11,16 @@ from scipy.linalg import block_diag
 
 from modalstab import (DecayEnvelope, StateSpaceSystem, TailModel, certify_small_gain, cli,
                        decay_envelope, gain_strong, gain_weak, partition_spectrum, plants,
-                       reduced_R_system, select_truncation, synthesize_controller)
+                       reduced_R_system, select_truncation, synthesize_controller, truncate)
 from modalstab.cli import build_plant, main
-from modalstab.errors import (BetaExceedsDecay, CertificateNotFound, NotReachable,
-                              UnstableModeDiscarded)
+from modalstab.errors import (BetaExceedsDecay, CertificateNotFound, NotHurwitz,
+                              NotReachable, UnstableModeDiscarded)
 from modalstab.fileio import (read_json, validate_document, write_json_atomic,
                               write_sweep_csv)
 from modalstab.gains import beta_grid
 from modalstab.plants import SourceProfile, build_heat_boundary, search_lift_parameter
-from modalstab.synthesis import check_stabilizable
+from modalstab.synthesis import (check_stabilizable, matches_observer_structure,
+                                 observer_controller)
 
 GEOMETRIC = [1.0 / (k + 1) ** 2 for k in range(17)]
 
@@ -400,18 +401,35 @@ def test_budget_exhaustion_writes_best_attempt(tmp_path, capsys):
     read_json(str(out / "controller.json"), "controller")  # best attempt kept
 
 
-def test_unstabilizable_plant_fails_synthesis(tmp_path):
-    cfg = {"plant": {"type": "heat", "b": 15.0,
-                     "f": {"kind": "constant", "value": 1.0}, "N_max": 8}}
-    code, _ = run(tmp_path, "synthesize", cfg)
+@pytest.mark.parametrize("plant", [
+    # mode 1 of b = 15 is unstable (15 > pi^2), and a constant profile misses it
+    {"type": "heat", "b": 15.0, "f": _constant(1.0), "N_max": 8},
+    # mode 0 has q_0 = (f_0 + s_0) / d_0 = 0 for every lift parameter a
+    {"type": "heat_boundary", "b": 5.0, "f": _constant(-1.0)},
+], ids=["heat_b15", "boundary_no_lift"])
+def test_unstabilizable_plant_fails_synthesis(tmp_path, capsys, plant):
+    code, _ = run(tmp_path, "synthesize", {"plant": plant})
     assert code == 5
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("synthesis failed: ")
 
 
-def test_controller_plant_dimension_mismatch(tmp_path):
+@pytest.mark.parametrize("plant, inputs, message", [
+    (WAVE, 1, "controller dimension 5 matches no truncation of the plant "
+              "(resolved block dimensions reach 48)"),
+    (HEAT, 2, "controller drives 2 plant inputs, plant accepts 1"),
+], ids=["wave_plant", "two_input_controller"])
+def test_controller_plant_dimension_mismatch(tmp_path, capsys, plant, inputs, message):
     _, out = run(tmp_path, "synthesize", {"plant": HEAT}, tag="syn")
-    cfg = {"plant": WAVE, "controller_file": str(out / "controller.json")}
-    code, _ = run(tmp_path, "certify", cfg, tag="cross")
+    doc = read_json(str(out / "controller.json"))
+    doc["G"], doc["dims"]["inputs"] = doc["G"] * inputs, inputs
+    ctrl_path = tmp_path / "controller.json"
+    ctrl_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code, _ = run(tmp_path, "certify", {"plant": plant, "controller_file": str(ctrl_path)},
+                  tag="cross")
     assert code == 6
+    assert capsys.readouterr().err == f"dimension mismatch: {message}\n"
 
 
 def test_certify_failure_still_writes_certificate(tmp_path):
@@ -470,6 +488,29 @@ def const_heat_controller(tmp_path_factory):
     code, out = run(tmp, "synthesize", {"plant": CONST_HEAT})
     assert code == 0
     return str(out / "controller.json")
+
+
+def test_certify_falls_back_when_the_reduced_loop_is_not_hurwitz(tmp_path):
+    # Negated feedback gains keep the observer structure, so the certificate
+    # tries the reduced loop first; that loop is unstable, and so is the full
+    # loop it falls back to.
+    sys_, _ = build_plant(CONST_HEAT)
+    truncated, _tail = truncate(sys_, 3)
+    good = synthesize_controller(partition_spectrum(sys_), truncated)
+    bad = observer_controller(truncated, -good.K_u, good.L_u, good.info)
+    assert matches_observer_structure(truncated, bad)
+    n_u = bad.n_unstable
+    with pytest.raises(NotHurwitz):
+        reduced_R_system(truncated.A[:n_u, :n_u], truncated.B[:n_u, :],
+                         truncated.C[:, :n_u], bad.K_u, bad.L_u)
+    ctrl_path = tmp_path / "controller.json"
+    write_json_atomic(str(ctrl_path), cli.controller_to_doc(bad, truncated.m, truncated.p))
+    code, out = run(tmp_path, "certify", {"plant": CONST_HEAT, "controller_file": str(ctrl_path)})
+    assert code == 4
+    cert = read_json(str(out / "certificate.json"), "certificate")
+    assert cert["verdict"] == "Failed"
+    assert cert["diagnostics"] == [
+        "controller loop is not exponentially stable: spectral abscissa 15.099 >= 0"]
 
 
 @pytest.mark.parametrize("command, extra, expected", [

@@ -6,6 +6,7 @@ from modalstab import (ModalBlock, ModalSystem, StateSpaceSystem, TailModel,
                        select_truncation, truncate)
 from modalstab.errors import (DimensionMismatch, InfiniteUnstablePart, NotReachable,
                               ResolventAtEigenvalue, UnstableModeDiscarded)
+from modalstab.modal import truncate_tail
 from modalstab.plants import SourceProfile, build_heat, build_wave
 
 from conftest import eig_match_distance, random_system
@@ -68,6 +69,50 @@ def test_modal_system_rejects_duplicate_labels():
     with pytest.raises(ValueError):
         ModalSystem(blocks=[scalar_block(-1.0, label=0), scalar_block(-2.0, label=0)],
                     tail=tail, input_dim=1, output_dim=1)
+
+
+def test_n_unstable_is_the_unstable_prefix():
+    # Random 1x1 and 2x2 blocks in random order, real parts exactly 0 included:
+    # n_unstable, the partition and the truncation bounds must all agree with
+    # the per-block definition "unstable iff max_real() >= 0".
+    rng = np.random.default_rng(11)
+    reals = [-2.0, -0.5, -0.0, 0.0, 0.5, 3.0]
+    for _ in range(60):
+        blocks = []
+        for label in range(int(rng.integers(0, 8))):
+            re, kind = float(rng.choice(reals)), int(rng.integers(3))
+            if kind == 0:
+                blocks.append(scalar_block(re, label=label))
+                continue
+            if kind == 1:  # eigenvalues re +- i w
+                w = float(rng.choice([0.5, 2.0]))
+                M = [[re, w], [-w, re]]
+            else:  # eigenvalues re and another real part
+                M = [[re, 1.0], [0.0, float(rng.choice(reals))]]
+            blocks.append(ModalBlock(M, [[0.0], [1.0]], [[1.0, 0.0]], label=label))
+        tail = TailModel(decay_alpha=float(rng.choice([0.25, 4.0])), input_norm=0.0,
+                         output_graph_norm=0.0)
+        sys_ = ModalSystem(blocks=blocks, tail=tail, input_dim=1, output_dim=1)
+        unstable = [blk.max_real() >= 0.0 for blk in sys_.blocks]
+        n_u = sys_.n_unstable
+        assert n_u == sum(unstable)
+        assert unstable == [True] * n_u + [False] * (len(unstable) - n_u)
+        part = partition_spectrum(sys_)
+        assert part.unstable_indices == tuple(
+            blk.label for blk, u in zip(sys_.blocks, unstable) if u)
+        assert part.retained_stable_indices == tuple(
+            blk.label for blk, u in zip(sys_.blocks, unstable) if not u)
+        assert part.unstable_dim == sum(
+            blk.dim for blk, u in zip(sys_.blocks, unstable) if u)
+        assert part.margin_omega == max([-tail.decay_alpha] + [
+            blk.max_real() for blk, u in zip(sys_.blocks, unstable) if not u])
+        assert select_truncation(sys_, 1e9) == n_u
+        truncate_tail(sys_, n_u)
+        if n_u:
+            with pytest.raises(UnstableModeDiscarded):
+                truncate_tail(sys_, n_u - 1)
+    with pytest.raises(TypeError):
+        ModalSystem(blocks=blocks, tail=tail, input_dim=1, output_dim=1, n_unstable=0)
 
 
 def test_partition_heat_b5():

@@ -12,4 +12,7 @@ def test_readme_library_example_certifies():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(blocks[0], str(README), "exec"), {})
-    assert out.getvalue().split()[0] == "Certified"
+    verdict, _beta, product = out.getvalue().split()
+    assert verdict == "Certified"
+    # the profile reaches the tail, so the product is no trivial 0
+    assert 0.0 < float(product) < 1.0

@@ -8,9 +8,10 @@ from modalstab import (SourceProfile, StateSpaceSystem, brute_force_gain,
                        build_heat, decay_envelope, estimate_decay_rate, gain_strong,
                        matrix_exponential, partition_spectrum, simulate_autonomous,
                        simulate_closed_loop, simulate_modal, spectral_abscissa,
-                       synthesize_controller, truncate)
+                       reduced_R_system, synthesize_controller, truncate)
 from modalstab.errors import DegenerateTrajectory, DimensionMismatch
-from modalstab.simulate import Trajectory
+from modalstab.gains import loop_bounds
+from modalstab.simulate import BRUTE_FORCE_MAX_STEPS, BRUTE_FORCE_OMEGAS, Trajectory
 
 from conftest import random_hurwitz, random_system
 
@@ -149,3 +150,50 @@ def test_brute_force_gain_below_certified_bound(rng):
         _, bound = gain_strong(env, beta, norm_b, norm_c, norm_a)
         probe = brute_force_gain(sys_, beta)
         assert probe.value <= bound.value * (1.0 + 1e-9)
+
+
+def _readme_reduced_loop():
+    # the README plant's reduced controller loop: a Jordan block, cond(V) ~ 1e16
+    sys_ = build_heat(5.0, SourceProfile.constant(1.0), N_max=64)
+    truncated, _tail = truncate(sys_, 4)
+    ctrl = synthesize_controller(partition_spectrum(sys_), truncated)
+    n_u = ctrl.n_unstable
+    return reduced_R_system(truncated.A[:n_u, :n_u], truncated.B[:n_u, :],
+                            truncated.C[:, :n_u], ctrl.K_u, ctrl.L_u)
+
+
+def test_brute_force_gain_step_recursion_on_a_defective_loop():
+    red = _readme_reduced_loop()
+    assert np.linalg.cond(np.linalg.eig(red.A)[1]) > 1e8  # the step-recursion branch
+    bounds = loop_bounds(red)
+    beta = bounds.env.alpha / 2.0
+    probe = brute_force_gain(red, beta)
+    _, bound = gain_strong(bounds.env, beta, bounds.norm_b, bounds.norm_c, bounds.norm_a)
+    assert probe.value <= bound.value
+    assert probe.peak_family == "step"
+    # the step input u = e^{-beta t} is the state of u' = -beta u, so the
+    # augmented generator [[A, B], [0, -beta]] from (0, 1) yields y = C x
+    n, horizon = red.n, 20.0
+    n_steps = BRUTE_FORCE_MAX_STEPS
+    assert n_steps < horizon * 8.0 * BRUTE_FORCE_OMEGAS[-1] / (2.0 * np.pi)  # the probe's grid
+    dt = horizon / n_steps
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n], M[:n, n:], M[n, n] = red.A.real, red.B.real, -beta
+    Phi = scipy.linalg.expm(M * dt)
+    z = np.zeros(n + 1)
+    z[n] = 1.0
+    weighted = np.empty(n_steps + 1)
+    for i in range(n_steps + 1):
+        weighted[i] = math.exp(beta * i * dt) * float(np.max(np.abs(red.C.real @ z[:n])))
+        z = Phi @ z
+    assert probe.value == pytest.approx(float(np.max(weighted)), rel=1e-9)
+
+
+def test_brute_force_gain_step_recursion_matches_closed_form(rng, monkeypatch):
+    sys_ = random_system(rng, 4, m=2, p=2, margin=0.5)
+    beta = 0.2
+    closed = brute_force_gain(sys_, beta)
+    monkeypatch.setattr(np.linalg, "cond", lambda *args, **kwargs: np.inf)
+    stepped = brute_force_gain(sys_, beta)
+    assert stepped.value == pytest.approx(closed.value, rel=1e-9)
+    assert (stepped.peak_omega, stepped.peak_family) == (closed.peak_omega, closed.peak_family)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BetaExceedsDecay,
@@ -23,13 +22,14 @@ from .errors import (
     NotHurwitz,
     SmoothnessMismatch,
 )
-from .modal import TailModel
+from .modal import TailModel, _matrix_sign
 
 # Provenance markers recorded on every bound.
 GRAPH_BOUND = "graph-bound"
 BOUNDED_GENERATOR = "bounded-generator"
 
 BETA_GRID_DEPTH = 12
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
 @dataclass(frozen=True)
@@ -134,15 +134,35 @@ def gain_strong(env: DecayEnvelope, beta: float, norm_b: float, norm_c: float, n
     return h, g
 
 
+def _lyapunov_solution(S: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """The Hermitian X with S^* X + X S + C = 0, for Hurwitz S and Hermitian C.
+
+    sign([[S^*, C], [0, -S]]) = [[-I, 2 X], [0, I]] (Roberts 1980).
+    """
+    n = S.shape[0]
+    try:
+        W = _matrix_sign(np.block([[S.conj().T, C], [np.zeros((n, n)), -S]]))
+    except np.linalg.LinAlgError as exc:
+        raise LyapunovSolveFailed(f"Lyapunov sign iteration failed: {exc}") from exc
+    return 0.25 * (W[:n, n:] + W[:n, n:].conj().T)
+
+
 def decay_envelope(A: np.ndarray, margin_fraction: float = 0.5) -> DecayEnvelope:
     """Certified decay envelope of exp(A t) via a shifted Lyapunov solve.
 
-    With sigma the spectral abscissa of A (must be < 0) and
-    alpha = -sigma * margin_fraction, solving
+    With sigma the spectral abscissa of A (must be < 0),
+    alpha = -sigma * margin_fraction and S = A + alpha I, P solves
 
-        (A + alpha I)^* P + P (A + alpha I) = -I
+        S^* P + P S = -I
 
-    gives ||exp(A t)|| <= sqrt(cond_2(P)) exp(-alpha t).
+    by the matrix sign function and one residual-correction step.  The P
+    used is then checked, not trusted: it must be finite and positive
+    definite, and its residual R = S^* P + P S + I, with the entrywise
+    rounding bound E = gamma_{n+4} (|S^*| |P| + |P| |S| + I) of R's own
+    evaluation (Higham 2002, section 3.5; Rump 2010), must satisfy
+    lambda_max(R) + ||E||_F < 1.  That makes S^* P + P S negative definite,
+    which is all that ||exp(A t)|| <= sqrt(cond_2(P)) exp(-alpha t) needs.
+    Raises ``LyapunovSolveFailed`` when the solve or the check fails.
     """
     A = np.atleast_2d(np.asarray(A, dtype=np.complex128))
     if A.size == 0:
@@ -155,14 +175,27 @@ def decay_envelope(A: np.ndarray, margin_fraction: float = 0.5) -> DecayEnvelope
         raise NotHurwitz(f"spectral abscissa {sigma:g} >= 0")
     alpha = -sigma * margin_fraction
     n = A.shape[0]
-    shifted = A + alpha * np.eye(n)
-    try:
-        P = scipy.linalg.solve_continuous_lyapunov(shifted.conj().T, -np.eye(n))
-    except Exception as exc:
-        raise LyapunovSolveFailed(str(exc)) from exc
-    P = 0.5 * (P + P.conj().T)
+    eye = np.eye(n)
+    S = A + alpha * eye
+    S_h = S.conj().T
+    gamma = (n + 4) * _UNIT_ROUNDOFF / (1.0 - (n + 4) * _UNIT_ROUNDOFF)
+    with np.errstate(all="ignore"):
+        P = _lyapunov_solution(S, eye)
+        # The sign iteration's error comes from its first, ill-conditioned
+        # inversions; solving once more for the residual removes most of it.
+        P = P + _lyapunov_solution(S, S_h @ P + P @ S + eye)
+        R = S_h @ P + P @ S + eye
+        slack = gamma * float(np.linalg.norm(
+            np.abs(S_h) @ np.abs(P) + np.abs(P) @ np.abs(S) + eye))
+    if not (np.all(np.isfinite(P)) and math.isfinite(slack)):
+        raise LyapunovSolveFailed("Lyapunov solution is not finite")
+    top = float(np.linalg.eigvalsh(0.5 * (R + R.conj().T))[-1])
+    if not top + slack < 1.0:
+        raise LyapunovSolveFailed(
+            f"Lyapunov residual check failed: lambda_max(R) {top:.3e} + rounding bound "
+            f"{slack:.3e} >= 1")
     eigs = np.linalg.eigvalsh(P)
-    if not np.all(np.isfinite(eigs)) or eigs[0] <= 0.0:
+    if eigs[0] <= 0.0:
         raise LyapunovSolveFailed(
             f"Lyapunov solution not positive definite (min eigenvalue {eigs[0]:.3e})")
     amp = float(np.sqrt(eigs[-1] / eigs[0]))

@@ -23,6 +23,10 @@ from .errors import (
 
 # Eigenvalue coincidence test: |lambda - eig| < RTOL * (1 + |lambda|).
 EIG_COINCIDENCE_RTOL = 1e-9
+# The matrix-sign iteration stops once its step predicts an iterate at
+# relative accuracy SIGN_TOL, and gives up after SIGN_MAX_STEPS steps.
+SIGN_TOL = 1e-14
+SIGN_MAX_STEPS = 100
 
 
 def _freeze_abc(obj, names: tuple) -> int:
@@ -293,6 +297,35 @@ def closed_loop_matrix(plant: StateSpaceSystem, controller: StateSpaceSystem) ->
     M[n:, :n] = controller.B @ plant.C
     M[n:, n:] = controller.A
     return M
+
+
+def _matrix_sign(M: np.ndarray) -> np.ndarray:
+    """sign(M) by the determinant-scaled Newton iteration.
+
+    Z <- (Z / c + c Z^{-1}) / 2 with c = |det Z|^{1/n} (Roberts 1980; Kenney
+    and Laub 1995).  Near convergence the step obeys
+    ||Z_next - sign|| ~ ||Z^{-1}|| ||Z_next - Z||^2 / 2, so the iteration
+    stops once that predicted error is below SIGN_TOL ||Z_next|| (Higham,
+    *Functions of Matrices*, 2008, section 5.8).  Raises
+    ``np.linalg.LinAlgError`` when an iterate is singular or not finite, or
+    when SIGN_MAX_STEPS steps do not converge; an eigenvalue of M on the
+    imaginary axis ends in one of these.
+    """
+    Z = np.asarray(M)
+    n = Z.shape[0]
+    with np.errstate(all="ignore"):
+        for _ in range(SIGN_MAX_STEPS):
+            Z_inv = np.linalg.inv(Z)
+            _, logdet = np.linalg.slogdet(Z)
+            c = np.exp(logdet / n)
+            Z_next = 0.5 * (Z / c + c * Z_inv)
+            step = np.linalg.norm(Z_next - Z, 1)
+            if not np.isfinite(step):
+                raise np.linalg.LinAlgError("matrix sign iteration is not finite")
+            Z = Z_next
+            if step * step <= SIGN_TOL * np.linalg.norm(Z, 1) / np.linalg.norm(Z_inv, 1):
+                return Z
+    raise np.linalg.LinAlgError(f"matrix sign iteration did not converge in {SIGN_MAX_STEPS} steps")
 
 
 def close_loop(plant: StateSpaceSystem, controller: StateSpaceSystem, lam: complex) -> np.ndarray:

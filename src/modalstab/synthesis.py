@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -21,7 +20,7 @@ from .errors import (
     NotStabilizable,
     RiccatiDivergence,
 )
-from .modal import ModalSystem, SpectrumPartition, StateSpaceSystem
+from .modal import ModalSystem, SpectrumPartition, StateSpaceSystem, _matrix_sign
 
 # Singular values below RANK_RTOL * sigma_max count as zero in rank tests.
 RANK_RTOL = 1e-10
@@ -132,38 +131,41 @@ def _pbh_dense(A: np.ndarray, B: np.ndarray) -> bool:
 def care_stabilizing_solution(A: np.ndarray, B: np.ndarray):
     """Stabilizing solution of A* P + P A - P B B* P + I = 0.
 
-    Uses the ordered invariant subspace of the Hamiltonian
-    [[A, -B B*], [-I, -A*]]: the basis of its stable subspace [X; Y] gives
-    P = Y X^{-1}.  Returns ``(P, residual)`` with the algebraic residual
-    norm.  Raises ``RiccatiDivergence`` when no stabilizing solution exists
-    within tolerance.
+    Takes W = sign(H) of the Hamiltonian H = [[A, -B B*], [-I, -A*]].  Its
+    stable invariant subspace is the range of [I; P], on which W = -I, so P
+    solves the least-squares system [W12; W22 + I] P = -[W11 + I; W21]
+    (Roberts 1980); H has (2n - Re tr W) / 2 stable eigenvalues.  Returns
+    ``(P, residual)`` with the algebraic residual norm.  Raises
+    ``RiccatiDivergence`` when no stabilizing solution exists within
+    tolerance.
     """
     A = np.asarray(A, dtype=np.complex128)
     B = np.asarray(B, dtype=np.complex128)
     n = A.shape[0]
     if n == 0:
         return np.zeros((0, 0), dtype=np.complex128), 0.0
+    eye = np.eye(n, dtype=np.complex128)
     H = np.block([
         [A, -B @ B.conj().T],
-        [-np.eye(n, dtype=np.complex128), -A.conj().T],
+        [-eye, -A.conj().T],
     ])
     try:
-        T, Z, sdim = scipy.linalg.schur(H, output="complex", sort=lambda z: z.real < 0.0)
-    except Exception as exc:
-        raise RiccatiDivergence(f"Schur decomposition failed: {exc}") from exc
+        W = _matrix_sign(H)
+    except np.linalg.LinAlgError as exc:
+        raise RiccatiDivergence(f"Hamiltonian sign iteration failed: {exc}") from exc
+    sdim = round((2 * n - float(np.trace(W).real)) / 2.0)
     if sdim != n:
         raise RiccatiDivergence(
             f"Hamiltonian has {sdim} stable eigenvalues, expected {n} "
             "(imaginary-axis eigenvalues indicate an unstabilizable pair)")
-    X = Z[:n, :n]
-    Y = Z[n:, :n]
-    try:
-        P = np.linalg.solve(X.conj().T, Y.conj().T).conj().T
-    except np.linalg.LinAlgError as exc:
-        raise RiccatiDivergence(f"stable subspace is not a graph: {exc}") from exc
+    lhs = np.vstack([W[:n, n:], W[n:, n:] + eye])
+    rhs = -np.vstack([W[:n, :n] + eye, W[n:, :n]])
+    P, _res, rank, _sv = np.linalg.lstsq(lhs, rhs, rcond=None)
+    if rank < n:
+        raise RiccatiDivergence("stable subspace is not a graph")
     P = 0.5 * (P + P.conj().T)
     residual = float(np.linalg.norm(
-        A.conj().T @ P + P @ A - P @ (B @ B.conj().T) @ P + np.eye(n)))
+        A.conj().T @ P + P @ A - P @ (B @ B.conj().T) @ P + eye))
     if not np.isfinite(residual) or residual > 1e-6 * (1.0 + float(np.linalg.norm(P))):
         raise RiccatiDivergence(f"Riccati residual {residual:.3e} too large")
     return P, residual
@@ -183,7 +185,7 @@ def design_feedback(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         if closed >= 0.0:
             raise RiccatiDivergence(f"designed feedback leaves abscissa {closed:g} >= 0")
     if np.max(np.abs(A.imag), initial=0.0) == 0.0 and np.max(np.abs(B.imag), initial=0.0) == 0.0:
-        # Real data gives a real P; drop complex-Schur roundoff in the gain.
+        # Real data has a real P; the gain keeps no imaginary rounding.
         K = K.real.astype(np.complex128)
     return K
 

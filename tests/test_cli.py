@@ -1,6 +1,9 @@
 import ast
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +103,31 @@ def test_synthesize_certify_simulate_round_trip(tmp_path):
         ["t"] + [f"x_{i+1}" for i in range(n)] + [f"w_{i+1}" for i in range(q)]
         + ["u_1", "y_1"])
     assert len(lines) == 2 + int(round(6.0 / 0.02))
+
+
+_NO_SCIPY_SCRIPT = """
+import json, sys
+from modalstab.cli import main
+plant = json.loads(sys.argv[2])
+for command, cfg in (("synthesize", {"plant": plant}),
+                     ("certify", {"plant": plant,
+                                  "controller_file": sys.argv[1] + "/syn/controller.json"})):
+    path = f"{sys.argv[1]}/{command}.json"
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    assert main([command, "--config", path, "--out", sys.argv[1] + "/syn"]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    import modalstab
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(modalstab.__file__)))
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path), json.dumps(HEAT)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_simulate_seeded_random_x0_reproduces(tmp_path):
@@ -490,6 +518,15 @@ def const_heat_controller(tmp_path_factory):
     return str(out / "controller.json")
 
 
+def test_ill_conditioned_loop_envelope_passes_its_residual_check():
+    # cond P = 1.5e11: one sign solve leaves lambda_max(R) = 15, and only the
+    # residual-correction solve brings it under 1.
+    sys_, _ = build_plant({"type": "heat", "b": 60.0, "N_max": 64,
+                           "f": {"kind": "indicator", "xi1": 0.1, "xi2": 0.6}})
+    _design, loop = cli._prefix_design(sys_, partition_spectrum(sys_), 0.5)
+    assert loop.env.amplitude_a > 1e5
+
+
 def test_certify_falls_back_when_the_reduced_loop_is_not_hurwitz(tmp_path):
     # Negated feedback gains keep the observer structure, so the certificate
     # tries the reduced loop first; that loop is unstable, and so is the full
@@ -518,10 +555,11 @@ def test_certify_falls_back_when_the_reduced_loop_is_not_hurwitz(tmp_path):
     ("synthesize", {"plant": CONST_HEAT, "beta_depth": 0}, 2),
     # one step of length 1e20 overflows the matrix exponential
     ("simulate", {"plant": CONST_HEAT, "horizon": 1e20, "dt": 1e20}, 2),
-    # the full-loop Lyapunov solve fails on a numerically marginal plant
-    ("certify", {"plant": {"type": "heat", "b": -6.557683840118997e-134,
+    # the full-loop Lyapunov sign iteration overflows on a mode at -1e-200
+    ("certify", {"plant": {"type": "heat", "b": -1e-200,
                            "f": {"kind": "constant", "value": 0.0}}}, 4),
 ], ids=["beta_depth_0", "overflowing_step", "lyapunov_failure"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_former_tracebacks_exit_with_one_line(tmp_path, capsys, const_heat_controller,
                                               command, extra, expected):
     cfg = dict(extra)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from modalstab import (DecayEnvelope, GainBound, StabilityCertificate,
-                       certify_small_gain, decay_envelope, gain_strong, gain_weak,
+                       certify_small_gain, decay_envelope, gain_strong, gain_weak, gains,
                        scan_certificate, truncate)
-from modalstab.errors import (BetaExceedsDecay, BetaMismatch, NotHurwitz,
-                              SmoothnessMismatch)
+from modalstab.errors import (BetaExceedsDecay, BetaMismatch, LyapunovSolveFailed,
+                              NotHurwitz, SmoothnessMismatch)
 from modalstab.gains import beta_grid, loop_bounds
 from modalstab.modal import TailModel
 from modalstab.plants import SourceProfile, build_heat
@@ -91,6 +91,16 @@ def test_decay_envelope_diagonal_oracle():
 def test_decay_envelope_rejects_non_hurwitz():
     with pytest.raises(NotHurwitz):
         decay_envelope(np.diag([0.0, -1.0]), 0.5)
+
+
+def test_decay_envelope_checks_the_lyapunov_residual(monkeypatch):
+    # Each solve is off by +I, so the P used is the true one plus I: positive
+    # definite, but with residual S + S* (S = A + I/2), whose top eigenvalue
+    # -2 + sqrt(101) exceeds 1, so it proves no decay.
+    solve = gains._lyapunov_solution
+    monkeypatch.setattr(gains, "_lyapunov_solution", lambda S, C: solve(S, C) + np.eye(2))
+    with pytest.raises(LyapunovSolveFailed, match="residual check failed"):
+        decay_envelope(np.array([[-1.0, 10.0], [0.0, -2.0]]), 0.5)
 
 
 def test_decay_envelope_dominates_exponential(rng):

@@ -10,7 +10,7 @@ from modalstab import (SourceProfile, StateSpaceSystem, build_heat,
                        partition_spectrum, reduced_R_system, synthesize_controller,
                        truncate)
 from modalstab.errors import (DimensionMismatch, NotDetectable, NotHurwitz,
-                              NotStabilizable)
+                              NotStabilizable, RiccatiDivergence)
 from modalstab.modal import ModalBlock, ModalSystem, TailModel, closed_loop_matrix
 from modalstab.synthesis import care_stabilizing_solution
 
@@ -44,6 +44,12 @@ def test_care_integrator_oracle():
 def test_care_empty_system():
     P, residual = care_stabilizing_solution(np.zeros((0, 0)), np.zeros((0, 1)))
     assert P.shape == (0, 0) and residual == 0.0
+
+
+def test_care_rejects_imaginary_axis_hamiltonian():
+    # An unreachable oscillator puts eigenvalues +-i on the Hamiltonian.
+    with pytest.raises(RiccatiDivergence):
+        care_stabilizing_solution(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros((2, 1)))
 
 
 def test_design_feedback_scalar_closed_loop():
@@ -114,7 +120,32 @@ def test_synthesize_controller_structure():
 
 
 def test_synthesize_separation_principle():
-    part, truncated, ctrl = _synthesized()
+    # Feedback and observer designs coincide on this self-dual scalar block,
+    # so the closed loop has a defective double eigenvalue that rounding
+    # splits by about sqrt(eps) times its scale: its computed spectrum says
+    # little.  The structure is exact instead: in coordinates (x, x - w) the
+    # closed loop is [[A + BK, -BK], [0, A + LC]].
+    _, truncated, ctrl = _synthesized()
+    n = truncated.n
+    A, B, C = truncated.A, truncated.B, truncated.C
+    M = closed_loop_matrix(truncated, ctrl.as_state_space())
+    eye, zero = np.eye(n), np.zeros((n, n))
+    T = np.block([[eye, zero], [eye, -eye]])  # its own inverse
+    M_xe = T @ M @ T
+    tol = 1e-12 * np.linalg.norm(M)
+    assert np.linalg.norm(M_xe[n:, :n]) <= tol
+    assert np.linalg.norm(M_xe[:n, :n] - (A + B @ ctrl.G)) <= tol
+    assert np.linalg.norm(M_xe[n:, n:] - (A - ctrl.F @ C)) <= tol
+    assert np.max(np.linalg.eigvals(M).real) < 0.0
+
+
+def test_synthesize_separation_principle_spectrum():
+    # Input weight 2 on the unstable mode separates the feedback and
+    # observer eigenvalues, so the closed-loop spectrum is well conditioned.
+    vals = [2.0 / (k + 1) ** 2 for k in range(48)]
+    sys_ = build_heat(5.0, SourceProfile.coefficients(vals), N_max=8)
+    truncated, _ = truncate(sys_, 4)
+    ctrl = synthesize_controller(partition_spectrum(sys_), truncated)
     n_u = ctrl.n_unstable
     A, B, C = truncated.A, truncated.B, truncated.C
     A_s = A[n_u:, n_u:]
@@ -124,8 +155,6 @@ def test_synthesize_separation_principle():
         np.linalg.eigvals(fb), np.linalg.eigvals(ob),
         np.diag(A_s), np.diag(A_s)])
     closed = np.linalg.eigvals(closed_loop_matrix(truncated, ctrl.as_state_space()))
-    # Feedback and observer designs coincide on this self-dual scalar block,
-    # so the closed loop has a defective double eigenvalue (sqrt-of-roundoff split).
     assert eig_match_distance(closed, expected) < 1e-6
     assert np.max(closed.real) < 0.0
 

@@ -497,7 +497,10 @@ def main(argv=None) -> int:
         if args.print_config:
             print(fileio.dumps_canonical(cfg))
         os.makedirs(args.out, exist_ok=True)
-        return COMMANDS[args.command](cfg, args.out)
+        # Overflow on huge schema-valid numbers surfaces as the command's own
+        # error; numpy's warning lines would come before that one line.
+        with np.errstate(all="ignore"):
+            return COMMANDS[args.command](cfg, args.out)
     except Exception as exc:
         for classes, (code, prefix) in EXIT_CODES.items():
             if isinstance(exc, classes):

@@ -3,10 +3,24 @@
 Identical inputs must produce byte-identical files, so floats are always
 rendered with %.17g (full round-trip precision), dictionaries keep their
 construction order, and writes go through a temp file plus rename.
+
+Trajectory rows are formatted by a numpy kernel that reproduces "%.17g"
+byte for byte, 256 rows at a time.  For each cell it takes E = floor(log10|x|)
+and s = |x| * 10**(16 - E) in long double, from a table of powers of ten
+correctly rounded to a 64-bit mantissa (built on the first trajectory write).
+The relative error of s is at most 2 * 2**-64, so below 0.011 for
+s < 10**17, and round(s) is the 17-digit mantissa whenever frac(s) is at
+least 0.015 away from 1/2.  The digits then go through the %g rules: trailing
+zeros dropped, fixed notation for -4 <= E < 17, else an exponent of at least
+two digits.  Cells within the margin, ties included, and nan and infinities
+are formatted with "%.17g" itself; where long double has fewer than 64
+mantissa bits, that is every nonzero cell.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import math
 import os
@@ -66,18 +80,26 @@ def dumps_canonical(doc, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(doc).__name__}")
 
 
-def write_text_atomic(path: str, text: str):
+@contextlib.contextmanager
+def _atomic_output(path: str, mode: str):
+    """A file object that replaces ``path`` when the block exits normally;
+    on any exception the temp file is removed and ``path`` is untouched."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, mode) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_text_atomic(path: str, text: str):
+    with _atomic_output(path, "w") as fh:
+        fh.write(text)
 
 
 def write_json_atomic(path: str, doc: dict):
@@ -176,15 +198,149 @@ def write_trajectory_csv(path: str, traj, n_plant: int):
               + [f"w_{i + 1}" for i in range(q)]
               + [f"u_{i + 1}" for i in range(traj.inputs.shape[1])]
               + [f"y_{i + 1}" for i in range(traj.outputs.shape[1])])
-    lines = [",".join(header)]
-    for i, t in enumerate(traj.times):
-        row = [t]
-        row.extend(traj.states[i].real)
-        row.extend(traj.inputs[i].real)
-        row.extend(traj.outputs[i].real)
-        # %.17g writes nan, inf, -inf and -0 as format_float does, unquoted
-        lines.append(",".join(map("%.17g".__mod__, row)))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    columns = (traj.times[:, None], traj.states.real, traj.inputs.real, traj.outputs.real)
+    with _atomic_output(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, len(traj.times), _BLOCK_ROWS):
+            block = [c[start:start + _BLOCK_ROWS] for c in columns]
+            fh.write(_format_rows(np.hstack(block, dtype=np.float64)))
+
+
+# Trajectory rows are formatted this many at a time, so the text of a whole
+# trajectory is never held in memory.
+_BLOCK_ROWS = 256
+
+# A cell whose scaled mantissa s has frac(s) within this of 1/2 is left to
+# "%.17g": s is off by less than 0.011 (module docstring).
+_ROUNDING_MARGIN = 0.015
+
+# Exponents k of the table of 10**k: 16 - E for every float64 exponent E,
+# with room for log10 missing by one.
+_POW10_LOW, _POW10_HIGH = -294, 344
+# Decimal exponents the exponent table covers, undecided cells' included.
+_EXP_BIAS = 330
+
+# Assembly layout of one cell, 46 bytes: sign, the "0.000" prefix of fixed
+# notation below 1, the 17 digits each followed by a decimal-point slot, the
+# exponent and the separator.  A cell's text is the subsequence its keep row
+# selects; the bytes left out are zeroed and deleted.
+_TEMPLATE = np.frombuffer(b"-0.000" + b"0." * 17 + b"e+000,", dtype=np.uint8)
+_DIGITS = slice(6, 40, 2)
+_EXPONENT = slice(41, 45)
+# Keep-row forms: fixed notation for E = -4..16, scientific with a two- or
+# three-digit exponent, and zero.
+_SCIENTIFIC, _ZERO = 21, 23
+
+
+def _round_to_64_bits(num: int, den: int):
+    """(m, e) with m * 2**e the nearest 64-bit-mantissa value to num / den
+    (ties to even)."""
+    e = num.bit_length() - den.bit_length() - 64
+    if num << max(-e, 0) >= (den << max(e, 0)) << 64:
+        e += 1
+    n, d = num << max(-e, 0), den << max(e, 0)
+    m, r = divmod(n, d)
+    if 2 * r > d or (2 * r == d and m & 1):
+        m += 1
+    return m, e
+
+
+def _keep_row(form: int, significant: int, negative: bool) -> list:
+    """Which of the 46 layout bytes make up one cell's "%.17g" text."""
+    keep = [False] * _TEMPLATE.size
+    keep[0] = negative
+    keep[-1] = True
+    if form == _ZERO:
+        keep[1] = True
+        return keep
+    shown, point = significant, 0
+    if form < _SCIENTIFIC:
+        E = form - 4
+        if E < 0:
+            keep[1:2 - E] = [True] * (1 - E)    # "0." and -E - 1 zeros
+            point = None
+        else:
+            shown, point = max(significant, E + 1), E
+    else:
+        keep[40:45] = [True, True, form > _SCIENTIFIC, True, True]
+    for k in range(shown):
+        keep[6 + 2 * k] = True
+    if point is not None and significant > point + 1:
+        keep[7 + 2 * point] = True
+    return keep
+
+
+@functools.cache
+def _decimal_tables():
+    """Lookup tables of the row formatter, built on its first call.
+
+    10**k rounded to nearest in a 64-bit mantissa for k in [_POW10_LOW,
+    _POW10_HIGH], from exact integers; the ASCII of 0000..9999 and of each
+    signed three-digit exponent, as uint32 words; the keep rows by
+    ((form * 17 + significant - 1) * 2 + negative); and each E's form.
+    """
+    pairs = [_round_to_64_bits(10 ** max(k, 0), 10 ** max(-k, 0))
+             for k in range(_POW10_LOW, _POW10_HIGH + 1)]
+    # two 32-bit halves are exact in any long double, and so is their sum
+    hi = np.array([m >> 32 for m, _ in pairs], dtype=np.longdouble)
+    lo = np.array([m & 0xFFFFFFFF for m, _ in pairs], dtype=np.longdouble)
+    powers = np.ldexp(hi * 2.0 ** 32 + lo, [e for _, e in pairs])
+    quads = (np.arange(10 ** 4)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
+    quads = quads.view(np.uint32).ravel()
+    exponents = np.frombuffer("".join(f"{E:+04d}" for E in range(-_EXP_BIAS, _EXP_BIAS + 1))
+                              .encode(), np.uint32)
+    keep = np.array([_keep_row(form, significant, negative) for form in range(_ZERO + 1)
+                     for significant in range(1, 18) for negative in (False, True)])
+    E = np.arange(-_EXP_BIAS, _EXP_BIAS + 1)
+    forms = np.where((E >= -4) & (E < 17), E + 4, _SCIENTIFIC + (np.abs(E) >= 100))
+    return powers, quads, exponents, keep.astype(np.uint8) * 0xFF, forms
+
+
+def _format_rows(cells: np.ndarray) -> bytes:
+    """CSV lines of a 2-D float64 array: each entry as ``"%.17g" % v``."""
+    powers, quads, exponents, keep, forms = _decimal_tables()
+    x = cells.ravel()
+    n = x.size
+    a = np.abs(x)
+    # without a 64-bit mantissa the error bound fails: every cell falls back
+    regular = np.isfinite(a) & (a != 0) & (np.finfo(np.longdouble).nmant >= 63)
+    a = np.where(regular, a, 1.0)
+    E = np.floor(np.log10(a)).astype(np.int64)
+    a = a.astype(np.longdouble)
+    s = a * powers[16 - E - _POW10_LOW]
+    # log10 may miss by one beside a power of ten
+    miss = (s >= 1e17).astype(np.int64) - (s < 1e16)
+    if miss.any():
+        E += miss
+        s = a * powers[16 - E - _POW10_LOW]
+    D = np.rint(s)
+    # |frac(s) - 1/2| = 1/2 - |s - round(s)|
+    decided = (regular & (np.abs((s - D).astype(np.float64)) <= 0.5 - _ROUNDING_MARGIN)
+               & (D >= 1e16) & (D <= 1e17))
+    carry = D == 1e17
+    E += carry
+    D = np.where(carry, 1e16, D).astype(np.int64)
+
+    buf = np.empty((n, _TEMPLATE.size), dtype=np.uint8)
+    buf[:] = _TEMPLATE
+    lead, tail = np.divmod(D, 10 ** 16)
+    upper, lower = np.divmod(tail, 10 ** 8)
+    chunks = np.stack([upper // 10 ** 4, upper % 10 ** 4, lower // 10 ** 4, lower % 10 ** 4], 1)
+    digits = buf[:, _DIGITS]
+    digits[:, 0] = 48 + lead
+    digits[:, 1:] = quads[chunks].view(np.uint8).reshape(n, 16)
+    significant = 17 - np.argmax(digits[:, ::-1] != 48, axis=1)
+    buf[:, _EXPONENT] = exponents[E + _EXP_BIAS].view(np.uint8).reshape(n, 4)
+    buf.reshape(cells.shape + (_TEMPLATE.size,))[:, -1, -1] = ord("\n")
+
+    form = np.where(decided, forms[E + _EXP_BIAS], np.where(x == 0, _ZERO, 0))
+    buf &= keep[(form * 17 + significant - 1) * 2 + np.signbit(x)]
+    undecided = np.flatnonzero(~decided & (x != 0))
+    if undecided.size:
+        text = ["%.17g" % v for v in x[undecided].tolist()]
+        buf[undecided, :-1] = np.array(text, dtype=f"S{_TEMPLATE.size - 1}").view(
+            np.uint8).reshape(-1, _TEMPLATE.size - 1)
+    return buf.tobytes().translate(None, b"\0")
 
 
 def write_sweep_csv(path: str, rows: list):

@@ -558,7 +558,10 @@ def test_certify_falls_back_when_the_reduced_loop_is_not_hurwitz(tmp_path):
     # the full-loop Lyapunov sign iteration overflows on a mode at -1e-200
     ("certify", {"plant": {"type": "heat", "b": -1e-200,
                            "f": {"kind": "constant", "value": 0.0}}}, 4),
-], ids=["beta_depth_0", "overflowing_step", "lyapunov_failure"])
+    # B B* overflows in the Riccati Hamiltonian: no numpy warning line first
+    ("synthesize", {"plant": {"type": "heat", "b": 5.0,
+                              "f": {"kind": "coefficients", "values": [1e200, 1.0]}}}, 5),
+], ids=["beta_depth_0", "overflowing_step", "lyapunov_failure", "huge_coefficients"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_former_tracebacks_exit_with_one_line(tmp_path, capsys, const_heat_controller,
                                               command, extra, expected):
@@ -635,6 +638,7 @@ def _configs(draw):
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(command=st.sampled_from(["analyze", "synthesize", "certify", "simulate", "sweep"]),
        cfg=_configs())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_schema_valid_configs_end_in_documented_exit_codes(tmp_path_factory,
                                                            const_heat_controller,
                                                            command, cfg):

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
+from modalstab import fileio
 from modalstab.fileio import (SCHEMA_NAMES, SchemaViolation, dumps_canonical,
                               format_float, matrix_from_doc, matrix_to_doc,
                               read_json, schema_text, validate_document,
@@ -213,6 +218,133 @@ def test_trajectory_csv_matches_per_cell_format(tmp_path):
         rows.append(",".join(_csv_cell(v) for v in row))
     assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
     assert rows[1] == "0,nan,-0,4.9406564584124654e-324,-0,4.9406564584124654e-324"
+
+
+def _reference_rows(cells) -> bytes:
+    return "".join(",".join(_csv_cell(v) for v in row) + "\n"
+                   for row in np.asarray(cells).tolist()).encode()
+
+
+def _assert_rows_match(values):
+    cells = np.asarray(values, dtype=np.float64).reshape(1, -1)
+    assert fileio._format_rows(cells) == _reference_rows(cells)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_row_formatter_matches_format_on_any_float(values):
+    # st.floats() draws subnormals, signed zeros, infinities and nan
+    _assert_rows_match(values)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.integers(min_value=0, max_value=2 ** 64 - 1), min_size=1, max_size=40))
+def test_row_formatter_matches_format_on_any_bit_pattern(bits):
+    _assert_rows_match(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+def test_row_formatter_matches_format_on_random_bit_patterns(rng):
+    bits = rng.integers(0, 2 ** 64, size=(20_000, 5), dtype=np.uint64)
+    cells = bits.view(np.float64)
+    assert fileio._format_rows(cells) == _reference_rows(cells)
+
+
+def _neighbours(x: float, ulps: int) -> list:
+    down = up = x
+    out = [x]
+    for _ in range(ulps):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        out += [float(down), float(up)]
+    return out
+
+
+def test_row_formatter_matches_format_beside_every_power_of_ten():
+    # Includes values whose 17 digits round up to the next power of ten
+    # (1e-305 is just below 10**-305) and log10 values that miss by one.
+    values = [v for k in range(-324, 309) for v in _neighbours(float(f"1e{k}"), 2)]
+    _assert_rows_match(values)
+    _assert_rows_match([-v for v in values])
+
+
+def test_row_formatter_matches_format_across_the_notation_switches():
+    # %g turns scientific below 1e-4 and at 1e17, after rounding to 17 digits
+    switches = [1e-5, 1e-4, 1e16, 1e17, 1e-4 * (1 - 2 ** -52), 1e17 * (1 - 2 ** -53),
+                9.99999999999999995e-5, 99999999999999999.0, 1e100, 1e-100]
+    values = [v for x in switches for v in _neighbours(x, 8)]
+    _assert_rows_match(values + [-v for v in values])
+
+
+def test_power_table_is_correctly_rounded():
+    if np.finfo(np.longdouble).nmant < 63:
+        pytest.skip("long double narrower than a 64-bit mantissa: every cell falls back")
+    powers = fileio._decimal_tables()[0]
+    for k, p in zip(range(fileio._POW10_LOW, fileio._POW10_HIGH + 1), powers):
+        num, den = p.as_integer_ratio()
+        exact = Fraction(10) ** k
+        # floor(log2(10**k)); 10**k is no power of two for k != 0
+        log2 = (10 ** k).bit_length() - 1 if k >= 0 else -(10 ** -k).bit_length()
+        half_ulp = Fraction(2) ** (log2 - 64)
+        assert abs(Fraction(num, den) - exact) <= half_ulp, k
+
+
+def _trajectory(rng, rows: int, n_plant: int = 3) -> Trajectory:
+    scale = 10.0 ** rng.integers(-30, 30, size=(rows, n_plant + 2))
+    states = rng.standard_normal((rows, n_plant + 2)) * scale
+    states[rng.random(states.shape) < 0.02] = 0.0
+    states[rng.random(states.shape) < 0.01] = -0.0
+    states[rng.random(states.shape) < 0.01] = math.nan
+    inputs = rng.standard_normal((rows, 1))
+    outputs = rng.standard_normal((rows, 2)) * 1e20
+    return Trajectory(np.arange(rows) * 0.01, states.astype(np.complex128),
+                      outputs, inputs, dt=0.01)
+
+
+def _reference_csv(traj, n_plant: int) -> bytes:
+    q = traj.states.shape[1] - n_plant
+    header = (["t"] + [f"x_{i + 1}" for i in range(n_plant)] + [f"w_{i + 1}" for i in range(q)]
+              + ["u_1"] + ["y_1", "y_2"])
+    rows = [",".join(header)]
+    for i, t in enumerate(traj.times):
+        row = [t, *traj.states[i].real, *traj.inputs[i].real, *traj.outputs[i].real]
+        rows.append(",".join(_csv_cell(v) for v in row))
+    return ("\n".join(rows) + "\n").encode()
+
+
+@pytest.mark.parametrize("rows", [1, 255, 256, 257, 2001])
+def test_trajectory_csv_rows_across_block_boundaries(tmp_path, rng, rows):
+    traj = _trajectory(rng, rows)
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(str(path), traj, n_plant=3)
+    assert path.read_bytes() == _reference_csv(traj, 3)
+
+
+def test_trajectory_csv_fallback_path_writes_the_same_bytes(tmp_path, rng, monkeypatch):
+    traj = _trajectory(rng, 300)
+    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    write_trajectory_csv(str(fast), traj, n_plant=3)
+    # no rounding is decided in the formatter: every cell goes through "%.17g"
+    monkeypatch.setattr(fileio, "_ROUNDING_MARGIN", 1.0)
+    write_trajectory_csv(str(slow), traj, n_plant=3)
+    assert slow.read_bytes() == fast.read_bytes() == _reference_csv(traj, 3)
+
+
+def test_trajectory_csv_failure_mid_stream_keeps_the_old_file(tmp_path, rng, monkeypatch):
+    path = tmp_path / "trajectory.csv"
+    path.write_bytes(b"old\n")
+    format_rows, calls = fileio._format_rows, []
+
+    def fail_on_second_block(cells):
+        calls.append(len(cells))
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return format_rows(cells)
+
+    monkeypatch.setattr(fileio, "_format_rows", fail_on_second_block)
+    with pytest.raises(OSError, match="disk full"):
+        write_trajectory_csv(str(path), _trajectory(rng, 600), n_plant=3)
+    assert calls == [256, 256]
+    assert os.listdir(tmp_path) == ["trajectory.csv"]
+    assert path.read_bytes() == b"old\n"
 
 
 def test_sweep_csv_layout(tmp_path):

@@ -23,13 +23,13 @@ import contextlib
 import functools
 import json
 import math
+import numbers
+import operator
 import os
 import tempfile
 from importlib import resources
 
 import numpy as np
-from jsonschema import Draft202012Validator, validators
-from referencing import Registry, Resource
 
 from .errors import ModalToolkitError
 
@@ -131,58 +131,213 @@ def matrix_from_doc(doc, rows: int = None, cols: int = None) -> np.ndarray:
     return M
 
 
-_REGISTRY = None
-_VALIDATORS = {}
-_NUMBER = {"type": "number"}
-
-
-def _items(validator, items, instance, schema):
-    """Draft 2020-12 ``items``, without one subschema descent per entry for a
-    flat array of numbers (a controller matrix has thousands of entries)."""
-    if (items == _NUMBER and type(instance) is list and "prefixItems" not in schema
-            and all(type(v) is float or type(v) is int for v in instance)):
-        return
-    yield from Draft202012Validator.VALIDATORS["items"](validator, items, instance, schema)
-
-
-_Validator = validators.extend(Draft202012Validator, {"items": _items})
-
-
-def _schema_registry():
-    global _REGISTRY
-    if _REGISTRY is None:
-        resources_map = {}
-        for name in SCHEMA_NAMES:
-            raw = (resources.files("modalstab") / "schemas" / f"{name}.schema.json").read_text()
-            schema = json.loads(raw)
-            resources_map[schema["$id"]] = Resource.from_contents(schema)
-        _REGISTRY = Registry().with_resources(resources_map.items())
-    return _REGISTRY
-
-
 def schema_text(name: str) -> str:
     return (resources.files("modalstab") / "schemas" / f"{name}.schema.json").read_text()
 
 
+# Each keyword check takes (value, instance, schema, root, path) and yields
+# (path, message) pairs in the order, and with the text, of jsonschema's
+# Draft 2020-12 validator.  root is the shipped schema that "#" references
+# resolve in.
+
+def _is_number(x) -> bool:
+    return not isinstance(x, bool) and isinstance(x, numbers.Number)
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "number": _is_number,
+    "integer": lambda x: _is_number(x) and (
+        isinstance(x, int) or isinstance(x, float) and x.is_integer()),
+}
+_NUMBER = {"type": "number"}
+
+
+def _type(name, x, schema, root, path):
+    if not _TYPES[name](x):
+        yield path, f"{x!r} is not of type {name!r}"
+
+
+def _properties(properties, x, schema, root, path):
+    if isinstance(x, dict):
+        for key, sub in properties.items():
+            if key in x:
+                yield from _errors(x[key], sub, root, path + (key,))
+
+
+def _required(required, x, schema, root, path):
+    if isinstance(x, dict):
+        for key in required:
+            if key not in x:
+                yield path, f"{key!r} is a required property"
+
+
+def _additional_properties(allowed, x, schema, root, path):
+    if isinstance(x, dict):
+        extras = sorted((k for k in x if k not in schema.get("properties", {})), key=str)
+        if extras:
+            verb = "was" if len(extras) == 1 else "were"
+            yield path, (f"Additional properties are not allowed "
+                         f"({', '.join(map(repr, extras))} {verb} unexpected)")
+
+
+def _items(items, x, schema, root, path):
+    if not isinstance(x, list):
+        return
+    # a flat row of numbers (a controller matrix row) takes one pass
+    if items == _NUMBER and {*map(type, x)} <= {float, int}:
+        return
+    for index, entry in enumerate(x):
+        yield from _errors(entry, items, root, path + (index,))
+
+
+def _min_items(least, x, schema, root, path):
+    if isinstance(x, list) and len(x) < least:
+        yield path, f"{x!r} {'should be non-empty' if least == 1 else 'is too short'}"
+
+
+def _const(const, x, schema, root, path):
+    if x != const:
+        yield path, f"{const!r} was expected"
+
+
+def _enum(enum, x, schema, root, path):
+    if x not in enum:
+        yield path, f"{x!r} is not one of {enum!r}"
+
+
+def _bound(fails, words):
+    def check(limit, x, schema, root, path):
+        if _is_number(x) and fails(x, limit):
+            yield path, f"{x!r} is {words} {limit!r}"
+    return check
+
+
+def _one_of(subschemas, x, schema, root, path):
+    valid = [sub for sub in subschemas if _valid(x, sub, root)]
+    if not valid:
+        yield path, f"{x!r} is not valid under any of the given schemas"
+    elif len(valid) > 1:
+        yield path, f"{x!r} is valid under each of {', '.join(map(repr, valid[1:] + valid[:1]))}"
+
+
+def _any_of(subschemas, x, schema, root, path):
+    if not any(_valid(x, sub, root) for sub in subschemas):
+        yield path, f"{x!r} is not valid under any of the given schemas"
+
+
+def _ref(ref, x, schema, root, path):
+    target, sub = _resolve(ref, root, _schemas()[1])
+    yield from _errors(x, sub, target, path)
+
+
+_KEYWORDS = {
+    "type": _type,
+    "properties": _properties,
+    "required": _required,
+    "additionalProperties": _additional_properties,
+    "items": _items,
+    "minItems": _min_items,
+    "const": _const,
+    "enum": _enum,
+    "minimum": _bound(operator.lt, "less than the minimum of"),
+    "maximum": _bound(operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": _bound(operator.le, "less than or equal to the minimum of"),
+    "exclusiveMaximum": _bound(operator.ge, "greater than or equal to the maximum of"),
+    "oneOf": _one_of,
+    "anyOf": _any_of,
+    "$ref": _ref,
+}
+_ANNOTATIONS = frozenset({"$schema", "$id", "$defs", "title", "description"})
+
+
+def _errors(x, schema, root, path):
+    """(path, message) of every error of instance x under schema, in schema
+    key order."""
+    for key, value in schema.items():
+        check = _KEYWORDS.get(key)
+        if check is not None:
+            yield from check(value, x, schema, root, path)
+
+
+def _valid(x, schema, root) -> bool:
+    return next(_errors(x, schema, root, ()), None) is None
+
+
+def _resolve(ref: str, root: dict, by_id: dict):
+    """(schema containing the target, target) of a "$ref": a JSON pointer
+    into root, or into the schema of by_id whose "$id" the reference names."""
+    uri, _, pointer = ref.partition("#")
+    target = by_id[uri] if uri else root
+    sub = target
+    for step in pointer.split("/")[1:]:
+        sub = sub[step]
+    return target, sub
+
+
+def _check_schema(schema, root: dict, by_id: dict):
+    """Raise ValueError at the first part of schema the validator would not
+    interpret as jsonschema does, so that no schema edit is ignored silently."""
+    if not isinstance(schema, dict):
+        raise ValueError(f"unsupported subschema {schema!r}")
+    unknown = sorted(set(schema) - _KEYWORDS.keys() - _ANNOTATIONS)
+    if unknown:
+        raise ValueError(f"unsupported schema keyword {unknown[0]!r}")
+    if "type" in schema and not (isinstance(schema["type"], str) and schema["type"] in _TYPES):
+        raise ValueError(f"unsupported type {schema['type']!r}")
+    if schema.get("additionalProperties", False) is not False:
+        raise ValueError("additionalProperties must be false")
+    if not all(isinstance(v, str) for v in [schema.get("const", ""), *schema.get("enum", [])]):
+        raise ValueError("const and enum values must be strings")
+    if "$ref" in schema:
+        try:
+            _resolve(schema["$ref"], root, by_id)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"unresolvable $ref {schema['$ref']!r}") from exc
+    subschemas = [*schema.get("properties", {}).values(), *schema.get("$defs", {}).values(),
+                  *schema.get("oneOf", []), *schema.get("anyOf", [])]
+    if "items" in schema:
+        subschemas.append(schema["items"])
+    for sub in subschemas:
+        _check_schema(sub, root, by_id)
+
+
+@functools.cache
+def _schemas():
+    """The shipped schemas by name and by "$id", loaded and checked once."""
+    by_name = {name: json.loads(schema_text(name)) for name in SCHEMA_NAMES}
+    by_id = {schema["$id"]: schema for schema in by_name.values()}
+    for schema in by_name.values():
+        _check_schema(schema, schema, by_id)
+    return by_name, by_id
+
+
 def validate_document(doc: dict, schema_name: str):
-    """Raise SchemaViolation (with the offending path) unless doc conforms."""
+    """Raise SchemaViolation (with the offending path) unless doc conforms.
+
+    The shipped schemas are interpreted directly, keyword by keyword.  The
+    error reported is jsonschema's: of the errors in the order its Draft
+    2020-12 validator yields them, the first with the least path.  Validation
+    descends only as far as the schemas reach: none refers back to itself, so
+    at most 4 path steps (as in plant/f/values/0), whatever the nesting depth
+    of doc.
+    """
     if schema_name not in SCHEMA_NAMES:
         raise ValueError(f"unknown schema {schema_name!r}")
-    if schema_name not in _VALIDATORS:
-        schema = json.loads(schema_text(schema_name))
-        _VALIDATORS[schema_name] = _Validator(schema, registry=_schema_registry())
-    errors = sorted(_VALIDATORS[schema_name].iter_errors(doc), key=lambda e: list(e.path))
-    if errors:
-        first = errors[0]
-        where = "/".join(str(p) for p in first.path) or "<root>"
-        raise SchemaViolation(f"{schema_name} schema: {first.message} (at {where})")
+    root = _schemas()[0][schema_name]
+    first = min(_errors(doc, root, root, ()), key=lambda error: error[0], default=None)
+    if first is not None:
+        where = "/".join(map(str, first[0])) or "<root>"
+        raise SchemaViolation(f"{schema_name} schema: {first[1]} (at {where})")
 
 
 def read_json(path: str, schema_name: str = None) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaViolation(f"{path}: invalid JSON: {exc}") from exc
     if schema_name is not None:
         validate_document(doc, schema_name)

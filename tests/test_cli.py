@@ -105,7 +105,7 @@ def test_synthesize_certify_simulate_round_trip(tmp_path):
     assert len(lines) == 2 + int(round(6.0 / 0.02))
 
 
-_NO_SCIPY_SCRIPT = """
+_NO_OPTIONAL_IMPORTS_SCRIPT = """
 import json, sys
 from modalstab.cli import main
 plant = json.loads(sys.argv[2])
@@ -116,15 +116,17 @@ for command, cfg in (("synthesize", {"plant": plant}),
     with open(path, "w") as fh:
         json.dump(cfg, fh)
     assert main([command, "--config", path, "--out", sys.argv[1] + "/syn"]) == 0
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+print(sorted(name for name in sys.modules
+             if name.startswith(("scipy", "jsonschema", "referencing", "rpds", "attr"))))
 """
 
 
-def test_commands_run_without_scipy(tmp_path):
+def test_commands_load_neither_scipy_nor_jsonschema(tmp_path):
     import modalstab
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(modalstab.__file__)))
-    done = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path), json.dumps(HEAT)],
+    done = subprocess.run([sys.executable, "-c", _NO_OPTIONAL_IMPORTS_SCRIPT, str(tmp_path),
+                           json.dumps(HEAT)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
@@ -406,6 +408,15 @@ def test_missing_config_file(tmp_path):
     code = main(["analyze", "--config", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path)])
     assert code == 2
+
+
+def test_deeply_nested_config_exits_with_one_line(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code = main(["analyze", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"invalid configuration: {path}: invalid JSON: ")
 
 
 def test_bad_plant_document(tmp_path):

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -126,7 +127,8 @@ def _stock_validator(schema_name):
 def _stock_message(doc, schema_name):
     """validate_document's message, from a stock validator."""
     first = sorted(_stock_validator(schema_name).iter_errors(doc), key=lambda e: list(e.path))[0]
-    return f"{schema_name} schema: {first.message} (at {'/'.join(map(str, first.path))})"
+    where = "/".join(map(str, first.path)) or "<root>"
+    return f"{schema_name} schema: {first.message} (at {where})"
 
 
 def test_controller_validation_accepts_what_the_stock_validator_accepts(rng):
@@ -155,6 +157,150 @@ def test_other_item_schemas_report_the_stock_first_error(sweep_N):
     with pytest.raises(SchemaViolation) as info:
         validate_document(doc, "config")
     assert str(info.value) == _stock_message(doc, "config")
+
+
+_PLANTS = [
+    {"type": "heat", "b": 5.0, "f": {"kind": "constant", "value": 1.0}, "N_max": 8},
+    {"type": "heat_boundary", "b": 5.0, "f": {"kind": "indicator", "xi1": 0.0, "xi2": 0.5},
+     "a_grid": [6.0, 7.0], "N_max": 8},
+    {"type": "wave", "b": 3.0, "kappa": 1.0, "f": {"kind": "cosine", "k0": 1.0}},
+    {"type": "heat", "b": 2.0, "f": {"kind": "coefficients", "values": [1.0, 0.5]}},
+    {"type": "heat", "b": 2.0, "f": {"kind": "samples", "values": [0.0, 0.5, 1.0, 0.5, 0.0]}},
+]
+_CONFIG = {"N": 4, "epsilon": 0.1, "beta_depth": 20, "margin_fraction": 0.5, "horizon": 2.0,
+           "dt": 0.1, "seed": 0, "sweep_N": [2, 3], "controller_file": "controller.json"}
+# Valid documents of each schema; between them they use every plant type,
+# profile kind and x0 form.
+_VALID_DOCS = {
+    "config": [dict(_CONFIG, plant=plant, x0=x0)
+               for plant, x0 in zip(_PLANTS, ["ones", [1.0, 2.0], "random", [0.5], "ones"])],
+    "plant": _PLANTS,
+    "controller": [{"E": [[1.0, 0.0], [0.5, -1.0]], "F": [[1.0], [0.0]], "G": [[0.0, 1.0]],
+                    "dims": {"n_unstable": 1, "n_retained": 1, "inputs": 1, "outputs": 1},
+                    "design": {"feedback_rate": 1.0, "observer_rate": "inf",
+                               "feedback_residual": 0, "observer_residual": 1e-15}}],
+    "certificate": [{"beta": 0.5, "product": 0.25, "gain_R": "inf", "gain_tail": 0.1, "N": 3,
+                     "verdict": "Certified", "diagnostics": ["ok"]}],
+}
+# Numbers on either side of every bound, and wrong types: a string for an
+# unknown kind, type, x0 mode or verdict, and 1.5 for an integer.
+_NUMBERS = [-1, 0, 1, 41]
+_OTHERS = ["text", True, None, [], ["x"], {}, 1.5]
+
+
+def _nodes(doc, path=()):
+    yield path
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) \
+        if isinstance(doc, list) else ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _mutate(doc, data):
+    """doc with one change at a node drawn from it: the node replaced or
+    dropped, an unknown key added to it, or its array emptied."""
+    path = data.draw(st.sampled_from(list(_nodes(doc))))
+    parent, node = None, doc
+    for step in path:
+        parent, node = node, node[step]
+    ops = ["other"] + ["number"] * (3 if type(node) in (int, float) else 1) \
+        + ["drop"] * isinstance(parent, dict) + ["add"] * isinstance(node, dict) \
+        + ["empty"] * isinstance(node, list)
+    op = data.draw(st.sampled_from(ops))
+    if op in ("number", "other"):
+        value = copy.deepcopy(data.draw(st.sampled_from(_NUMBERS if op == "number" else _OTHERS)))
+        if parent is None:
+            return value
+        parent[path[-1]] = value
+    elif op == "drop":
+        del parent[path[-1]]
+    elif op == "add":
+        node["unexpected"] = 1.0
+    else:
+        node.clear()
+    return doc
+
+
+def _recording(keyword, check, failed):
+    def recorded(*args):
+        for error in check(*args):
+            failed.add(keyword)
+            yield error
+    return recorded
+
+
+def test_validation_agrees_with_the_stock_validator_on_mutated_documents(monkeypatch):
+    failed = set()  # keywords whose check yielded an error, inside oneOf/anyOf too
+    for keyword, check in list(fileio._KEYWORDS.items()):
+        monkeypatch.setitem(fileio._KEYWORDS, keyword, _recording(keyword, check, failed))
+    stock_validators = {name: _stock_validator(name) for name in SCHEMA_NAMES}
+
+    @settings(max_examples=1500, derandomize=True, deadline=None, database=None)
+    @given(st.data())
+    def agrees(data):
+        # twice as many configs: they carry the most keywords
+        name = data.draw(st.sampled_from(("config",) + SCHEMA_NAMES))
+        doc = copy.deepcopy(data.draw(st.sampled_from(_VALID_DOCS[name])))
+        for _ in range(data.draw(st.integers(1, 3))):
+            doc = _mutate(doc, data)
+        if not any(stock_validators[name].iter_errors(doc)):
+            validate_document(doc, name)
+            return
+        with pytest.raises(SchemaViolation) as info:
+            validate_document(doc, name)
+        assert str(info.value) == _stock_message(doc, name)
+
+    agrees()
+    assert failed == set(fileio._KEYWORDS)
+
+
+@pytest.mark.parametrize("schema, instance", [
+    ({"minItems": 1}, []),
+    ({"minItems": 5}, [1.0, 2.0]),
+    ({"const": "heat"}, "wave"),
+    ({"const": "heat"}, ["heat"]),
+    ({"type": "integer"}, 1.0),
+    ({"type": "integer"}, True),
+    ({"type": "number"}, False),
+    ({"enum": ["inf", "nan"]}, "-inf"),
+    ({"minimum": 0, "exclusiveMinimum": 0}, -1),
+    ({"maximum": 40, "exclusiveMaximum": 1}, 41.5),
+    ({"oneOf": [{"type": "number"}, {"type": "integer"}, {"type": "string"}]}, 2),
+    ({"oneOf": [{"type": "number"}, {"type": "array", "minItems": 1}]}, []),
+    ({"anyOf": [{"enum": ["a"]}, {"type": "integer"}]}, 2.5),
+    ({"properties": {"a": {"minimum": 0}}, "required": ["b", "c"],
+      "additionalProperties": False}, {"a": -1, "z": 0, "y": 1}),
+], ids=["non_empty", "too_short", "const", "const_list", "integral_float",
+        "bool_integer", "bool_number", "enum", "lower_bounds", "upper_bounds", "one_of_several",
+        "one_of_none", "any_of", "object"])
+def test_keyword_errors_match_the_stock_templates(schema, instance):
+    ours = [message for _, message in fileio._errors(instance, schema, schema, ())]
+    assert ours == [e.message for e in Draft202012Validator(schema).iter_errors(instance)]
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "string", "pattern": "^a"},
+    {"properties": {"x": {"type": "array", "uniqueItems": True}}},
+    {"items": {"type": "float"}},
+    {"type": ["string", "null"]},
+    {"additionalProperties": {"type": "number"}},
+    {"enum": [1, 2]},
+    {"anyOf": [{"$ref": "#/$defs/missing"}]},
+], ids=["pattern", "nested_keyword", "type", "type_list", "additional_schema", "number_enum",
+        "bad_ref"])
+def test_schema_outside_the_supported_keywords_is_refused(schema):
+    with pytest.raises(ValueError):
+        fileio._check_schema(schema, schema, {})
+
+
+def test_loading_a_shipped_schema_with_an_unsupported_keyword_fails(monkeypatch):
+    plant = json.loads(schema_text("plant"))
+    plant["$defs"]["heat"]["properties"]["b"]["multipleOf"] = 0.5
+    monkeypatch.setattr(fileio, "schema_text", lambda name: json.dumps(plant) if name == "plant"
+                        else schema_text(name))
+    fileio._schemas.cache_clear()
+    with pytest.raises(ValueError, match="multipleOf"):
+        validate_document(_plant_doc(), "config")
 
 
 def test_matrix_round_trip(rng):

@@ -15,7 +15,7 @@ from .errors import (CertificateNotFound, DegenerateTrajectory, DimensionMismatc
                      TailUnstable, UnstableModeDiscarded)
 from .gains import (DecayEnvelope, GainBound, StabilityCertificate, certify_small_gain,
                     decay_envelope, gain_strong, gain_weak, scan_certificate)
-from .modal import (ModalBlock, ModalSystem, SpectrumPartition, StateSpaceSystem,
+from .modal import (BlockStack, ModalBlock, ModalSystem, SpectrumPartition, StateSpaceSystem,
                     TailModel, close_loop, closed_loop_matrix, partition_spectrum,
                     select_truncation, truncate)
 from .plants import (BoundaryLiftData, SourceProfile, build_heat, build_heat_boundary,

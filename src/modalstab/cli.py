@@ -135,16 +135,13 @@ def controller_from_doc(doc: dict) -> ObserverController:
 
 def _block_count_for_dim(sys_: ModalSystem, n: int) -> int:
     """Number of leading blocks whose total state dimension is exactly n."""
-    total = 0
-    for i, blk in enumerate(sys_.blocks):
-        if total == n:
-            return i
-        total += blk.dim
-    if total == n:
-        return len(sys_.blocks)
+    totals = np.concatenate(([0], np.cumsum(sys_.dims)))
+    hits = np.flatnonzero(totals == n)
+    if hits.size:
+        return int(hits[0])
     raise DimensionMismatch(
         f"controller dimension {n} matches no truncation of the plant "
-        f"(resolved block dimensions reach {total})")
+        f"(resolved block dimensions reach {totals[-1]})")
 
 
 def _check_io_dims(truncated: StateSpaceSystem, controller: ObserverController):
@@ -191,12 +188,12 @@ def _eig_doc(values) -> list:
 
 def analysis_document(plant_doc: dict, sys_: ModalSystem, part, report, lift) -> dict:
     modes = []
-    for i, (blk, chk) in enumerate(zip(sys_.blocks, report.blocks)):
+    for i, chk in enumerate(report.blocks):
         modes.append({
-            "label": int(blk.label),
-            "dim": int(blk.dim),
+            "label": int(chk.label),
+            "dim": int(chk.dim),
             "unstable": i < sys_.n_unstable,
-            "eigenvalues": _eig_doc(blk.eigenvalues()),
+            "eigenvalues": _eig_doc(sys_.eigenvalues(i)),
             "stabilizable": bool(chk.stabilizable),
             "detectable": bool(chk.detectable),
             "stab_margin": float(chk.stab_margin),
@@ -285,7 +282,7 @@ def _require_synthesizable(report):
 
 def _epsilon_halving(sys_: ModalSystem, epsilon: float):
     """Candidate truncation orders from repeatedly halving the tail budget."""
-    count = len(sys_.blocks)
+    count = len(sys_)
     for j in range(MAX_EPSILON_HALVINGS):
         try:
             N = select_truncation(sys_, epsilon / 2.0 ** j)
@@ -350,7 +347,7 @@ def cmd_synthesize(cfg: dict, out_dir: str) -> int:
         detail = (f"; best product {best.product:.6g} at N={best.truncation_N}"
                   " (documents written for inspection)")
     raise CertificateNotFound(
-        f"no truncation up to {len(sys_.blocks)} blocks certified; increase N_max{detail}")
+        f"no truncation up to {len(sys_)} blocks certified; increase N_max{detail}")
 
 
 def _plant_and_controller(cfg: dict, command: str):
@@ -434,9 +431,9 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
 
     ns = sorted({int(N) for N in requested})
     for N in ns:
-        if N < sys_.n_unstable or N > len(sys_.blocks):
+        if N < sys_.n_unstable or N > len(sys_):
             raise ValueError(
-                f"sweep N={N} outside [{sys_.n_unstable}, {len(sys_.blocks)}]")
+                f"sweep N={N} outside [{sys_.n_unstable}, {len(sys_)}]")
 
     _design, loop = _prefix_design(sys_, part, float(cfg["margin_fraction"]))
     if loop.env is None:

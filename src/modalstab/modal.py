@@ -1,14 +1,19 @@
 """Block-modal state space types and the operations that act on them.
 
-A plant is stored as a finite list of small (1x1 .. 3x3) modal blocks plus a
+A plant is stored as a finite set of small (1x1 .. 3x3) modal blocks plus a
 ``TailModel`` summarizing the infinitely many remaining modes by a decay
-envelope and input/output norm bounds.  Everything downstream (truncation,
-controller synthesis, small-gain certification) works on this representation.
+envelope and input/output norm bounds.  ``ModalSystem`` keeps the blocks as
+a table: one ``BlockStack`` per block dimension d holds the (k, d, d),
+(k, d, m) and (k, p, d) arrays of its k blocks, and one batched pass per
+stack gives every block's eigenvalues, canonical sort key, coefficient norms
+and the terms it adds to a tail that absorbs it.  Everything downstream
+(truncation, controller synthesis, small-gain certification) reads this
+table, so a plant costs a fixed number of numpy calls, not a few per mode.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -29,29 +34,101 @@ SIGN_TOL = 1e-14
 SIGN_MAX_STEPS = 100
 
 
-def _freeze_abc(obj, names: tuple) -> int:
+def _freeze_abc(obj, names: tuple, stacked: bool = False) -> int:
     """Check and freeze the (A, B, C) fields ``names`` of a frozen dataclass.
 
-    Each becomes a read-only complex 2-D matrix with finite entries; A must be
-    square n x n, B have n rows and C n columns.  Returns n.
+    Each becomes a read-only complex 2-D matrix with finite entries, or with
+    ``stacked`` a (k, ., .) stack of k such matrices; A must be square n x n,
+    B have n rows and C n columns, and stacks must hold equally many.
+    Returns n.
     """
+    ndim = 3 if stacked else 2
     for name in names:
-        arr = np.atleast_2d(np.asarray(getattr(obj, name), dtype=np.complex128))
-        if arr.ndim != 2:
-            raise DimensionMismatch(f"{name} must be a 2-D matrix, got shape {arr.shape}")
+        arr = np.asarray(getattr(obj, name), dtype=np.complex128)
+        if not stacked:
+            arr = np.atleast_2d(arr)
+        if arr.ndim != ndim:
+            raise DimensionMismatch(f"{name} must have {ndim} axes, got shape {arr.shape}")
         if arr.size and not np.all(np.isfinite(arr.view(np.float64))):
             raise ValueError(f"{name} contains non-finite entries")
         arr.setflags(write=False)
         object.__setattr__(obj, name, arr)
     A, B, C = (getattr(obj, name) for name in names)
-    n = A.shape[0]
-    if A.shape != (n, n):
+    n = A.shape[-1]
+    if A.shape[-2] != n:
         raise DimensionMismatch(f"{names[0]} must be square, got {A.shape}")
-    if B.shape[0] != n:
-        raise DimensionMismatch(f"{names[1]} has {B.shape[0]} rows, expected {n}")
-    if C.shape[1] != n:
-        raise DimensionMismatch(f"{names[2]} has {C.shape[1]} columns, expected {n}")
+    if B.shape[-2] != n:
+        raise DimensionMismatch(f"{names[1]} has {B.shape[-2]} rows, expected {n}")
+    if C.shape[-1] != n:
+        raise DimensionMismatch(f"{names[2]} has {C.shape[-1]} columns, expected {n}")
+    if stacked and not len(A) == len(B) == len(C):
+        raise DimensionMismatch(f"stacks hold {len(A)}, {len(B)} and {len(C)} blocks")
     return n
+
+
+def _eigenvalues(A: np.ndarray) -> np.ndarray:
+    """(k, d) eigenvalues of a (k, d, d) stack of blocks.
+
+    Read off for d = 1; the quadratic formula for d = 2, so that exact ties
+    in Re keep the block order deterministic where a dense eigensolver would
+    inject noise; LAPACK for d = 3.
+    """
+    d = A.shape[-1]
+    if d == 1:
+        return A[:, 0, :].copy()
+    if d == 2:
+        a11, a12, a21, a22 = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
+        tr = a11 + a22
+        root = np.sqrt((a11 - a22) ** 2 + 4.0 * a12 * a21)
+        return np.stack([(tr + root) / 2.0, (tr - root) / 2.0], axis=1)
+    return np.linalg.eigvals(A)
+
+
+def _frobenius(M: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, summed as ``np.linalg.norm`` does."""
+    flat = M.reshape(len(M), -1)
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+
+
+def _squares(x: np.ndarray) -> np.ndarray:
+    """x ** 2 by Python's float power (C ``pow``), not numpy's x * x: the two
+    differ in the last bit about once in a thousand values."""
+    return np.array([v ** 2 for v in x.tolist()])
+
+
+def _block_columns(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> tuple:
+    """One batched pass over k stacked d x d blocks: arrays over the blocks of
+    (eigenvalues, rightmost real part, smallest |Im| among the eigenvalues
+    tied with it up to 1e-12 (1 + |Re|), ||B||_F, ||C||_F, and what the block
+    adds to a tail that absorbs it: ||B||_F^2, the graph-norm output bound
+    squared and the unit-column eigenvector condition number, +inf if
+    defective).  For state x in the block, |C x| <= ||C||_2 ||x|| and
+    (1 + sigma_min(A)) ||x|| <= ||x|| + ||A x||, so the bound is
+    ||C||_2 / (1 + sigma_min(A)).
+    """
+    eigs = _eigenvalues(A)
+    max_re = eigs.real.max(axis=1)
+    if np.isnan(max_re).any():
+        raise ValueError("block eigenvalues are not finite")
+    tied = np.isclose(eigs.real, max_re[:, None], rtol=0.0,
+                      atol=1e-12 * (1.0 + np.abs(max_re))[:, None])
+    min_im = np.min(np.abs(eigs.imag), axis=1, where=tied, initial=np.inf)
+    input_norm = _frobenius(B)
+    if A.shape[-1] == 1:
+        # sigma_min(a) = |a| and ||c||_2 = |c|: on real blocks bit for bit the SVD
+        c_norm = np.hypot.reduce(np.abs(C[:, :, 0]), axis=1)
+        sigma_min = np.abs(A[:, 0, 0])
+        condition = np.ones(len(A))
+    else:
+        c_norm = np.linalg.svd(C, compute_uv=False)[:, 0]
+        sigma_min = np.linalg.svd(A, compute_uv=False)[:, -1]
+        _, vecs = np.linalg.eig(A)
+        sv = np.linalg.svd(vecs / np.linalg.norm(vecs, axis=-2, keepdims=True),
+                           compute_uv=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            condition = np.where(sv[:, -1] <= 1e-300, np.inf, sv[:, 0] / sv[:, -1])
+    return (eigs, max_re, min_im, input_norm, _frobenius(C), _squares(input_norm),
+            _squares(c_norm / (1.0 + sigma_min)), condition)
 
 
 @dataclass(frozen=True)
@@ -83,63 +160,36 @@ class ModalBlock:
     def dim(self) -> int:
         return self.block_matrix.shape[0]
 
-    @property
-    def input_dim(self) -> int:
-        return self.input_row.shape[1]
-
-    @property
-    def output_dim(self) -> int:
-        return self.output_col.shape[0]
-
     def eigenvalues(self) -> np.ndarray:
-        if self.dim == 1:
-            return self.block_matrix[0, :1].copy()
-        if self.dim == 2:
-            # quadratic formula: exact ties in Re keep the block ordering
-            # deterministic where a dense eigensolver would inject noise
-            (a11, a12), (a21, a22) = self.block_matrix
-            tr = a11 + a22
-            root = np.sqrt((a11 - a22) ** 2 + 4.0 * a12 * a21)
-            return np.array([(tr + root) / 2.0, (tr - root) / 2.0])
-        return np.linalg.eigvals(self.block_matrix)
+        return _eigenvalues(self.block_matrix[None])[0]
 
-    def max_real(self) -> float:
-        return float(np.max(self.eigenvalues().real))
 
-    def min_singular_value(self) -> float:
-        return float(np.linalg.svd(self.block_matrix, compute_uv=False)[-1])
+@dataclass(frozen=True)
+class BlockStack:
+    """k modal blocks of one dimension d, stacked along a leading axis.
 
-    def eigenvector_condition(self) -> float:
-        """2-norm condition number of the unit-column eigenvector matrix.
+    ``A`` (k, d, d), ``B`` (k, d, m) and ``C`` (k, p, d) hold the blocks'
+    generators and input and output coefficients, checked and frozen as
+    ``ModalBlock`` checks its matrices; ``labels`` (k,) their mode indices.
+    """
 
-        Returns 1.0 for scalar blocks and +inf for defective blocks.
-        """
-        if self.dim == 1:
-            return 1.0
-        _, vecs = np.linalg.eig(self.block_matrix)
-        vecs = vecs / np.linalg.norm(vecs, axis=0)
-        sv = np.linalg.svd(vecs, compute_uv=False)
-        if sv[-1] <= 1e-300:
-            return float("inf")
-        return float(sv[0] / sv[-1])
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    labels: np.ndarray
 
-    @cached_property
-    def tail_terms(self) -> tuple:
-        """What this block adds to a tail that absorbs it.
+    def __post_init__(self):
+        d = _freeze_abc(self, ("A", "B", "C"), stacked=True)
+        labels = np.asarray(self.labels, dtype=np.int64)
+        if d < 1 or labels.shape != self.A.shape[:1]:
+            raise DimensionMismatch(
+                f"a stack of {len(self.A)} blocks of dimension {d} has labels of shape "
+                f"{labels.shape}")
+        object.__setattr__(self, "labels", labels)
 
-        ``(||input_row||^2, graph output bound^2, -max_real, eigenvector
-        condition)``, computed once per block: every truncation order tried
-        on a plant reuses them.
-        """
-        return (float(np.linalg.norm(self.input_row)) ** 2, _graph_output_bound(self) ** 2,
-                -self.max_real(), self.eigenvector_condition())
-
-    def _sort_key(self) -> tuple:
-        eigs = self.eigenvalues()
-        max_re = float(np.max(eigs.real))
-        rightmost = eigs[np.isclose(eigs.real, max_re, rtol=0.0, atol=1e-12 * (1.0 + abs(max_re)))]
-        min_im = float(np.min(np.abs(rightmost.imag)))
-        return (-max_re, min_im, self.label)
+    @property
+    def dim(self) -> int:
+        return self.A.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -168,48 +218,80 @@ class TailModel:
             raise ValueError("TailModel.amplitude_a must be >= 1")
 
 
-@dataclass(frozen=True)
-class ModalSystem:
-    """Ordered modal blocks plus a tail envelope.
+def _merge(stacks: list) -> BlockStack:
+    if len(stacks) == 1:
+        return stacks[0]
+    return BlockStack(*(np.concatenate([getattr(s, name) for s in stacks])
+                        for name in ("A", "B", "C", "labels")))
 
-    Blocks are stored in canonical order: descending real part of the
-    rightmost eigenvalue, ties broken by ascending |Im|, then ascending
-    label.  Any non-stable blocks therefore occupy a prefix, whose length
-    ``n_unstable`` is derived from the blocks and cannot be set.
+
+class ModalSystem:
+    """Modal blocks in canonical order plus a tail envelope.
+
+    ``blocks`` holds ``ModalBlock`` and ``BlockStack`` items with distinct
+    labels.  Canonical order: descending real part of the rightmost
+    eigenvalue, ties broken by ascending |Im|, then ascending label, so any
+    non-stable blocks (rightmost Re >= 0) form a prefix of length
+    ``n_unstable``.  The blocks are kept as ``stacks``, one ``BlockStack``
+    per dimension, and a table with one entry per block in canonical order:
+    ``labels``, ``dims``, ``max_real``, ``input_norms`` and ``output_norms``
+    (Frobenius norms of B and C), and the terms a truncation adds to the
+    tail.  ``len(sys)`` counts the blocks; ``block(i)``, ``eigenvalues(i)``
+    and ``blocks`` give them one at a time.
     """
 
-    blocks: tuple
-    tail: TailModel
-    input_dim: int
-    output_dim: int
-    n_unstable: int = field(init=False)
-
-    def __post_init__(self):
-        keyed = sorted(((blk._sort_key(), blk) for blk in self.blocks), key=lambda kb: kb[0])
-        blocks = tuple(blk for _, blk in keyed)
-        object.__setattr__(self, "blocks", blocks)
-        # a block is unstable when its rightmost eigenvalue has Re >= 0
-        object.__setattr__(self, "n_unstable", sum(1 for key, _ in keyed if key[0] <= 0.0))
-        labels = [blk.label for blk in blocks]
-        if len(set(labels)) != len(labels):
+    def __init__(self, blocks, tail: TailModel, input_dim: int, output_dim: int):
+        self.tail, self.input_dim, self.output_dim = tail, int(input_dim), int(output_dim)
+        by_dim = {}
+        for item in blocks:
+            if isinstance(item, ModalBlock):
+                item = BlockStack(item.block_matrix[None], item.input_row[None],
+                                  item.output_col[None], [item.label])
+            for what, have, want in (("input", item.B.shape[-1], self.input_dim),
+                                     ("output", item.C.shape[-2], self.output_dim)):
+                if len(item.labels) and have != want:
+                    raise DimensionMismatch(f"block {item.labels[0]} has {what} dim {have}, "
+                                            f"system has {want}")
+            by_dim.setdefault(item.dim, []).append(item)
+        self.stacks = tuple(_merge(by_dim[d]) for d in sorted(by_dim))
+        self._eigs, parts = [], []
+        for g, s in enumerate(self.stacks):
+            eigs, *columns = _block_columns(s.A, s.B, s.C)
+            self._eigs.append(eigs)
+            k = len(s.labels)
+            parts.append([s.labels, np.full(k, s.dim), np.full(k, g), np.arange(k), *columns])
+        columns = ([np.concatenate(col) for col in zip(*parts)] if parts
+                   else [np.zeros(0, dtype=np.int64)] * 4 + [np.zeros(0)] * 7)
+        labels, _, _, _, max_re, min_im = columns[:6]
+        if len(np.unique(labels)) != len(labels):
             raise ValueError("block labels must be distinct")
-        for blk in blocks:
-            if blk.input_dim != self.input_dim:
-                raise DimensionMismatch(
-                    f"block {blk.label} has input dim {blk.input_dim}, system has {self.input_dim}")
-            if blk.output_dim != self.output_dim:
-                raise DimensionMismatch(
-                    f"block {blk.label} has output dim {blk.output_dim}, system has {self.output_dim}")
+        order = np.lexsort((labels, min_im, -max_re))
+        (self.labels, self.dims, self._group, self._row, self.max_real, _, self.input_norms,
+         self.output_norms, self._input_sq, self._output_sq, self._conditions) = (
+            col[order] for col in columns)
+        # a block is unstable when its rightmost eigenvalue has Re >= 0
+        self.n_unstable = int(np.count_nonzero(self.max_real >= 0.0))
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def block(self, i: int) -> ModalBlock:
+        s, row = self.stacks[self._group[i]], self._row[i]
+        return ModalBlock(s.A[row], s.B[row], s.C[row], int(s.labels[row]))
+
+    def eigenvalues(self, i: int) -> np.ndarray:
+        return self._eigs[self._group[i]][self._row[i]]
+
+    @cached_property
+    def blocks(self) -> tuple:
+        return tuple(self.block(i) for i in range(len(self)))
 
     @cached_property
     def _input_suffix_sq(self) -> np.ndarray:
-        """Entry N: squared tail input norm after keeping the first N blocks."""
-        count = len(self.blocks)
-        suffix_sq = np.zeros(count + 1)
-        suffix_sq[count] = self.tail.input_norm ** 2
-        for i in range(count - 1, -1, -1):
-            suffix_sq[i] = suffix_sq[i + 1] + self.blocks[i].tail_terms[0]
-        return suffix_sq
+        """Entry N: squared tail input norm after keeping the first N blocks,
+        summed from the last block forward."""
+        return np.cumsum(np.concatenate(([self.tail.input_norm ** 2],
+                                         self._input_sq[::-1])))[::-1]
 
 
 @dataclass(frozen=True)
@@ -268,15 +350,16 @@ def partition_spectrum(sys: ModalSystem) -> SpectrumPartition:
         raise InfiniteUnstablePart(
             f"tail decay rate {tail.decay_alpha:g} <= 0 implies infinitely many non-decaying modes")
 
-    unstable, stable = sys.blocks[:sys.n_unstable], sys.blocks[sys.n_unstable:]
+    n_u = sys.n_unstable
     # canonical order puts the rightmost stable block first
-    omega = max(-tail.decay_alpha, stable[0].max_real()) if stable else -tail.decay_alpha
+    omega = (max(-tail.decay_alpha, float(sys.max_real[n_u])) if n_u < len(sys)
+             else -tail.decay_alpha)
     return SpectrumPartition(
-        unstable_indices=tuple(blk.label for blk in unstable),
-        retained_stable_indices=tuple(blk.label for blk in stable),
+        unstable_indices=tuple(sys.labels[:n_u].tolist()),
+        retained_stable_indices=tuple(sys.labels[n_u:].tolist()),
         tail=tail,
         margin_omega=omega,
-        unstable_dim=sum(blk.dim for blk in unstable),
+        unstable_dim=int(sys.dims[:n_u].sum()),
     )
 
 
@@ -356,44 +439,30 @@ def close_loop(plant: StateSpaceSystem, controller: StateSpaceSystem, lam: compl
     return M
 
 
-def _graph_output_bound(blk: ModalBlock) -> float:
-    """Per-block contribution to the domain-graph-norm output bound.
-
-    For state x in the block, |C x| <= ||C|| ||x|| and (1 + sigma_min) ||x||
-    <= ||x|| + ||A x||, so the block contributes ||C|| / (1 + sigma_min).
-    """
-    c_norm = float(np.linalg.norm(blk.output_col, 2))
-    return c_norm / (1.0 + blk.min_singular_value())
+def _sum_forward(first: float, terms: np.ndarray) -> float:
+    """first + terms[0] + terms[1] + ..., added in that order."""
+    return float(np.cumsum(np.concatenate(([first], terms)))[-1])
 
 
 def truncate_tail(sys: ModalSystem, N: int) -> TailModel:
     """The tail left after keeping the first N blocks: ``truncate(sys, N)[1]``.
 
-    Costs scalar work only, so each candidate truncation order is cheap.
+    Reads the block table only, so each candidate truncation order is cheap.
     Raises ``UnstableModeDiscarded`` if N < ``sys.n_unstable``.
     """
     N = int(N)
-    if N < 0 or N > len(sys.blocks):
-        raise ValueError(f"N must lie in [0, {len(sys.blocks)}], got {N}")
+    if N < 0 or N > len(sys):
+        raise ValueError(f"N must lie in [0, {len(sys)}], got {N}")
     if N < sys.n_unstable:
-        blk = sys.blocks[N]
         raise UnstableModeDiscarded(
-            f"block {blk.label} has eigenvalue real part {blk.max_real():g} >= 0")
+            f"block {sys.labels[N]} has eigenvalue real part {sys.max_real[N]:g} >= 0")
     tail = sys.tail
-    input_sq = tail.input_norm ** 2
-    output_sq = tail.output_graph_norm ** 2
-    alpha = tail.decay_alpha
-    amp = tail.amplitude_a
-    for blk in sys.blocks[N:]:
-        blk_input_sq, blk_output_sq, blk_decay, blk_condition = blk.tail_terms
-        input_sq += blk_input_sq
-        output_sq += blk_output_sq
-        alpha = min(alpha, blk_decay)
-        amp = max(amp, blk_condition)
+    amp = max(tail.amplitude_a, float(np.max(sys._conditions[N:], initial=1.0)))
     return TailModel(
-        decay_alpha=alpha,
-        input_norm=float(np.sqrt(input_sq)),
-        output_graph_norm=float(np.sqrt(output_sq)),
+        decay_alpha=min(tail.decay_alpha, -float(np.max(sys.max_real[N:], initial=-np.inf))),
+        input_norm=np.sqrt(_sum_forward(tail.input_norm ** 2, sys._input_sq[N:])),
+        output_graph_norm=np.sqrt(_sum_forward(tail.output_graph_norm ** 2,
+                                               sys._output_sq[N:])),
         amplitude_a=amp if np.isfinite(amp) else 1e308,
     )
 
@@ -405,18 +474,19 @@ def truncate(sys: ModalSystem, N: int):
     ``truncate_tail(sys, N)``, whose checks apply.
     """
     tail = truncate_tail(sys, N)
-    kept = sys.blocks[:int(N)]
-    n = sum(blk.dim for blk in kept)
+    dims = sys.dims[:int(N)]
+    starts = np.cumsum(dims) - dims
+    n = int(dims.sum())
     A = np.zeros((n, n), dtype=np.complex128)
     B = np.zeros((n, sys.input_dim), dtype=np.complex128)
     C = np.zeros((sys.output_dim, n), dtype=np.complex128)
-    pos = 0
-    for blk in kept:
-        d = blk.dim
-        A[pos:pos + d, pos:pos + d] = blk.block_matrix
-        B[pos:pos + d, :] = blk.input_row
-        C[:, pos:pos + d] = blk.output_col
-        pos += d
+    for g, s in enumerate(sys.stacks):
+        kept = sys._group[:len(dims)] == g
+        rows = sys._row[:len(dims)][kept]
+        idx = starts[kept][:, None] + np.arange(s.dim)
+        A[idx[:, :, None], idx[:, None, :]] = s.A[rows]
+        B[idx] = s.B[rows]
+        C[:, idx] = s.C[rows].transpose(1, 0, 2)
     return StateSpaceSystem(A, B, C), tail
 
 
@@ -430,7 +500,7 @@ def select_truncation(sys: ModalSystem, epsilon: float) -> int:
     epsilon = float(epsilon)
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon:g}")
-    count = len(sys.blocks)
+    count = len(sys)
     suffix_sq = sys._input_suffix_sq
     for N in range(sys.n_unstable, count + 1):
         if np.sqrt(suffix_sq[N]) < epsilon:

@@ -23,7 +23,7 @@ from .errors import (
     QuadratureNotConverged,
     TailUnstable,
 )
-from .modal import ModalBlock, ModalSystem, TailModel
+from .modal import BlockStack, ModalBlock, ModalSystem, TailModel
 
 DEFAULT_N_MAX = 64
 # Terms each tail series sums past N_max (the heat and wave output weights and
@@ -36,7 +36,6 @@ TAIL_SUMMED_TERMS = 10 ** 4
 _ROUNDING = 33 * 2.0 ** -53
 # A lift constraint entry passes when its magnitude exceeds this times the scale.
 LIFT_TOLERANCE = 1e-8
-WAVE_TAIL_BLOCKS = 200
 # |b - pi^2 k^2| below this pins mode k to the kernel of the generator.
 KERNEL_ATOL = 1e-9
 KERNEL_AMBIGUOUS = 1e-6
@@ -306,16 +305,17 @@ def _heat_family(b: float, N_max: int, inputs, tail_input_sq: float, skip: int =
     eigenvalue b - pi^2 k^2, input inputs[k] and unit output weight (boundary
     point value), next to the ``extra`` blocks; the tail past N_max has input
     norm sqrt(tail_input_sq)."""
-    blocks = [ModalBlock(np.array([[b - np.pi ** 2 * k ** 2]]), np.array([[inputs[k]]]),
-                         np.array([[1.0]]), label=k)
-              for k in range(N_max + 1) if k != skip]
+    ks = np.arange(N_max + 1)
+    ks = ks[ks != skip]
+    modes = BlockStack((b - np.pi ** 2 * ks ** 2)[:, None, None], inputs[ks][:, None, None],
+                       np.ones((len(ks), 1, 1)), ks)
     tail = TailModel(
         decay_alpha=_tail_alpha(b, N_max),
         input_norm=math.sqrt(tail_input_sq),
         output_graph_norm=math.sqrt(_heat_tail_output_sq(b, N_max)),
         amplitude_a=1.0,
     )
-    return ModalSystem(tuple(blocks) + tuple(extra), tail, 1, 1)
+    return ModalSystem((modes,) + tuple(extra), tail, 1, 1)
 
 
 def build_heat(b: float, f: SourceProfile, N_max: int = DEFAULT_N_MAX) -> ModalSystem:
@@ -359,22 +359,19 @@ def build_wave(b: float, kappa: float, f: SourceProfile,
     ks = np.arange(N_max, dtype=np.float64) + 0.5
     coeffs = modal_input_coeffs(f, ks, np.full(len(ks), 0.5))
 
-    blocks = []
-    for j, k in enumerate(ks):
-        mu = b - np.pi ** 2 * k ** 2
-        b_k = float(coeffs[j])
-        disc = kappa ** 2 + 4.0 * mu
-        near_defective = abs(disc) <= CRITICAL_ATOL * max(1.0, kappa ** 2, 4.0 * abs(mu))
-        if mu >= 0.0 or near_defective or kappa < 0.0:
-            A = np.array([[0.0, 1.0], [mu, -kappa]])
-            B = np.array([[0.0], [b_k]])
-            C = np.array([[1.0, 0.0]])
-        else:
-            omega = math.sqrt(-mu)
-            A = np.array([[0.0, omega], [-omega, -kappa]])
-            B = np.array([[0.0], [b_k]])
-            C = np.array([[1.0 / omega, 0.0]])
-        blocks.append(ModalBlock(A, B, C, label=j))
+    mu = b - np.pi ** 2 * ks ** 2
+    near_defective = (np.abs(kappa ** 2 + 4.0 * mu)
+                      <= CRITICAL_ATOL * np.maximum(max(1.0, kappa ** 2), 4.0 * np.abs(mu)))
+    companion = (mu >= 0.0) | near_defective | (kappa < 0.0)
+    omega = np.sqrt(np.where(companion, 1.0, -mu))  # 1 keeps the companion rows' entries
+    A = np.zeros((N_max, 2, 2))
+    A[:, 0, 1] = omega
+    A[:, 1, 0] = np.where(companion, mu, -omega)
+    A[:, 1, 1] = -kappa
+    B = np.zeros((N_max, 2, 1))
+    B[:, 1, 0] = coeffs
+    C = np.zeros((N_max, 1, 2))
+    C[:, 0, 0] = 1.0 / omega
 
     k_first = N_max + 0.5
     mu_first = b - np.pi ** 2 * k_first ** 2
@@ -387,13 +384,8 @@ def build_wave(b: float, kappa: float, f: SourceProfile,
             "tail modes are not underdamped at this damping level; increase N_max "
             f"(need pi^2 (N_max + 1/2)^2 - b > kappa^2 / 4, have omega = {omega_first:g})")
 
-    cond_ks = k_first + np.arange(WAVE_TAIL_BLOCKS, dtype=np.float64)
-    conds = np.array([
-        _wave_eigenvector_cond(kappa, w)
-        for w in np.sqrt(np.pi ** 2 * cond_ks ** 2 - b)])
-    # the closed form decreases in omega, so the supremum is the first entry
-    assert not np.any(np.diff(conds) > 1e-12), "tail conditioning must decrease"
-    amplitude = float(max(1.0, conds[0]))
+    # the closed form decreases in omega, so the first tail mode has the supremum
+    amplitude = max(1.0, _wave_eigenvector_cond(kappa, omega_first))
 
     decay = 0.99 * 0.5 * kappa if kappa > 0.0 else 1.01 * 0.5 * kappa
     tail_input_sq = _tail_input_sq(f, coeffs, "half")
@@ -414,7 +406,7 @@ def build_wave(b: float, kappa: float, f: SourceProfile,
         output_graph_norm=math.sqrt(float(np.sum(out_terms)) + out_remainder),
         amplitude_a=amplitude,
     )
-    return ModalSystem(tuple(blocks), tail, 1, 1)
+    return ModalSystem((BlockStack(A, B, C, np.arange(N_max)),), tail, 1, 1)
 
 
 def lift_h(a: float, b: float, xi) -> np.ndarray:

@@ -69,40 +69,44 @@ def check_stabilizable(sys: ModalSystem) -> ModeCheckReport:
     Block spectra are disjoint by construction, so per-block tests decide
     stabilizability of the whole resolved part.  The report also carries the
     dual (detectability) results, [lambda I - A_k; C_k], since both share the
-    spectral work.
+    spectral work.  Only the unstable prefix has eigenvalues to test; the
+    coefficient norms come from the system's block table.
     """
     entries = []
     bad_stab, bad_det = [], []
-    for blk in sys.blocks:
-        eigs = blk.eigenvalues()
-        unstable = [complex(ev) for ev in eigs if ev.real >= 0.0]
+    for i, (label, d, b_norm, c_norm) in enumerate(zip(
+            sys.labels.tolist(), sys.dims.tolist(), sys.input_norms.tolist(),
+            sys.output_norms.tolist())):
+        unstable = []
         stab_ok, det_ok = True, True
         stab_margin, det_margin = 1.0, 1.0
-        d = blk.dim
-        eye = np.eye(d, dtype=np.complex128)
-        for ev in unstable:
-            pencil_b = np.hstack([ev * eye - blk.block_matrix, blk.input_row])
-            ok_b, m_b = _pencil_rank_margin(pencil_b, d)
-            stab_ok &= ok_b
-            stab_margin = min(stab_margin, m_b)
-            pencil_c = np.vstack([ev * eye - blk.block_matrix, blk.output_col])
-            ok_c, m_c = _pencil_rank_margin(pencil_c, d)
-            det_ok &= ok_c
-            det_margin = min(det_margin, m_c)
+        if i < sys.n_unstable:
+            blk = sys.block(i)
+            unstable = [complex(ev) for ev in sys.eigenvalues(i) if ev.real >= 0.0]
+            eye = np.eye(d, dtype=np.complex128)
+            for ev in unstable:
+                pencil_b = np.hstack([ev * eye - blk.block_matrix, blk.input_row])
+                ok_b, m_b = _pencil_rank_margin(pencil_b, d)
+                stab_ok &= ok_b
+                stab_margin = min(stab_margin, m_b)
+                pencil_c = np.vstack([ev * eye - blk.block_matrix, blk.output_col])
+                ok_c, m_c = _pencil_rank_margin(pencil_c, d)
+                det_ok &= ok_c
+                det_margin = min(det_margin, m_c)
         if not stab_ok:
-            bad_stab.append(blk.label)
+            bad_stab.append(label)
         if not det_ok:
-            bad_det.append(blk.label)
+            bad_det.append(label)
         entries.append(BlockModeCheck(
-            label=blk.label,
+            label=label,
             dim=d,
             unstable_eigenvalues=tuple(unstable),
             stabilizable=stab_ok,
             detectable=det_ok,
             stab_margin=stab_margin,
             det_margin=det_margin,
-            input_coefficient=float(np.linalg.norm(blk.input_row)),
-            output_coefficient=float(np.linalg.norm(blk.output_col)),
+            input_coefficient=b_norm,
+            output_coefficient=c_norm,
         ))
     return ModeCheckReport(
         blocks=tuple(entries),

@@ -212,12 +212,31 @@ def test_boundary_command_evaluates_far_profile_on_summed_range(tmp_path, monkey
 # moved out of the candidate loop: every truncation order N gets its own dense
 # truncation, tail sum, Riccati design, reduced loop, decay envelope and
 # per-beta certificates.
+def _reference_max_real(M):
+    """Rightmost eigenvalue real part of a real 1x1 or 2x2 block, in real arithmetic."""
+    if len(M) == 1:
+        return float(M[0, 0].real)
+    (a11, a12), (a21, a22) = M.real
+    disc = (a11 - a22) * (a11 - a22) + 4.0 * a12 * a21
+    return float((a11 + a22) + math.sqrt(max(disc, 0.0))) / 2.0
+
+
+def _reference_condition(M):
+    """2-norm condition number of the unit-column eigenvectors (inf if defective)."""
+    if len(M) == 1:
+        return 1.0
+    vecs = np.linalg.eig(M)[1]
+    sv = np.linalg.svd(vecs / np.linalg.norm(vecs, axis=0), compute_uv=False)
+    return float(sv[0] / sv[-1]) if sv[-1] > 1e-300 else float("inf")
+
+
 def _reference_truncate(sys_, N):
     kept, discarded = sys_.blocks[:N], sys_.blocks[N:]
     for blk in discarded:
-        if blk.max_real() >= 0.0:
+        max_re = _reference_max_real(blk.block_matrix)
+        if max_re >= 0.0:
             raise UnstableModeDiscarded(
-                f"block {blk.label} has eigenvalue real part {blk.max_real():g} >= 0")
+                f"block {blk.label} has eigenvalue real part {max_re:g} >= 0")
     dense = StateSpaceSystem(block_diag(*[blk.block_matrix for blk in kept]),
                              np.vstack([blk.input_row for blk in kept]),
                              np.hstack([blk.output_col for blk in kept]))
@@ -227,9 +246,10 @@ def _reference_truncate(sys_, N):
     for blk in discarded:
         input_sq += float(np.linalg.norm(blk.input_row)) ** 2
         c_norm = float(np.linalg.norm(blk.output_col, 2))
-        output_sq += (c_norm / (1.0 + blk.min_singular_value())) ** 2
-        alpha = min(alpha, -blk.max_real())
-        amp = max(amp, blk.eigenvector_condition())
+        sigma_min = float(np.linalg.svd(blk.block_matrix, compute_uv=False)[-1])
+        output_sq += (c_norm / (1.0 + sigma_min)) ** 2
+        alpha = min(alpha, -_reference_max_real(blk.block_matrix))
+        amp = max(amp, _reference_condition(blk.block_matrix))
     return dense, TailModel(alpha, float(np.sqrt(input_sq)), float(np.sqrt(output_sq)),
                             amp if np.isfinite(amp) else 1e308)
 

@@ -5,7 +5,17 @@ and truncate (``modal``), synthesize an observer-based controller for the
 unstable part (``synthesis``), certify closed-loop exponential stability by
 explicit small-gain bounds (``gains``), and cross-check by simulation and a
 brute-force gain probe (``simulate``).
+
+Importing the package pins the BLAS thread pools to one thread unless the
+environment already sets them: threaded GEMM and LU solves round differently
+with the thread count, so the documents would depend on the host.  The pin
+only takes effect when it runs before numpy loads.
 """
+
+import os as _os
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_name, "1")
 
 from .errors import (CertificateNotFound, DegenerateTrajectory, DimensionMismatch,
                      EigensolverNoConvergence, InfiniteUnstablePart, KernelResonance,

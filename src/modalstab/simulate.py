@@ -99,7 +99,8 @@ def matrix_exponential(A: np.ndarray, t: float = 1.0) -> np.ndarray:
 
 
 def spectral_abscissa(A: np.ndarray):
-    """(max real part, witnessing eigenvalue) of a dense matrix."""
+    """(max real part, witnessing eigenvalue) of a dense matrix; for a real
+    matrix the witness is the member of its conjugate pair with Im >= 0."""
     A = np.atleast_2d(np.asarray(A))
     if A.shape[0] == 0:
         return float("-inf"), complex(0.0)
@@ -107,8 +108,10 @@ def spectral_abscissa(A: np.ndarray):
         eigs = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
         raise EigensolverNoConvergence(str(exc)) from exc
-    idx = int(np.argmax(eigs.real))
-    return float(eigs[idx].real), complex(eigs[idx])
+    witness = complex(eigs[int(np.argmax(eigs.real))])
+    if witness.imag < 0.0 and not np.any(A.imag):  # a real A has the conjugate too
+        witness = witness.conjugate()
+    return witness.real, witness
 
 
 @dataclass(frozen=True)

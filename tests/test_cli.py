@@ -132,6 +132,33 @@ def test_commands_load_neither_scipy_nor_jsonschema(tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="one CPU runs one BLAS thread either way")
+def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # Threaded GEMM and LU solves round differently from a single thread.
+    # Importing modalstab pins the pools, so a child with the variable unset
+    # writes the bytes a child with it set to 1 writes.
+    import modalstab
+
+    plant = {"type": "heat", "b": 15.0, "f": {"kind": "indicator", "xi1": 0.0, "xi2": 0.5}}
+    _, syn = run(tmp_path, "synthesize", {"plant": plant}, tag="syn")
+    cfg = tmp_path / "simulate.json"
+    cfg.write_text(json.dumps({"plant": plant, "controller_file": str(syn / "controller.json"),
+                               "horizon": 20.0, "dt": 0.01, "x0": "random", "seed": 7}))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(modalstab.__file__))
+    written = []
+    for i, pinned in enumerate(({}, {"OPENBLAS_NUM_THREADS": "1"})):
+        out = tmp_path / f"sim{i}"
+        done = subprocess.run([sys.executable, "-m", "modalstab", "simulate", "--config",
+                               str(cfg), "--out", str(out)],
+                              env={**env, **pinned}, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        written.append([(out / name).read_bytes() for name in ("trajectory.csv", "summary.json")])
+    assert written[0] == written[1]
+
+
 def test_simulate_seeded_random_x0_reproduces(tmp_path):
     _, out = run(tmp_path, "synthesize", {"plant": HEAT}, tag="syn")
     ctrl = str(out / "controller.json")

@@ -266,9 +266,11 @@ class ModalSystem:
         if len(np.unique(labels)) != len(labels):
             raise ValueError("block labels must be distinct")
         order = np.lexsort((labels, min_im, -max_re))
+        columns = [col[order] for col in columns]
+        for col in columns:
+            col.setflags(write=False)
         (self.labels, self.dims, self._group, self._row, self.max_real, _, self.input_norms,
-         self.output_norms, self._input_sq, self._output_sq, self._conditions) = (
-            col[order] for col in columns)
+         self.output_norms, self._input_sq, self._output_sq, self._conditions) = columns
         # a block is unstable when its rightmost eigenvalue has Re >= 0
         self.n_unstable = int(np.count_nonzero(self.max_real >= 0.0))
 

@@ -247,9 +247,11 @@ class ModalSystem:
             if isinstance(item, ModalBlock):
                 item = BlockStack(item.block_matrix[None], item.input_row[None],
                                   item.output_col[None], [item.label])
+            if not len(item.labels):
+                continue
             for what, have, want in (("input", item.B.shape[-1], self.input_dim),
                                      ("output", item.C.shape[-2], self.output_dim)):
-                if len(item.labels) and have != want:
+                if have != want:
                     raise DimensionMismatch(f"block {item.labels[0]} has {what} dim {have}, "
                                             f"system has {want}")
             by_dim.setdefault(item.dim, []).append(item)
@@ -263,7 +265,7 @@ class ModalSystem:
         columns = ([np.concatenate(col) for col in zip(*parts)] if parts
                    else [np.zeros(0, dtype=np.int64)] * 4 + [np.zeros(0)] * 7)
         labels, _, _, _, max_re, min_im = columns[:6]
-        if len(np.unique(labels)) != len(labels):
+        if len(set(labels.tolist())) != len(labels):
             raise ValueError("block labels must be distinct")
         order = np.lexsort((labels, min_im, -max_re))
         columns = [col[order] for col in columns]

@@ -375,6 +375,8 @@ def test_block_table_edge_cases():
     tail = TailModel(decay_alpha=2.0, input_norm=0.0, output_graph_norm=0.0)
     empty = ModalSystem((), tail, 1, 1)
     assert len(empty) == 0 and empty.n_unstable == 0 and empty.blocks == ()
+    no_rows = BlockStack(np.zeros((0, 3, 3)), np.zeros((0, 3, 2)), np.zeros((0, 1, 3)), [])
+    assert len(ModalSystem([no_rows, scalar_block(-1.0)], tail, 1, 1)) == 1
     assert truncate_tail(empty, 0) == tail
     assert partition_spectrum(empty).margin_omega == -2.0
     # equal rightmost Re: the real eigenvalue 1e-13 left of it still counts for |Im|

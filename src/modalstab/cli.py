@@ -18,6 +18,7 @@ error, and any OS, value, key or arithmetic error, exits 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -464,6 +465,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # parse_args leaves the parser as it found it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modalstab",

@@ -22,7 +22,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
-import math
 import numbers
 import operator
 import os
@@ -41,36 +40,49 @@ class SchemaViolation(ModalToolkitError):
 
 
 def format_float(x: float) -> str:
-    if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return "%.17g" % x
+    text = "%.17g" % x
+    # only "nan", "inf" and "-inf" contain an n
+    return f'"{text}"' if "n" in text else text
+
+
+# exact scalar types; numpy scalars and subclasses take the isinstance chain
+_SCALARS = {
+    float: format_float,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    str: json.dumps,
+    type(None): lambda _: "null",
+}
+# a document's keys are a few fixed names, so their JSON text is reused
+_key_text = functools.lru_cache(maxsize=1024)(json.dumps)
 
 
 def dumps_canonical(doc, indent: int = 0) -> str:
     """JSON text with fixed float formatting and stable key order."""
+    scalar = _SCALARS.get(type(doc))
+    if scalar is not None:
+        return scalar(doc)
     pad = "  " * indent
     if isinstance(doc, dict):
         if not doc:
             return "{}"
-        items = [
-            f'{pad}  {json.dumps(str(k))}: {dumps_canonical(v, indent + 1)}'
-            for k, v in doc.items()]
+        items = [f'{pad}  {_key_text(str(k))}: {dumps_canonical(v, indent + 1)}'
+                 for k, v in doc.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(doc, (list, tuple)):
         seq = list(doc)
         if not seq:
             return "[]"
         if all(type(v) is float for v in seq):
-            return "[" + ", ".join(map(format_float, seq)) + "]"
+            text = ", ".join(["%.17g"] * len(seq)) % tuple(seq)
+            if "n" in text:  # nan or an infinity: quoted
+                text = ", ".join(map(format_float, seq))
+            return "[" + text + "]"
         flat = all(isinstance(v, (int, float, bool)) or v is None for v in seq)
         if flat:
             return "[" + ", ".join(dumps_canonical(v) for v in seq) + "]"
         items = [f"{pad}  {dumps_canonical(v, indent + 1)}" for v in seq]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(doc, bool) or doc is None:
-        return json.dumps(doc)
     if isinstance(doc, (int, np.integer)):
         return str(int(doc))
     if isinstance(doc, (float, np.floating)):
@@ -98,8 +110,9 @@ def _atomic_output(path: str, mode: str):
 
 
 def write_text_atomic(path: str, text: str):
-    with _atomic_output(path, "w") as fh:
-        fh.write(text)
+    """Write ``text`` as UTF-8 bytes, with no newline translation on any host."""
+    with _atomic_output(path, "wb") as fh:
+        fh.write(text.encode())
 
 
 def write_json_atomic(path: str, doc: dict):

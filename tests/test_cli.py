@@ -436,6 +436,40 @@ def test_one_design_per_plant_matches_per_truncation_reference(tmp_path, capsys,
     assert ours[0][0] in (0, 4) and ours[2][0] == 0 and ours[2][3]
 
 
+def _three_calls(tmp_path, capsys):
+    """analyze --print-config, an argv argparse refuses, then synthesize:
+    (exit code, stdout, stderr) of each and the bytes of every document."""
+    (tmp_path / "cfg.json").write_text(json.dumps({"plant": HEAT}))
+    out = tmp_path / "out"
+    common = ["--config", str(tmp_path / "cfg.json"), "--out", str(out)]
+    calls = []
+    for argv in (["analyze", *common, "--print-config"], ["analyze", "--out", str(out)],
+                 ["synthesize", *common]):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        std = capsys.readouterr()
+        calls.append((code, std.out, std.err))
+    documents = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    for path in out.iterdir():
+        path.unlink()
+    return calls, documents
+
+
+def test_reused_parser_answers_as_a_fresh_one(tmp_path, capsys, monkeypatch):
+    cli.build_parser.cache_clear()
+    reused = _three_calls(tmp_path, capsys)
+    assert cli.build_parser.cache_info().misses == 1
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = _three_calls(tmp_path, capsys)
+    assert reused == fresh
+    assert [code for code, _, _ in fresh[0]] == [0, 2, 0]
+    assert fresh[0][1][2].startswith("usage: modalstab analyze")
+    assert sorted(fresh[1]) == ["analysis.json", "certificate.json", "controller.json"]
+
+
 def test_cli_imports_no_private_names():
     tree = ast.parse((Path(__file__).parents[1] / "src" / "modalstab" / "cli.py").read_text())
     private = [

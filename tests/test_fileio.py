@@ -68,6 +68,87 @@ def test_dumps_canonical_flat_list_matches_per_entry_format(seq):
     assert dumps_canonical({"row": seq}) == '{\n  "row": ' + _per_entry_list(seq, 1) + "\n}"
 
 
+def _reference_format_float(x):
+    if math.isnan(x):
+        return '"nan"'
+    if math.isinf(x):
+        return '"inf"' if x > 0 else '"-inf"'
+    return "%.17g" % x
+
+
+def _reference_dumps(doc, indent=0):
+    """dumps_canonical with one isinstance dispatch per value and one
+    format_float call per float, kept as the byte reference."""
+    pad = "  " * indent
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        items = [
+            f'{pad}  {json.dumps(str(k))}: {_reference_dumps(v, indent + 1)}'
+            for k, v in doc.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(doc, (list, tuple)):
+        seq = list(doc)
+        if not seq:
+            return "[]"
+        if all(type(v) is float for v in seq):
+            return "[" + ", ".join(map(_reference_format_float, seq)) + "]"
+        flat = all(isinstance(v, (int, float, bool)) or v is None for v in seq)
+        if flat:
+            return "[" + ", ".join(_reference_dumps(v) for v in seq) + "]"
+        items = [f"{pad}  {_reference_dumps(v, indent + 1)}" for v in seq]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(doc, bool) or doc is None:
+        return json.dumps(doc)
+    if isinstance(doc, (int, np.integer)):
+        return str(int(doc))
+    if isinstance(doc, (float, np.floating)):
+        return _reference_format_float(float(doc))
+    if isinstance(doc, str):
+        return json.dumps(doc)
+    raise TypeError(f"cannot serialize {type(doc).__name__}")
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e22]
+_FLOATS = st.floats() | st.sampled_from(_EDGE_FLOATS)
+_FLAT = st.one_of(_FLOATS, st.integers(), st.booleans(), st.none())
+_SCALARS = st.one_of(
+    _FLAT, st.text(),
+    _FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64))
+# non-ASCII text, quotes, backslashes and control characters all need escaping
+_KEYS = st.one_of(st.text(), st.sampled_from(["é", " ", "😀", '"', "\\", "\n"]),
+                  st.integers(), _FLOATS, st.booleans())
+_DOCS = st.recursive(
+    _SCALARS | st.lists(_FLOATS, max_size=12) | st.lists(_FLAT, max_size=8),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.lists(_DOCS, min_size=1, max_size=3))
+def test_dumps_canonical_matches_the_per_value_writer(docs):
+    # several documents in a row: a key cache must not carry one into the next
+    for doc in docs:
+        assert dumps_canonical(doc) == _reference_dumps(doc)
+        assert dumps_canonical(doc, 2) == _reference_dumps(doc, 2)
+
+
+def test_dumps_canonical_keys_equal_in_value_but_not_in_type():
+    # 1 == 1.0 == True hash alike; each must keep its own text
+    for key in (1, 1.0, True, "1", 0, 0.0, False, -0.0, "True"):
+        doc = {key: [key]}
+        assert dumps_canonical(doc) == _reference_dumps(doc)
+
+
+@pytest.mark.parametrize("value", [np.bool_(True), object()], ids=["np_bool", "object"])
+def test_dumps_canonical_refuses_other_types(value):
+    for doc in (value, [value], [1.0, value], {"k": value}):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            dumps_canonical(doc)
+
+
 def test_write_json_atomic_round_trip(tmp_path):
     path = tmp_path / "doc.json"
     doc = {"plant": _plant_doc(), "N": 4}
@@ -77,6 +158,15 @@ def test_write_json_atomic_round_trip(tmp_path):
                                "f": {"kind": "constant", "value": 1.0}}, "N": 4}
     write_json_atomic(str(path), {"plant": _plant_doc()})  # atomic overwrite
     assert "N" not in read_json(str(path))
+
+
+def test_write_json_atomic_writes_the_canonical_bytes(tmp_path):
+    # written as bytes: no host turns "\n" into "\r\n"
+    path = tmp_path / "doc.json"
+    doc = {"name": "näme\n", "rows": [[1.0, math.nan], [-0.0, 1e22]], "flag": True}
+    write_json_atomic(str(path), doc)
+    assert path.read_bytes() == dumps_canonical(doc).encode() + b"\n"
+    assert b"\r" not in path.read_bytes() and path.read_bytes().isascii()
 
 
 def test_write_text_atomic_leaves_no_partial_file(tmp_path):

@@ -466,18 +466,23 @@ class BoundaryLiftData:
 
 
 def _kernel_index(b: float, count: int) -> int:
-    """Index of the mode pinned to the kernel, or -1; raises on the ambiguous band."""
+    """Index of the mode pinned to the kernel, or -1; raises on the ambiguous band.
+
+    The first mode within the ambiguous band of b decides: it is the kernel
+    mode if it also lies within KERNEL_ATOL, and ambiguous otherwise.
+    """
     scale_b = max(1.0, abs(b))
-    for k in range(count):
-        lam = b - np.pi ** 2 * k ** 2
-        if abs(lam) <= KERNEL_ATOL * scale_b:
-            return k
-        if abs(lam) <= KERNEL_AMBIGUOUS * scale_b:
-            raise KernelResonance(
-                f"b sits {lam:.3e} away from the square eigenvalue at k = {k}: "
-                "too close to decide whether the mode is in the kernel; shift b "
-                "or pass the exact square")
-    return -1
+    lam = b - np.pi ** 2 * np.arange(count, dtype=np.float64) ** 2
+    near = np.flatnonzero(np.abs(lam) <= KERNEL_AMBIGUOUS * scale_b)
+    if len(near) == 0:
+        return -1
+    k = int(near[0])
+    if abs(lam[k]) <= KERNEL_ATOL * scale_b:
+        return k
+    raise KernelResonance(
+        f"b sits {lam[k]:.3e} away from the square eigenvalue at k = {k}: "
+        "too close to decide whether the mode is in the kernel; shift b "
+        "or pass the exact square")
 
 
 def _lift_q_sums(b: float, f: SourceProfile, N: int) -> tuple:
@@ -558,56 +563,39 @@ def _lift_q_sums(b: float, f: SourceProfile, N: int) -> tuple:
     return math.fsum(closed + terms.tolist()), trunc + _ROUNDING * env, far_sq
 
 
-def _lift_pieces(b: float, f: SourceProfile, a: float, N_resolved: int,
-                 q_sum: float) -> dict:
-    """Resolved lift coefficients plus the u output weight for lift parameter a.
+def _lift_table(b: float, f: SourceProfile, grid, N: int, q_sum: float) -> dict:
+    """Resolved lift coefficients and constraint values, one row per lift
+    parameter a of the grid.
 
     h(0) is the sum of every h_k, so u_output = h(0) + sum g1_k is the kernel
     mode's h_k plus q_sum, the a-free sum of q_k over every other mode (see
-    _lift_q_sums).  The work per a is O(N).
+    _lift_q_sums).  Which constraints the lifted plant has does not depend on
+    a: an input entry h_k + g1_k for each remaining unstable mode off the
+    kernel, then the kernel coupling g2_k, then u_output.  As lambda_k falls
+    with k, the unstable modes precede the kernel mode.  The work per a is O(N).
     """
-    ks = np.arange(N_resolved + 1, dtype=np.float64)
-    f_coeffs = fourier_cos_coeffs(f, N_resolved)
-    h_coeffs = _lift_h_coeffs(a, b, ks)
+    a = np.asarray(grid, dtype=np.float64)[:, None]
+    ks = np.arange(N + 1, dtype=np.float64)
+    f_coeffs = fourier_cos_coeffs(f, N)
+    h = _lift_h_coeffs(a, b, ks)
     lam = b - np.pi ** 2 * ks ** 2
-    kernel = _kernel_index(b, N_resolved + 1)
+    kernel = _kernel_index(b, N + 1)
 
-    drive = f_coeffs + a * h_coeffs
+    drive = f_coeffs + a * h
     on_kernel = ks == kernel
     g1 = np.where(on_kernel, 0.0, -drive / np.where(on_kernel, 1.0, lam))
     g2 = np.where(on_kernel, drive, 0.0)
+    u_output = q_sum + (h[:, kernel] if kernel >= 0 else np.zeros(len(a)))
 
-    return {"f": f_coeffs, "h": h_coeffs, "lam": lam, "kernel": kernel, "g1": g1, "g2": g2,
-            "u_output": float(q_sum + (h_coeffs[kernel] if kernel >= 0 else 0.0))}
-
-
-def _constraint_entries(pieces: dict, b: float) -> list:
-    """Raw (name, k, value) triples of the lifted plant's non-degeneracy system."""
-    out = []
-    scale_b = max(1.0, abs(b))
-    for k in range(len(pieces["lam"])):
-        lam_k = pieces["lam"][k]
-        if k == pieces["kernel"] or lam_k <= KERNEL_ATOL * scale_b:
-            continue
-        # remaining unstable modes need a nonzero lifted input component
-        out.append(("input_mode", k, float(pieces["h"][k] + pieces["g1"][k])))
-    if pieces["kernel"] >= 0:
-        out.append(("kernel_coupling", pieces["kernel"],
-                    float(pieces["g2"][pieces["kernel"]])))
-    out.append(("u_output", -1, pieces["u_output"]))
-    return out
-
-
-def _entries_to_report(raw_entries: list, scale: float) -> ConstraintReport:
-    entries = tuple(
-        ConstraintEntry(name, k, value, abs(value) > LIFT_TOLERANCE * scale)
-        for name, k, value in raw_entries)
-    return ConstraintReport(
-        entries=entries,
-        all_pass=all(e.passed for e in entries),
-        tolerance=LIFT_TOLERANCE,
-        scale=scale,
-    )
+    cols = np.flatnonzero(on_kernel | ~(lam <= KERNEL_ATOL * max(1.0, abs(b))))
+    values = np.column_stack([np.where(on_kernel, g2, h + g1)[:, cols], u_output])
+    # Python's max, whose scale skips a nan (an infinite a) after the first entry
+    scale = max(1.0, max(np.abs(values).ravel().tolist()))
+    return {"f": f_coeffs, "h": h, "lam": lam, "kernel": kernel, "g1": g1, "g2": g2,
+            "u_output": u_output, "values": values, "scale": scale,
+            "passed": np.abs(values) > LIFT_TOLERANCE * scale,
+            "names": [("kernel_coupling" if k == kernel else "input_mode", int(k))
+                      for k in cols] + [("u_output", -1)]}
 
 
 def default_lift_grid(b: float) -> list:
@@ -631,18 +619,15 @@ def search_lift_parameter(b: float, f: SourceProfile, grid=None,
     if any(a <= b for a in grid):
         raise ValueError("every grid entry must exceed b")
     _tail_alpha(b, N_max)
-    q_sum = _lift_q_sums(b, f, N_max)[0]
-    per_a = [_constraint_entries(_lift_pieces(b, f, a, N_max, q_sum), b) for a in grid]
-    scale = max(1.0, max(abs(v) for entries in per_a for _, _, v in entries))
-    for a, entries in zip(grid, per_a):
-        if _entries_to_report(entries, scale).all_pass:
-            return a
-    worst = [
-        f"a = {a:g}: {min(entries, key=lambda e: abs(e[2]))}"
-        for a, entries in zip(grid, per_a)]
+    table = _lift_table(b, f, grid, N_max, _lift_q_sums(b, f, N_max)[0])
+    passing = np.flatnonzero(table["passed"].all(axis=1))
+    if len(passing):
+        return grid[passing[0]]
+    worst = (min(((*n, v) for n, v in zip(table["names"], row)), key=lambda e: abs(e[2]))
+             for row in table["values"][:8].tolist())
     raise NoAdmissibleParameter(
         "no grid entry clears the constraint tolerance; near-violations: "
-        + "; ".join(worst[:8]))
+        + "; ".join(f"a = {a:g}: {e}" for a, e in zip(grid, worst)))
 
 
 def build_heat_boundary(b: float, f: SourceProfile, a: float,
@@ -663,37 +648,29 @@ def build_heat_boundary(b: float, f: SourceProfile, a: float,
     if a <= b:
         raise ValueError("lift parameter must satisfy a > b")
     q_sum, q_err, far_sq = _lift_q_sums(b, f, N_max)
-    pieces = _lift_pieces(b, f, a, N_max, q_sum)
-    kernel = pieces["kernel"]
+    table = _lift_table(b, f, [a], N_max, q_sum)
+    h, g1, g2, kernel = table["h"][0], table["g1"][0], table["g2"][0], table["kernel"]
+    u_output = float(table["u_output"][0])
     if kernel >= 0:  # the kernel's h_k, whose c^2 = a - b rounds relative to |a| + |b|
         pk = np.pi ** 2 * kernel ** 2
-        q_err += _ROUNDING * abs(pieces["h"][kernel]) * (abs(a) + abs(b) + pk) / (a - b + pk)
+        q_err += _ROUNDING * abs(h[kernel]) * (abs(a) + abs(b) + pk) / (a - b + pk)
 
-    raw_entries = _constraint_entries(pieces, b)
-    scale = max(1.0, max(abs(v) for _, _, v in raw_entries))
-    report = _entries_to_report(raw_entries, scale)
-
+    entries = tuple(ConstraintEntry(*n, v, p) for n, v, p in zip(
+        table["names"], table["values"][0].tolist(), table["passed"][0].tolist()))
+    report = ConstraintReport(entries=entries, all_pass=all(e.passed for e in entries),
+                              tolerance=LIFT_TOLERANCE, scale=table["scale"])
     data = BoundaryLiftData(
-        a=a,
-        h_coeffs=pieces["h"].copy(),
-        g1_coeffs=pieces["g1"].copy(),
-        g2_coeffs=pieces["g2"].copy(),
-        f_coeffs=pieces["f"].copy(),
-        h_at_0=float(lift_h(a, b, 0.0)),
-        u_output=pieces["u_output"],
-        kernel_index=kernel,
-        series_remainder=q_err,
-        constraint_report=report,
-    )
+        a=a, h_coeffs=h, g1_coeffs=g1, g2_coeffs=g2, f_coeffs=table["f"],
+        h_at_0=float(lift_h(a, b, 0.0)), u_output=u_output, kernel_index=kernel,
+        series_remainder=q_err, constraint_report=report)
 
     if kernel >= 0:
         # integrator and kernel mode share a 2x2 block: u drives the mode via g2
-        A = np.array([[0.0, 0.0], [pieces["g2"][kernel], float(pieces["lam"][kernel])]])
-        B = np.array([[1.0], [-pieces["h"][kernel]]])
-        C = np.array([[pieces["u_output"], 1.0]])
+        A = np.array([[0.0, 0.0], [g2[kernel], float(table["lam"][kernel])]])
+        B = np.array([[1.0], [-h[kernel]]])
+        C = np.array([[u_output, 1.0]])
         u_block = ModalBlock(A, B, C, label=-1)
     else:
         u_block = ModalBlock(
-            np.array([[0.0]]), np.array([[1.0]]), np.array([[pieces["u_output"]]]), label=-1)
-    inputs = -(pieces["h"] + pieces["g1"])
-    return _heat_family(b, N_max, inputs, far_sq, skip=kernel, extra=(u_block,)), data
+            np.array([[0.0]]), np.array([[1.0]]), np.array([[u_output]]), label=-1)
+    return _heat_family(b, N_max, -(h + g1), far_sq, skip=kernel, extra=(u_block,)), data

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 from scipy.integrate import quad
 
@@ -11,9 +13,10 @@ from modalstab import (SourceProfile, build_heat, build_heat_boundary, build_wav
 from modalstab.errors import (InfiniteUnstablePart, KernelResonance,
                               NoAdmissibleParameter, QuadratureNotConverged,
                               TailUnstable)
-from modalstab.plants import (DEFAULT_N_MAX, _lift_h_coeffs, _quartic_remainder,
-                              _sin_pi_arr, _sinc_pi_arr, default_lift_grid, exact_sin_pi,
-                              fourier_cos_coeffs, lift_h, modal_input_coeffs,
+from modalstab.plants import (DEFAULT_N_MAX, KERNEL_ATOL, LIFT_TOLERANCE, _ROUNDING,
+                              _kernel_index, _lift_h_coeffs, _lift_q_sums, _quartic_remainder,
+                              _sin_pi_arr, _sinc_pi_arr, _tail_alpha, default_lift_grid,
+                              exact_sin_pi, fourier_cos_coeffs, lift_h, modal_input_coeffs,
                               profile_l2_norm_sq)
 
 
@@ -231,6 +234,25 @@ def test_boundary_kernel_resonance_band():
     f = SourceProfile.constant(1.0)
     with pytest.raises(KernelResonance):
         build_heat_boundary(math.pi ** 2 + 1e-7, f, math.pi ** 2 + 2.0, N_max=4)
+    for k in range(6):  # exact squares, k = 0 (b = 0) included
+        assert _kernel_index(math.pi ** 2 * k ** 2, 8) == k
+        assert type(_kernel_index(math.pi ** 2 * k ** 2, 8)) is int
+    assert _kernel_index(4.0 * math.pi ** 2, 2) == -1  # k = 2 lies past the count
+    # |b| <= 1e-6 max(1, |b|) around k = 0, but not within KERNEL_ATOL
+    with pytest.raises(KernelResonance, match=r"^b sits 1\.000e-07 away from the square "
+                                              r"eigenvalue at k = 0: too close to decide"):
+        _kernel_index(1e-7, 8)
+    # just outside the band
+    assert _kernel_index(1.5e-6, 8) == _kernel_index(-1.5e-6, 8) == -1
+    assert _kernel_index(math.pi ** 2 * (1.0 + 1.5e-6), 8) == -1
+    assert _kernel_index(math.pi ** 2 * (1.0 - 1.5e-6), 8) == -1
+    # in the band of k = 2 while k = 0 and k = 1 are clear; the later k is named
+    with pytest.raises(KernelResonance, match=r"at k = 2:"):
+        _kernel_index(4.0 * math.pi ** 2 + 1e-5, 8)
+    assert _kernel_index(4.0 * math.pi ** 2 + 1e-8, 8) == 2
+    for b in (0.0, 1e-7, 1.5e-6, -1.5e-6, 4.0 * math.pi ** 2 + 1e-5,
+              4.0 * math.pi ** 2 + 1e-8, 9.0 * math.pi ** 2 * (1.0 + 2e-7), -5.0, 42.0):
+        assert _outcome(_kernel_index, b, 8) == _outcome(_reference_kernel_index, b, 8)
 
 
 def test_boundary_kernel_mode_merges_with_integrator():
@@ -464,3 +486,194 @@ def test_boundary_coefficients_profile_indexes_far_modes_by_mode():
     sys_1, data_1 = build_heat_boundary(5.0, SourceProfile.constant(1.0), 6.0, N_max=8)
     assert data_c.u_output == data_1.u_output
     assert sys_c.tail.input_norm == sys_1.tail.input_norm
+
+
+# The per-lift-parameter code that _lift_table replaced, frozen as the
+# reference for it: one dict of coefficients and one list of (name, k, value)
+# constraint triples per a, and the loop over modes of the old _kernel_index.
+def _reference_kernel_index(b, count):
+    scale_b = max(1.0, abs(b))
+    for k in range(count):
+        lam = b - np.pi ** 2 * k ** 2
+        if abs(lam) <= KERNEL_ATOL * scale_b:
+            return k
+        if abs(lam) <= 1e-6 * scale_b:
+            raise KernelResonance(
+                f"b sits {lam:.3e} away from the square eigenvalue at k = {k}: "
+                "too close to decide whether the mode is in the kernel; shift b "
+                "or pass the exact square")
+    return -1
+
+
+def _reference_lift_pieces(b, f, a, N_resolved, q_sum):
+    ks = np.arange(N_resolved + 1, dtype=np.float64)
+    f_coeffs = fourier_cos_coeffs(f, N_resolved)
+    h_coeffs = _lift_h_coeffs(a, b, ks)
+    lam = b - np.pi ** 2 * ks ** 2
+    kernel = _reference_kernel_index(b, N_resolved + 1)
+    drive = f_coeffs + a * h_coeffs
+    on_kernel = ks == kernel
+    g1 = np.where(on_kernel, 0.0, -drive / np.where(on_kernel, 1.0, lam))
+    g2 = np.where(on_kernel, drive, 0.0)
+    return {"f": f_coeffs, "h": h_coeffs, "lam": lam, "kernel": kernel, "g1": g1, "g2": g2,
+            "u_output": float(q_sum + (h_coeffs[kernel] if kernel >= 0 else 0.0))}
+
+
+def _reference_constraint_entries(pieces, b):
+    out = []
+    scale_b = max(1.0, abs(b))
+    for k in range(len(pieces["lam"])):
+        lam_k = pieces["lam"][k]
+        if k == pieces["kernel"] or lam_k <= KERNEL_ATOL * scale_b:
+            continue
+        out.append(("input_mode", k, float(pieces["h"][k] + pieces["g1"][k])))
+    if pieces["kernel"] >= 0:
+        out.append(("kernel_coupling", pieces["kernel"],
+                    float(pieces["g2"][pieces["kernel"]])))
+    out.append(("u_output", -1, pieces["u_output"]))
+    return out
+
+
+def _reference_entries_to_report(raw_entries, scale):
+    """(entries as (name, k, value, passed), all_pass, scale)."""
+    entries = tuple((name, k, value, abs(value) > LIFT_TOLERANCE * scale)
+                    for name, k, value in raw_entries)
+    return entries, all(e[3] for e in entries), scale
+
+
+def _reference_search(b, f, grid=None, N_max=DEFAULT_N_MAX):
+    b = float(b)
+    if grid is None:
+        grid = default_lift_grid(b)
+    grid = [float(a) for a in grid]
+    if not grid:
+        raise ValueError("lift parameter grid must be nonempty")
+    if any(a <= b for a in grid):
+        raise ValueError("every grid entry must exceed b")
+    _tail_alpha(b, N_max)
+    q_sum = _lift_q_sums(b, f, N_max)[0]
+    per_a = [_reference_constraint_entries(_reference_lift_pieces(b, f, a, N_max, q_sum), b)
+             for a in grid]
+    scale = max(1.0, max(abs(v) for entries in per_a for _, _, v in entries))
+    for a, entries in zip(grid, per_a):
+        if _reference_entries_to_report(entries, scale)[1]:
+            return a
+    worst = [
+        f"a = {a:g}: {min(entries, key=lambda e: abs(e[2]))}"
+        for a, entries in zip(grid, per_a)]
+    raise NoAdmissibleParameter(
+        "no grid entry clears the constraint tolerance; near-violations: "
+        + "; ".join(worst[:8]))
+
+
+def _reference_build(b, f, a, N_max):
+    """The lift data build_heat_boundary derived from the per-a pieces."""
+    b, a = float(b), float(a)
+    _tail_alpha(b, N_max)
+    if a <= b:
+        raise ValueError("lift parameter must satisfy a > b")
+    q_sum, q_err, _ = _lift_q_sums(b, f, N_max)
+    pieces = _reference_lift_pieces(b, f, a, N_max, q_sum)
+    kernel = pieces["kernel"]
+    if kernel >= 0:
+        pk = np.pi ** 2 * kernel ** 2
+        q_err += _ROUNDING * abs(pieces["h"][kernel]) * (abs(a) + abs(b) + pk) / (a - b + pk)
+    raw_entries = _reference_constraint_entries(pieces, b)
+    scale = max(1.0, max(abs(v) for _, _, v in raw_entries))
+    return pieces, q_err, _reference_entries_to_report(raw_entries, scale)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _build_fingerprint(b, f, a, N):
+    """The lift data of build_heat_boundary bit for bit, or its exception."""
+    try:
+        data = build_heat_boundary(b, f, a, N)[1]
+    except Exception as exc:
+        return type(exc), str(exc)
+    report = data.constraint_report
+    return ([getattr(data, name).tobytes() for name in
+             ("f_coeffs", "h_coeffs", "g1_coeffs", "g2_coeffs")],
+            [(e.name, e.k, type(e.k), e.value.hex(), type(e.value), e.passed, type(e.passed))
+             for e in report.entries],
+            report.scale.hex(), report.all_pass, data.u_output.hex(),
+            data.series_remainder.hex(), data.kernel_index)
+
+
+def _reference_fingerprint(b, f, a, N):
+    try:
+        pieces, q_err, (entries, all_pass, scale) = _reference_build(b, f, a, N)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return ([pieces[name].tobytes() for name in ("f", "h", "g1", "g2")],
+            [(name, k, type(k), value.hex(), type(value), passed, type(passed))
+             for name, k, value, passed in entries],
+            scale.hex(), all_pass, pieces["u_output"].hex(), q_err.hex(), pieces["kernel"])
+
+
+_SQUARES = st.integers(0, 6).map(lambda k: math.pi ** 2 * k ** 2)
+_LIFT_BS = st.one_of(
+    _SQUARES,
+    # inside the ambiguous band of a square: KernelResonance
+    st.tuples(_SQUARES, st.floats(2e-9, 9e-7), st.sampled_from([1.0, -1.0])).map(
+        lambda t: t[0] + t[2] * t[1] * max(1.0, t[0])),
+    st.floats(-60.0, -1e-3),
+    st.floats(-5.0, 130.0),
+    st.sampled_from([1e-7, -1.0, 5.0, 42.0]))
+_LIFT_PROFILES = st.one_of(
+    st.sampled_from([0.0, -1.0, 1.0]).map(SourceProfile.constant),
+    st.floats(-3.0, 3.0).map(SourceProfile.constant),
+    st.sampled_from([(0.0, 0.5), (0.1, 0.9), (0.0, 1.0)]).map(
+        lambda t: SourceProfile.indicator(*t)),
+    st.tuples(st.floats(0.0, 0.9), st.floats(0.05, 1.0)).map(
+        lambda t: SourceProfile.indicator(t[0], t[0] + t[1] * (1.0 - t[0]))),
+    st.integers(0, 6).map(SourceProfile.cosine),
+    st.floats(0.0, 7.0).map(SourceProfile.cosine),
+    st.lists(st.floats(-2.0, 2.0), max_size=4).map(SourceProfile.coefficients))
+
+
+@st.composite
+def _lift_grids(draw, b):
+    steps = st.floats(1e-3, 60.0)
+    kind = draw(st.sampled_from(["default", "one", "repeated", "list"]))
+    if kind == "default":
+        return None
+    if kind == "one":
+        return [b + draw(steps)]
+    if kind == "repeated":
+        a = b + draw(steps)
+        return [a, a, b + 1.0, a]
+    return [b + step for step in draw(st.lists(steps, min_size=1, max_size=40))]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_lift_table_matches_the_per_a_lift(data):
+    # b on and near the squares, negative b, every profile kind and custom
+    # grids: the same a or the same exception, then the same lift data bit for bit
+    b = data.draw(_LIFT_BS, label="b")
+    f = data.draw(_LIFT_PROFILES, label="f")
+    N = data.draw(st.integers(1, 64), label="N_max")
+    grid = data.draw(_lift_grids(b), label="grid")
+    found = _outcome(search_lift_parameter, b, f, grid, N)
+    assert found == _outcome(_reference_search, b, f, grid, N)
+    a = found if isinstance(found, float) else (grid or default_lift_grid(b))[0]
+    assert _build_fingerprint(b, f, a, N) == _reference_fingerprint(b, f, a, N)
+
+
+def test_lift_search_thresholds_relative_to_the_whole_grid():
+    # At b = 0 mode 0 is the kernel and u_output carries its h_0 = 1 / a: a = 1e-12
+    # lifts the scale to 1e12, so a = 1, which passes alone, fails next to it.
+    f = SourceProfile.constant(1.0)
+    assert search_lift_parameter(0.0, f, [1.0], 8) == 1.0
+    for grid in ([1.0, 1e-12], [1e-12, 1.0]):
+        with pytest.raises(NoAdmissibleParameter) as info:
+            search_lift_parameter(0.0, f, grid, 8)
+        assert _outcome(_reference_search, 0.0, f, grid, 8) == (NoAdmissibleParameter,
+                                                                str(info.value))

@@ -13,11 +13,11 @@ from modalstab import (SourceProfile, build_heat, build_heat_boundary, build_wav
 from modalstab.errors import (InfiniteUnstablePart, KernelResonance,
                               NoAdmissibleParameter, QuadratureNotConverged,
                               TailUnstable)
-from modalstab.plants import (DEFAULT_N_MAX, KERNEL_ATOL, LIFT_TOLERANCE, _ROUNDING,
-                              _kernel_index, _lift_h_coeffs, _lift_q_sums, _quartic_remainder,
-                              _sin_pi_arr, _sinc_pi_arr, _tail_alpha, default_lift_grid,
-                              exact_sin_pi, fourier_cos_coeffs, lift_h, modal_input_coeffs,
-                              profile_l2_norm_sq)
+from modalstab.plants import (DEFAULT_N_MAX, KERNEL_AMBIGUOUS, KERNEL_ATOL, LIFT_TOLERANCE,
+                              _ROUNDING, _kernel_index, _lift_h_coeffs, _lift_q_sums,
+                              _quartic_remainder, _sin_pi_arr, _sinc_pi_arr, _tail_alpha,
+                              default_lift_grid, exact_sin_pi, fourier_cos_coeffs, lift_h,
+                              modal_input_coeffs, profile_l2_norm_sq)
 
 
 def test_exact_trig_values():
@@ -497,7 +497,7 @@ def _reference_kernel_index(b, count):
         lam = b - np.pi ** 2 * k ** 2
         if abs(lam) <= KERNEL_ATOL * scale_b:
             return k
-        if abs(lam) <= 1e-6 * scale_b:
+        if abs(lam) <= KERNEL_AMBIGUOUS * scale_b:
             raise KernelResonance(
                 f"b sits {lam:.3e} away from the square eigenvalue at k = {k}: "
                 "too close to decide whether the mode is in the kernel; shift b "

@@ -34,8 +34,7 @@ from .fileio import SchemaViolation
 from .gains import BETA_GRID_DEPTH, loop_bounds, scan_certificate
 from .modal import (ModalSystem, StateSpaceSystem, closed_loop_matrix,
                     partition_spectrum, select_truncation, truncate, truncate_tail)
-from .plants import (DEFAULT_N_MAX, SourceProfile, build_heat, build_heat_boundary,
-                     build_wave, search_lift_parameter)
+from .plants import DEFAULT_N_MAX, SourceProfile, build_heat, build_heat_boundary, build_wave
 from .simulate import estimate_decay_rate, simulate_closed_loop, spectral_abscissa
 from .synthesis import (DesignInfo, ObserverController, check_stabilizable, loop_system,
                         matches_observer_structure, observer_controller, reduced_R_system,
@@ -93,9 +92,7 @@ def build_plant(doc: dict):
         return build_heat(float(doc["b"]), f, n_max), None
     if kind == "wave":
         return build_wave(float(doc["b"]), float(doc["kappa"]), f, n_max), None
-    b = float(doc["b"])
-    a = search_lift_parameter(b, f, doc.get("a_grid"), n_max)
-    return build_heat_boundary(b, f, a, n_max)
+    return build_heat_boundary(float(doc["b"]), f, doc.get("a_grid"), n_max)
 
 
 def controller_to_doc(controller: ObserverController, inputs: int, outputs: int) -> dict:

@@ -347,9 +347,12 @@ def validate_document(doc: dict, schema_name: str):
 
 
 def read_json(path: str, schema_name: str = None) -> dict:
+    def non_finite(name: str):  # json.load would read NaN, Infinity, -Infinity
+        raise SchemaViolation(f"{path}: invalid JSON: {name} is not a number")
+
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=non_finite)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaViolation(f"{path}: invalid JSON: {exc}") from exc
     if schema_name is not None:

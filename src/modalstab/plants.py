@@ -563,39 +563,44 @@ def _lift_q_sums(b: float, f: SourceProfile, N: int) -> tuple:
     return math.fsum(closed + terms.tolist()), trunc + _ROUNDING * env, far_sq
 
 
-def _lift_table(b: float, f: SourceProfile, grid, N: int, q_sum: float) -> dict:
+def _lift_table(b: float, f: SourceProfile, grid: list, N: int, q_sum: float) -> dict:
     """Resolved lift coefficients and constraint values, one row per lift
-    parameter a of the grid.
+    parameter a: the whole grid at a kernel b, only grid[0] off it.
 
     h(0) is the sum of every h_k, so u_output = h(0) + sum g1_k is the kernel
     mode's h_k plus q_sum, the a-free sum of q_k over every other mode (see
-    _lift_q_sums).  Which constraints the lifted plant has does not depend on
-    a: an input entry h_k + g1_k for each remaining unstable mode off the
-    kernel, then the kernel coupling g2_k, then u_output.  As lambda_k falls
-    with k, the unstable modes precede the kernel mode.  The work per a is O(N).
+    _lift_q_sums).  So off the kernel every entry, h_k + g1_k = q_k or q_sum,
+    is free of a up to rounding.  Which constraints the lifted plant has does
+    not depend on a: an input entry h_k + g1_k for each remaining unstable
+    mode off the kernel, then the kernel coupling g2_k, then u_output.  As
+    lambda_k falls with k, the unstable modes precede the kernel mode.
     """
-    a = np.asarray(grid, dtype=np.float64)[:, None]
     ks = np.arange(N + 1, dtype=np.float64)
+    kernel = _kernel_index(b, N + 1)
+    a = np.asarray(grid if kernel >= 0 else grid[:1], dtype=np.float64)[:, None]
     f_coeffs = fourier_cos_coeffs(f, N)
     h = _lift_h_coeffs(a, b, ks)
     lam = b - np.pi ** 2 * ks ** 2
-    kernel = _kernel_index(b, N + 1)
 
     drive = f_coeffs + a * h
     on_kernel = ks == kernel
     g1 = np.where(on_kernel, 0.0, -drive / np.where(on_kernel, 1.0, lam))
     g2 = np.where(on_kernel, drive, 0.0)
-    u_output = q_sum + (h[:, kernel] if kernel >= 0 else np.zeros(len(a)))
+    u_output = q_sum + (h[:, kernel] if kernel >= 0 else 0.0)
 
     cols = np.flatnonzero(on_kernel | ~(lam <= KERNEL_ATOL * max(1.0, abs(b))))
-    values = np.column_stack([np.where(on_kernel, g2, h + g1)[:, cols], u_output])
-    # Python's max, whose scale skips a nan (an infinite a) after the first entry
-    scale = max(1.0, max(np.abs(values).ravel().tolist()))
+    values = np.column_stack([np.where(on_kernel, g2, h + g1)[:, cols],
+                              np.broadcast_to(u_output, len(a))])
     return {"f": f_coeffs, "h": h, "lam": lam, "kernel": kernel, "g1": g1, "g2": g2,
-            "u_output": u_output, "values": values, "scale": scale,
-            "passed": np.abs(values) > LIFT_TOLERANCE * scale,
-            "names": [("kernel_coupling" if k == kernel else "input_mode", int(k))
-                      for k in cols] + [("u_output", -1)]}
+            "values": values, "names": [("kernel_coupling" if k == kernel else "input_mode",
+                                         int(k)) for k in cols] + [("u_output", -1)]}
+
+
+def _clears_tolerance(values: np.ndarray) -> tuple:
+    """(scale, passed): scale is max(1, largest |value|), so a uniformly tiny
+    system cannot vacuously pass, and an entry passes above LIFT_TOLERANCE * scale."""
+    scale = max(1.0, float(np.abs(values).max()))
+    return scale, np.abs(values) > LIFT_TOLERANCE * scale
 
 
 def default_lift_grid(b: float) -> list:
@@ -604,34 +609,11 @@ def default_lift_grid(b: float) -> list:
 
 def search_lift_parameter(b: float, f: SourceProfile, grid=None,
                           N_max: int = DEFAULT_N_MAX) -> float:
-    """First lift parameter on the grid whose constraint system clears tolerance.
-
-    The constraints are those of the plant build_heat_boundary makes at N_max.
-    Thresholds are relative to the largest constraint magnitude anywhere on
-    the grid, so a uniformly tiny system cannot vacuously pass.
-    """
-    b = float(b)
-    if grid is None:
-        grid = default_lift_grid(b)
-    grid = [float(a) for a in grid]
-    if not grid:
-        raise ValueError("lift parameter grid must be nonempty")
-    if any(a <= b for a in grid):
-        raise ValueError("every grid entry must exceed b")
-    _tail_alpha(b, N_max)
-    table = _lift_table(b, f, grid, N_max, _lift_q_sums(b, f, N_max)[0])
-    passing = np.flatnonzero(table["passed"].all(axis=1))
-    if len(passing):
-        return grid[passing[0]]
-    worst = (min(((*n, v) for n, v in zip(table["names"], row)), key=lambda e: abs(e[2]))
-             for row in table["values"][:8].tolist())
-    raise NoAdmissibleParameter(
-        "no grid entry clears the constraint tolerance; near-violations: "
-        + "; ".join(f"a = {a:g}: {e}" for a, e in zip(grid, worst)))
+    """The lift parameter build_heat_boundary takes from the grid."""
+    return build_heat_boundary(b, f, grid, N_max)[1].a
 
 
-def build_heat_boundary(b: float, f: SourceProfile, a: float,
-                        N_max: int = DEFAULT_N_MAX):
+def build_heat_boundary(b: float, f: SourceProfile, grid=None, N_max: int = DEFAULT_N_MAX):
     """Boundary-actuated heat plant, lifted to modal form.
 
     The physical state x feels the control only through the flux boundary
@@ -641,24 +623,41 @@ def build_heat_boundary(b: float, f: SourceProfile, a: float,
     absorb its share of f + a h into a coordinate change, so the u state and
     that mode form one 2x2 block coupled through g2.
 
-    Returns the modal system together with the lift coefficients.
+    The lift parameter a is the first entry of grid (default_lift_grid(b) if
+    None) whose constraint system clears tolerance, relative to the largest
+    constraint magnitude of the rows _lift_table fills; the report's scale is
+    that of the chosen row alone.  Raises NoAdmissibleParameter if no entry
+    clears it.  Returns the modal system together with the lift coefficients.
     """
-    b, a = float(b), float(a)
+    b = float(b)
+    grid = default_lift_grid(b) if grid is None else [float(a) for a in grid]
+    if not grid:
+        raise ValueError("lift parameter grid must be nonempty")
+    if not all(-math.inf < b < a < math.inf for a in grid):
+        raise ValueError("b and every grid entry must be finite, with every entry above b")
     _tail_alpha(b, N_max)  # reject the resolution before summing the lift
-    if a <= b:
-        raise ValueError("lift parameter must satisfy a > b")
     q_sum, q_err, far_sq = _lift_q_sums(b, f, N_max)
-    table = _lift_table(b, f, [a], N_max, q_sum)
-    h, g1, g2, kernel = table["h"][0], table["g1"][0], table["g2"][0], table["kernel"]
-    u_output = float(table["u_output"][0])
+    table = _lift_table(b, f, grid, N_max, q_sum)
+    passing = np.flatnonzero(_clears_tolerance(table["values"])[1].all(axis=1))
+    if not len(passing):
+        worst = (min(((*n, v) for n, v in zip(table["names"], row)), key=lambda e: abs(e[2]))
+                 for row in table["values"][:8].tolist())
+        raise NoAdmissibleParameter(
+            "no grid entry clears the constraint tolerance; near-violations: "
+            + "; ".join(f"a = {a:g}: {e}" for a, e in zip(grid, worst)))
+    row = passing[0]
+    a, values = grid[row], table["values"][row]
+    h, g1, g2, kernel = table["h"][row], table["g1"][row], table["g2"][row], table["kernel"]
+    u_output = float(values[-1])
     if kernel >= 0:  # the kernel's h_k, whose c^2 = a - b rounds relative to |a| + |b|
         pk = np.pi ** 2 * kernel ** 2
         q_err += _ROUNDING * abs(h[kernel]) * (abs(a) + abs(b) + pk) / (a - b + pk)
 
+    # all pass: the row passed against the rows' scale, at least its own
+    scale, passed = _clears_tolerance(values)
     entries = tuple(ConstraintEntry(*n, v, p) for n, v, p in zip(
-        table["names"], table["values"][0].tolist(), table["passed"][0].tolist()))
-    report = ConstraintReport(entries=entries, all_pass=all(e.passed for e in entries),
-                              tolerance=LIFT_TOLERANCE, scale=table["scale"])
+        table["names"], values.tolist(), passed.tolist()))
+    report = ConstraintReport(entries, all_pass=True, tolerance=LIFT_TOLERANCE, scale=scale)
     data = BoundaryLiftData(
         a=a, h_coeffs=h, g1_coeffs=g1, g2_coeffs=g2, f_coeffs=table["f"],
         h_at_0=float(lift_h(a, b, 0.0)), u_output=u_output, kernel_index=kernel,

@@ -108,7 +108,7 @@ def test_acceptance_3_boundary_lift():
     for b, f in cases:
         a = search_lift_parameter(b, f)
         assert a in default_lift_grid(b)
-        _, data = build_heat_boundary(b, f, a)
+        _, data = build_heat_boundary(b, f, [a])
         entries = {(e.name, e.k): e.value for e in data.constraint_report.entries}
         assert data.constraint_report.all_pass
         c = math.sqrt(a - b)

@@ -21,7 +21,7 @@ from modalstab.errors import (BetaExceedsDecay, CertificateNotFound, NotHurwitz,
 from modalstab.fileio import (read_json, validate_document, write_json_atomic,
                               write_sweep_csv)
 from modalstab.gains import beta_grid
-from modalstab.plants import SourceProfile, build_heat_boundary, search_lift_parameter
+from modalstab.plants import SourceProfile, build_heat_boundary
 from modalstab.synthesis import (check_stabilizable, matches_observer_structure,
                                  observer_controller)
 
@@ -196,17 +196,14 @@ def test_simulate_rejects_wrong_x0_length(tmp_path):
 @pytest.mark.parametrize("b, n_max", [(5.0, 64), (math.pi ** 2, 8), (-1.0, 3),
                                       (5.0, 1), (42.0, 2)])
 def test_boundary_plant_shares_one_far_table(b, n_max):
-    # The CLI's search and build both work at N_max and call the same pure
-    # far-sum function, plants._lift_q_sums, so its plant equals standalone
-    # calls at that N_max, also at the smallest N_max with a stable tail
-    # (5.0/1, 42.0/2).
+    # The CLI's plant is one build_heat_boundary call at N_max, so it equals a
+    # standalone call on the default grid, also at the smallest N_max with a
+    # stable tail (5.0/1, 42.0/2).
     doc = {"type": "heat_boundary", "b": b, "f": {"kind": "constant", "value": 1.1},
            "N_max": n_max}
     sys_, data = build_plant(doc)
-    f = SourceProfile.constant(1.1)
-    a = search_lift_parameter(b, f, N_max=n_max)
-    ref_sys, ref = build_heat_boundary(b, f, a, n_max)
-    assert data.a == a
+    ref_sys, ref = build_heat_boundary(b, SourceProfile.constant(1.1), None, n_max)
+    assert data.a == ref.a
     assert data.u_output == ref.u_output
     assert data.series_remainder == ref.series_remainder
     assert sys_.tail.input_norm == ref_sys.tail.input_norm
@@ -215,8 +212,8 @@ def test_boundary_plant_shares_one_far_table(b, n_max):
 
 def test_boundary_command_evaluates_far_profile_on_summed_range(tmp_path, monkeypatch):
     # The far series evaluates f on at most TAIL_SUMMED_TERMS modes past N_max,
-    # once for the search and once for the build; a constant profile has
-    # f_k = 0 there, so it evaluates none.
+    # once per command, in the one build_heat_boundary call; a constant profile
+    # has f_k = 0 there, so it evaluates none.
     n_max, far_calls = 8, []
     inner = plants._raw_cos_inner
 
@@ -225,13 +222,18 @@ def test_boundary_command_evaluates_far_profile_on_summed_range(tmp_path, monkey
             far_calls.append((profile.kind, len(ks)))
         return inner(profile, ks)
 
+    def no_search(*args):
+        raise AssertionError("the CLI searched the lift grid apart from the build")
+
     monkeypatch.setattr(plants, "_raw_cos_inner", counting)
+    monkeypatch.setattr(plants, "search_lift_parameter", no_search)
+    assert not hasattr(cli, "search_lift_parameter")
     for tag, f in (("constant", {"kind": "constant", "value": 1.2}),
                    ("indicator", {"kind": "indicator", "xi1": 0.1, "xi2": 0.6})):
         cfg = {"plant": {"type": "heat_boundary", "b": 5.0, "f": f, "N_max": n_max}}
         code, _ = run(tmp_path, "analyze", cfg, tag=tag)
         assert code == 0
-    assert [kind for kind, _ in far_calls] == ["indicator", "indicator"]
+    assert [kind for kind, _ in far_calls] == ["indicator"]
     assert all(count <= plants.TAIL_SUMMED_TERMS for _, count in far_calls)
 
 
@@ -498,6 +500,21 @@ def test_deeply_nested_config_exits_with_one_line(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"invalid configuration: {path}: invalid JSON: ")
+
+
+@pytest.mark.parametrize("plant, constant", [
+    ({"type": "heat_boundary", "b": math.nan}, "NaN"),  # reached the lift and exited 5
+    ({"type": "heat_boundary", "b": 5.0, "a_grid": [math.inf, 6.0]}, "Infinity"),  # took a = 6
+    ({"type": "heat", "b": -math.inf}, "-Infinity"),
+])
+def test_non_finite_json_constants_are_invalid_json(tmp_path, capsys, plant, constant):
+    # json.dumps writes NaN and +-Infinity, which JSON does not have
+    plant = {**plant, "f": {"kind": "constant", "value": 1.0}, "N_max": 8}
+    code, out = run(tmp_path, "analyze", {"plant": plant})
+    assert code == 2 and not out.exists()
+    path = tmp_path / "cfg_analyze_out.json"
+    assert capsys.readouterr().err == (
+        f"invalid configuration: {path}: invalid JSON: {constant} is not a number\n")
 
 
 def test_bad_plant_document(tmp_path):

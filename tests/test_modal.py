@@ -415,7 +415,7 @@ def test_scalar_block_closed_form_equals_the_svd():
         for f in profiles:
             for N_max in (64, 256):
                 for sys_ in (build_heat(b, f, N_max),
-                             build_heat_boundary(b, f, b + 7.0, N_max)[0]):
+                             build_heat_boundary(b, f, [b + 7.0], N_max)[0]):
                     for blk, got in zip(sys_.blocks, sys_._output_sq):
                         if blk.dim == 1:
                             c_norm = float(np.linalg.norm(blk.output_col, 2))

@@ -186,7 +186,7 @@ def test_lift_h_satisfies_flux_normalization():
 def test_boundary_lift_coefficients_against_quadrature():
     a, b = 6.0, 5.0
     c = math.sqrt(a - b)
-    _, data = build_heat_boundary(b, SourceProfile.constant(1.0), a, N_max=8)
+    _, data = build_heat_boundary(b, SourceProfile.constant(1.0), [a], N_max=8)
     for k in range(5):
         scale = 1.0 if k == 0 else 2.0
         ref = scale * quad(
@@ -200,7 +200,7 @@ def test_boundary_constraint_expression_against_quadrature():
     a, b = 43.0, 42.0
     c = math.sqrt(a - b)
     f = SourceProfile.indicator(0.1, 0.9)
-    _, data = build_heat_boundary(b, f, a, N_max=8)
+    _, data = build_heat_boundary(b, f, [a], N_max=8)
     entries = {(e.name, e.k): e.value for e in data.constraint_report.entries}
     assert set(entries) == {("input_mode", 0), ("input_mode", 1), ("input_mode", 2),
                             ("u_output", -1)}
@@ -217,7 +217,7 @@ def test_boundary_constraint_expression_against_quadrature():
 
 
 def test_boundary_plant_structure():
-    sys_, data = build_heat_boundary(5.0, SourceProfile.constant(1.0), 6.0, N_max=8)
+    sys_, data = build_heat_boundary(5.0, SourceProfile.constant(1.0), [6.0], N_max=8)
     labels = [blk.label for blk in sys_.blocks]
     # Canonical order: unstable mode 0, then the marginal integrator, then decay.
     assert labels == [0, -1] + list(range(1, 9))
@@ -233,7 +233,7 @@ def test_boundary_plant_structure():
 def test_boundary_kernel_resonance_band():
     f = SourceProfile.constant(1.0)
     with pytest.raises(KernelResonance):
-        build_heat_boundary(math.pi ** 2 + 1e-7, f, math.pi ** 2 + 2.0, N_max=4)
+        build_heat_boundary(math.pi ** 2 + 1e-7, f, [math.pi ** 2 + 2.0], N_max=4)
     for k in range(6):  # exact squares, k = 0 (b = 0) included
         assert _kernel_index(math.pi ** 2 * k ** 2, 8) == k
         assert type(_kernel_index(math.pi ** 2 * k ** 2, 8)) is int
@@ -257,7 +257,7 @@ def test_boundary_kernel_resonance_band():
 
 def test_boundary_kernel_mode_merges_with_integrator():
     b = math.pi ** 2
-    sys_, data = build_heat_boundary(b, SourceProfile.constant(1.0), b + 1.0, N_max=6)
+    sys_, data = build_heat_boundary(b, SourceProfile.constant(1.0), [b + 1.0], N_max=6)
     assert data.kernel_index == 1
     labels = [blk.label for blk in sys_.blocks]
     assert 1 not in labels and -1 in labels
@@ -272,7 +272,7 @@ def test_boundary_kernel_mode_merges_with_integrator():
 def test_boundary_rejects_quadrature_profiles():
     f = SourceProfile.samples(np.ones(5))
     with pytest.raises(QuadratureNotConverged):
-        build_heat_boundary(5.0, f, 6.0, N_max=4)
+        build_heat_boundary(5.0, f, [6.0], N_max=4)
     with pytest.raises(QuadratureNotConverged):
         search_lift_parameter(5.0, f)
 
@@ -280,11 +280,17 @@ def test_boundary_rejects_quadrature_profiles():
 def test_boundary_parameter_validation():
     f = SourceProfile.constant(1.0)
     with pytest.raises(ValueError):
-        build_heat_boundary(5.0, f, 4.0, N_max=4)  # lift parameter must exceed b
+        build_heat_boundary(5.0, f, [4.0], N_max=4)  # lift parameter must exceed b
     with pytest.raises(ValueError):
         search_lift_parameter(5.0, f, grid=[])
     with pytest.raises(ValueError):
         search_lift_parameter(5.0, f, grid=[4.0, 6.0])
+    # b and every grid entry must be finite, on the default grid too
+    for b, grid in ((math.nan, None), (math.nan, [6.0]), (math.inf, None),
+                    (-math.inf, None), (-math.inf, [6.0]), (5.0, [math.inf, 6.0]),
+                    (5.0, [6.0, math.nan])):
+        with pytest.raises(ValueError, match="must be finite"):
+            build_heat_boundary(b, f, grid, N_max=4)
 
 
 def test_search_lift_parameter_needs_a_stable_tail():
@@ -301,7 +307,7 @@ def test_search_lift_parameter_default_grid():
                  (math.pi ** 2, SourceProfile.constant(1.0))):
         a = search_lift_parameter(b, f)
         assert a in default_lift_grid(b)
-        sys_, data = build_heat_boundary(b, f, a)
+        sys_, data = build_heat_boundary(b, f, [a])
         assert data.constraint_report.all_pass
 
 
@@ -350,7 +356,7 @@ def test_boundary_far_series_matches_per_a_formula_exactly(i_f, i_b):
     # so it may only lie above it, and by far less than 1e-6.
     f, b = _PROFILES[i_f], _BS[i_b]
     N, a = 8 + (i_f + i_b) % 2, b + 1.0
-    sys_, data = build_heat_boundary(b, f, a, N_max=N)
+    sys_, data = build_heat_boundary(b, f, [a], N_max=N)
     f_k, h_k, g1, g2 = _per_a_resolved(b, f, a, N)
     assert np.array_equal(data.f_coeffs, f_k)
     assert np.array_equal(data.h_coeffs, h_k)
@@ -374,7 +380,7 @@ def test_boundary_resolved_input_is_free_of_lift_parameter(b):
     ks = np.arange(N + 1)
     s_k = np.where(ks == 0, 1.0, 2.0) * np.where(ks % 2 == 0, 1.0, -1.0)
     for a in (b + 1.0, b + 7.5):
-        _, data = build_heat_boundary(b, f, a, N_max=N)
+        _, data = build_heat_boundary(b, f, [a], N_max=N)
         for k in range(N + 1):
             if k == data.kernel_index:
                 continue
@@ -388,7 +394,7 @@ def test_boundary_series_remainder_bounds_u_output_below_a_minus_two():
     b, f, N = -10.0, SourceProfile.constant(1.0), 8
     a = search_lift_parameter(b, f)
     assert a < -2.0
-    _, data = build_heat_boundary(b, f, a, N_max=N)
+    _, data = build_heat_boundary(b, f, [a], N_max=N)
     g1_sum = _per_a_far_series(b, f, a, N)[0]
     reference = data.h_at_0 + float(np.sum(data.g1_coeffs)) + g1_sum
     assert data.series_remainder > 0.0
@@ -465,7 +471,7 @@ def test_boundary_series_remainder_bounds_u_output_against_mpmath(b, f, N):
     # the kernel mode's h_k, taken exactly; 60 digits absorb the cancellation
     # near the kernel pole at b = pi^2.
     a = search_lift_parameter(b, f, N_max=N)
-    _, data = build_heat_boundary(b, f, a, N_max=N)
+    _, data = build_heat_boundary(b, f, [a], N_max=N)
     with mp.workdps(60):
         pi, kernel = mp.pi, data.kernel_index
         exact = _mp_far_sum(b, f, N) + mpmath.fsum(
@@ -482,8 +488,8 @@ def test_boundary_coefficients_profile_indexes_far_modes_by_mode():
     # Entry j of a coefficients profile is mode k = j, near and far alike:
     # eleven coefficients [1, 0, ..., 0] are the constant 1 exactly.
     coeffs = SourceProfile.coefficients([1.0] + [0.0] * 10)
-    sys_c, data_c = build_heat_boundary(5.0, coeffs, 6.0, N_max=8)
-    sys_1, data_1 = build_heat_boundary(5.0, SourceProfile.constant(1.0), 6.0, N_max=8)
+    sys_c, data_c = build_heat_boundary(5.0, coeffs, [6.0], N_max=8)
+    sys_1, data_1 = build_heat_boundary(5.0, SourceProfile.constant(1.0), [6.0], N_max=8)
     assert data_c.u_output == data_1.u_output
     assert sys_c.tail.input_norm == sys_1.tail.input_norm
 
@@ -561,9 +567,11 @@ def _reference_search(b, f, grid=None, N_max=DEFAULT_N_MAX):
     worst = [
         f"a = {a:g}: {min(entries, key=lambda e: abs(e[2]))}"
         for a, entries in zip(grid, per_a)]
+    # one row off the kernel, where the rows differ only by rounding
+    rows = 8 if _reference_kernel_index(b, N_max + 1) >= 0 else 1
     raise NoAdmissibleParameter(
         "no grid entry clears the constraint tolerance; near-violations: "
-        + "; ".join(worst[:8]))
+        + "; ".join(worst[:rows]))
 
 
 def _reference_build(b, f, a, N_max):
@@ -591,10 +599,10 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def _build_fingerprint(b, f, a, N):
+def _build_fingerprint(b, f, grid, N):
     """The lift data of build_heat_boundary bit for bit, or its exception."""
     try:
-        data = build_heat_boundary(b, f, a, N)[1]
+        data = build_heat_boundary(b, f, grid, N)[1]
     except Exception as exc:
         return type(exc), str(exc)
     report = data.constraint_report
@@ -664,7 +672,12 @@ def test_lift_table_matches_the_per_a_lift(data):
     found = _outcome(search_lift_parameter, b, f, grid, N)
     assert found == _outcome(_reference_search, b, f, grid, N)
     a = found if isinstance(found, float) else (grid or default_lift_grid(b))[0]
-    assert _build_fingerprint(b, f, a, N) == _reference_fingerprint(b, f, a, N)
+    reference = _reference_fingerprint(b, f, a, N)
+    if len(reference) > 2 and not reference[3]:  # a failing [a] raises
+        reference = _outcome(_reference_search, b, f, [a], N)
+    assert _build_fingerprint(b, f, [a], N) == reference
+    if isinstance(found, float):  # the build over the grid is the build at its a
+        assert _build_fingerprint(b, f, grid, N) == _reference_fingerprint(b, f, found, N)
 
 
 def test_lift_search_thresholds_relative_to_the_whole_grid():

@@ -503,8 +503,8 @@ def test_deeply_nested_config_exits_with_one_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("plant, constant", [
-    ({"type": "heat_boundary", "b": math.nan}, "NaN"),  # reached the lift and exited 5
-    ({"type": "heat_boundary", "b": 5.0, "a_grid": [math.inf, 6.0]}, "Infinity"),  # took a = 6
+    ({"type": "heat_boundary", "b": math.nan}, "NaN"),
+    ({"type": "heat_boundary", "b": 5.0, "a_grid": [math.inf, 6.0]}, "Infinity"),
     ({"type": "heat", "b": -math.inf}, "-Infinity"),
 ])
 def test_non_finite_json_constants_are_invalid_json(tmp_path, capsys, plant, constant):

@@ -5,7 +5,7 @@ rendered with %.17g (full round-trip precision), dictionaries keep their
 construction order, and writes go through a temp file plus rename.
 
 Trajectory rows are formatted by a numpy kernel that reproduces "%.17g"
-byte for byte, 256 rows at a time.  For each cell it takes E = floor(log10|x|)
+byte for byte, in row blocks.  For each cell it takes E = floor(log10|x|)
 and s = |x| * 10**(16 - E) in long double, from a table of powers of ten
 correctly rounded to a 64-bit mantissa (built on the first trajectory write).
 The relative error of s is at most 2 * 2**-64, so below 0.011 for
@@ -360,26 +360,27 @@ def read_json(path: str, schema_name: str = None) -> dict:
     return doc
 
 
-def write_trajectory_csv(path: str, traj, n_plant: int):
-    """t, x_1..x_n, w_1..w_q, u_1..u_m, y_1..y_p rows at full precision."""
-    n_total = traj.states.shape[1]
-    q = n_total - n_plant
-    header = (["t"]
-              + [f"x_{i + 1}" for i in range(n_plant)]
-              + [f"w_{i + 1}" for i in range(q)]
-              + [f"u_{i + 1}" for i in range(traj.inputs.shape[1])]
-              + [f"y_{i + 1}" for i in range(traj.outputs.shape[1])])
-    columns = (traj.times[:, None], traj.states.real, traj.inputs.real, traj.outputs.real)
+def write_trajectory_csv(path: str, blocks, n_plant: int):
+    """t, x_1..x_n, w_1..w_q, u_1..u_m, y_1..y_p rows at full precision.
+
+    ``blocks`` yields the trajectory as Trajectory blocks of consecutive
+    rows; each is formatted and written as it arrives, so only one block's
+    text is ever held in memory.
+    """
     with _atomic_output(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        for start in range(0, len(traj.times), _BLOCK_ROWS):
-            block = [c[start:start + _BLOCK_ROWS] for c in columns]
-            fh.write(_format_rows(np.hstack(block, dtype=np.float64)))
+        for i, block in enumerate(blocks):
+            if i == 0:
+                q = block.states.shape[1] - n_plant
+                header = (["t"]
+                          + [f"x_{k + 1}" for k in range(n_plant)]
+                          + [f"w_{k + 1}" for k in range(q)]
+                          + [f"u_{k + 1}" for k in range(block.inputs.shape[1])]
+                          + [f"y_{k + 1}" for k in range(block.outputs.shape[1])])
+                fh.write((",".join(header) + "\n").encode())
+            columns = (block.times[:, None], block.states.real, block.inputs.real,
+                       block.outputs.real)
+            fh.write(_format_rows(np.hstack(columns, dtype=np.float64)))
 
-
-# Trajectory rows are formatted this many at a time, so the text of a whole
-# trajectory is never held in memory.
-_BLOCK_ROWS = 256
 
 # A cell whose scaled mantissa s has frac(s) within this of 1/2 is left to
 # "%.17g": s is off by less than 0.011 (module docstring).

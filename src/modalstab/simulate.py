@@ -34,6 +34,10 @@ _B13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
 _MAX_SQUARINGS = 60
 # Leading share of a trajectory that the decay-rate fit skips as transient.
 DECAY_SKIP_FRACTION = 0.3
+# Trajectories are stepped in blocks of max(1, CELLS // columns) rows, where
+# columns is the width of their trajectory.csv rows, so that a streamed run
+# holds one block of states and formatted text whatever its horizon.
+CELLS = 8192
 
 
 def _pade_low(A: np.ndarray, order: int) -> np.ndarray:
@@ -146,6 +150,45 @@ def _steps_grid(T: float, dt: float):
     return np.arange(n_steps + 1) * dt, n_steps
 
 
+def _free_blocks(A: np.ndarray, x0, T: float, dt: float, columns: int):
+    """(times, states) of the exact-step free evolution x' = A x, in blocks of
+    max(1, CELLS // columns) consecutive grid rows.
+
+    One matrix exponential is reused for every step, so grid values carry no
+    integration error; each state is Phi times the one before it.  The grid's
+    times come first, so a grid too large for memory fails before any step.
+    """
+    A = np.atleast_2d(np.asarray(A))
+    state = np.asarray(x0).reshape(A.shape[0])
+    times, _ = _steps_grid(T, dt)
+    Phi = matrix_exponential(A, dt)
+    rows = max(1, CELLS // columns)
+    for start in range(0, len(times), rows):
+        block_times = times[start:start + rows]
+        states = np.empty((len(block_times), A.shape[0]), dtype=Phi.dtype)
+        states[0] = Phi @ state if start else state
+        for i in range(1, len(states)):
+            states[i] = Phi @ states[i - 1]
+        state = states[-1]
+        yield block_times, states
+
+
+def closed_loop_blocks(M: np.ndarray, plant: StateSpaceSystem,
+                       controller: StateSpaceSystem, x0, T: float, dt: float):
+    """The trajectory of :func:`simulate_closed_loop` as Trajectory blocks of
+    consecutive rows, each of about CELLS trajectory.csv cells.
+
+    M is ``closed_loop_matrix(plant, controller)``, which a caller may need
+    for itself.  Stepping happens as the blocks are drawn.
+    """
+    n = plant.n
+    x0 = np.concatenate([np.asarray(x0).reshape(n), np.zeros(controller.n)])
+    columns = 1 + M.shape[0] + controller.p + plant.p  # t, x, w, u, y
+    for times, states in _free_blocks(M, x0, T, dt, columns):
+        yield Trajectory(times, states, states[:, :n] @ plant.C.T,
+                         states[:, n:] @ controller.C.T, dt=dt)
+
+
 def simulate_closed_loop(plant: StateSpaceSystem, controller: StateSpaceSystem,
                          x0, T: float, dt: float) -> Trajectory:
     """Exact-step simulation of the plant/controller interconnection.
@@ -154,29 +197,18 @@ def simulate_closed_loop(plant: StateSpaceSystem, controller: StateSpaceSystem,
     :func:`closed_loop_matrix` from (x0, 0).  Records y = C x and u = G w
     alongside it.
     """
-    M = closed_loop_matrix(plant, controller)
-    n = plant.n
-    x0 = np.concatenate([np.asarray(x0).reshape(n), np.zeros(controller.n)])
-    free = simulate_autonomous(M, x0, T, dt)
-    return Trajectory(free.times, free.states, free.states[:, :n] @ plant.C.T,
-                      free.states[:, n:] @ controller.C.T, dt=dt)
+    blocks = list(closed_loop_blocks(closed_loop_matrix(plant, controller), plant, controller,
+                                     x0, T, dt))
+    return Trajectory(*(np.concatenate([getattr(b, name) for b in blocks])
+                        for name in ("times", "states", "outputs", "inputs")), dt=dt)
 
 
 def simulate_autonomous(A: np.ndarray, x0, T: float, dt: float) -> Trajectory:
-    """Exact-step free evolution x' = A x, read out as y = x (one shared array).
-
-    One matrix exponential is reused for every step, so grid values carry no
-    integration error.
-    """
+    """Exact-step free evolution x' = A x, read out as y = x (one shared array)."""
     A = np.atleast_2d(np.asarray(A))
-    x0 = np.asarray(x0).reshape(A.shape[0])
-    times, n_steps = _steps_grid(T, dt)
-    Phi = matrix_exponential(A, dt)
-    states = np.empty((n_steps + 1, A.shape[0]), dtype=Phi.dtype)
-    states[0] = x0
-    for i in range(n_steps):
-        states[i + 1] = Phi @ states[i]
-    return Trajectory(times, states, states, np.zeros((n_steps + 1, 0)), dt=dt)
+    times, states = (np.concatenate(part) for part in
+                     zip(*_free_blocks(A, x0, T, dt, 1 + A.shape[0])))
+    return Trajectory(times, states, states, np.zeros((len(times), 0)), dt=dt)
 
 
 def simulate_modal(blocks, x0, T: float, dt: float) -> Trajectory:
@@ -193,9 +225,14 @@ def simulate_modal(blocks, x0, T: float, dt: float) -> Trajectory:
 
 def estimate_decay_rate(traj: Trajectory) -> float:
     """Negated least-squares slope of log ||x(t)|| past the transient window."""
-    norms = traj.state_norms()
+    return fit_decay_rate(traj.times, traj.state_norms())
+
+
+def fit_decay_rate(times: np.ndarray, norms: np.ndarray) -> float:
+    """:func:`estimate_decay_rate` of a trajectory with these times and
+    state norms."""
     start = int(math.floor(len(norms) * DECAY_SKIP_FRACTION))
-    t = traj.times[start:]
+    t = times[start:]
     r = norms[start:]
     keep = r > 0.0
     if np.sum(keep) < 2:

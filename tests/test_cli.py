@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +14,12 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from modalstab import (DecayEnvelope, StateSpaceSystem, TailModel, certify_small_gain, cli,
-                       decay_envelope, gain_strong, gain_weak, partition_spectrum, plants,
-                       reduced_R_system, select_truncation, synthesize_controller, truncate)
+                       closed_loop_matrix, decay_envelope, fileio, gain_strong, gain_weak,
+                       matrix_exponential, partition_spectrum, plants, reduced_R_system,
+                       select_truncation, spectral_abscissa, synthesize_controller, truncate)
 from modalstab.cli import build_plant, main
-from modalstab.errors import (BetaExceedsDecay, CertificateNotFound, NotHurwitz,
-                              NotReachable, UnstableModeDiscarded)
+from modalstab.errors import (BetaExceedsDecay, CertificateNotFound, DegenerateTrajectory,
+                              NotHurwitz, NotReachable, UnstableModeDiscarded)
 from modalstab.fileio import (read_json, validate_document, write_json_atomic,
                               write_sweep_csv)
 from modalstab.gains import beta_grid
@@ -191,6 +193,152 @@ def test_simulate_rejects_wrong_x0_length(tmp_path):
            "x0": [1.0, 2.0], "N": 6, "horizon": 2.0, "dt": 0.1}
     code, _ = run(tmp_path, "simulate", cfg, tag="bad")
     assert code == 2
+
+
+# The benchmark's trajectory plants: heat5 synthesizes at N=1 and writes 5
+# trajectory.csv columns, wave3 87 and heat15 133 (no certificate, but a
+# controller written for inspection).
+TRAJECTORY_PLANTS = {
+    "heat5": {"type": "heat", "b": 5.0, "f": {"kind": "constant", "value": 1.0}},
+    "wave3": {"type": "wave", "b": 3.0, "kappa": 1.0,
+              "f": {"kind": "indicator", "xi1": 0.0, "xi2": 0.5}},
+    "heat15": {"type": "heat", "b": 15.0, "f": {"kind": "indicator", "xi1": 0.0, "xi2": 0.5}},
+}
+
+
+@pytest.fixture(scope="module")
+def trajectory_controllers(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("trajectory_controllers")
+    paths = {}
+    for key, plant in TRAJECTORY_PLANTS.items():
+        _, out = run(tmp, "synthesize", {"plant": plant}, tag=key)
+        paths[key] = str(out / "controller.json")
+    return paths
+
+
+# The whole-trajectory simulate command, frozen as the reference for the
+# streamed one: every state, y and u held at once, trajectory.csv formatted
+# 256 rows at a time, and the decay fit over the whole trajectory.
+
+def _reference_trajectory(plant, controller, x0, T, dt):
+    M = closed_loop_matrix(plant, controller)
+    n = plant.n
+    n_steps = int(round(T / dt))
+    Phi = matrix_exponential(M, dt)
+    states = np.empty((n_steps + 1, M.shape[0]), dtype=Phi.dtype)
+    states[0] = np.concatenate([np.asarray(x0).reshape(n), np.zeros(controller.n)])
+    for i in range(n_steps):
+        states[i + 1] = Phi @ states[i]
+    return (np.arange(n_steps + 1) * dt, states, states[:, :n] @ plant.C.T,
+            states[:, n:] @ controller.C.T)
+
+
+def _reference_trajectory_csv(path, times, states, outputs, inputs, n_plant):
+    header = (["t"] + [f"x_{i + 1}" for i in range(n_plant)]
+              + [f"w_{i + 1}" for i in range(states.shape[1] - n_plant)]
+              + [f"u_{i + 1}" for i in range(inputs.shape[1])]
+              + [f"y_{i + 1}" for i in range(outputs.shape[1])])
+    columns = (times[:, None], states.real, inputs.real, outputs.real)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, len(times), 256):
+            block = [c[start:start + 256] for c in columns]
+            fh.write(fileio._format_rows(np.hstack(block, dtype=np.float64)))
+
+
+def _reference_decay_rate(times, norms) -> float:
+    start = int(math.floor(len(norms) * 0.3))
+    keep = norms[start:] > 0.0
+    if np.sum(keep) < 2:
+        raise DegenerateTrajectory("trajectory is zero after the skipped prefix")
+    return float(-np.polyfit(times[start:][keep], np.log(norms[start:][keep]), 1)[0])
+
+
+def _reference_cmd_simulate(cfg: dict, out_dir: str) -> int:
+    sys_, controller = cli._plant_and_controller(cfg, "simulate")
+    cert, N_design = cli._recheck_certificate(sys_, controller, cfg)
+    N = int(cfg["N"]) if cfg.get("N") is not None else N_design
+    truncated, _tail = truncate(sys_, N)
+    cli._check_io_dims(truncated, controller)
+    x0 = cli._resolve_x0(cfg, truncated.n)
+    times, states, outputs, inputs = _reference_trajectory(
+        truncated, controller.as_state_space(), x0, float(cfg["horizon"]), float(cfg["dt"]))
+    abscissa, witness = spectral_abscissa(
+        closed_loop_matrix(truncated, controller.as_state_space()))
+    norms = np.linalg.norm(states, axis=1)
+    rate = _reference_decay_rate(times, norms)
+    summary = {
+        "N": int(N),
+        "plant_dim": int(truncated.n),
+        "controller_dim": int(controller.n),
+        "horizon": float(cfg["horizon"]),
+        "dt": float(cfg["dt"]),
+        "decay_rate": float(rate),
+        "spectral_abscissa": float(abscissa),
+        "abscissa_witness": {"re": float(witness.real), "im": float(witness.imag)},
+        "certificate_beta": float(cert.beta),
+        "certificate_verdict": cert.verdict,
+        "final_norm": float(norms[-1]),
+    }
+    _reference_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), times, states,
+                              outputs, inputs, truncated.n)
+    write_json_atomic(os.path.join(out_dir, "summary.json"), summary)
+    print(f"simulate: decay_rate={rate:.9g} abscissa={abscissa:.9g} "
+          f"certificate_beta={cert.beta:.9g} ({cert.verdict})")
+    return 0
+
+
+@pytest.mark.parametrize("key, extra", [
+    ("heat5", {"x0": "ones"}),
+    ("heat15", {"x0": "random", "seed": 7}),
+    ("heat15", {"x0": "ones", "horizon": 1.21}),
+    ("wave3", {"x0": "list"}),
+    ("wave3", {"x0": "random", "seed": 3, "horizon": 0.01}),
+    ("heat5", {"x0": "zeros"}),
+], ids=["heat5_two_blocks", "heat15_partial_last_block", "heat15_two_whole_blocks",
+        "wave3_listed_x0", "wave3_two_rows", "zero_x0_degenerate_fit"])
+def test_streamed_simulate_writes_the_whole_trajectory_bytes(
+        tmp_path, capsys, monkeypatch, trajectory_controllers, key, extra):
+    # heat5 steps 2001 rows in blocks of 1638, heat15 in blocks of 61 (122
+    # rows fill two) and wave3 in blocks of 94; the zero x0 fails its fit and
+    # must leave no documents, as the reference does.
+    ctrl = trajectory_controllers[key]
+    cfg = {"plant": TRAJECTORY_PLANTS[key], "controller_file": ctrl,
+           "horizon": 20.0, "dt": 0.01, **extra}
+    if extra["x0"] in ("list", "zeros"):
+        dims = read_json(ctrl)["dims"]
+        n = dims["n_unstable"] + dims["n_retained"]
+        cfg["x0"] = ([(-1) ** k / (k + 1) for k in range(n)] if extra["x0"] == "list"
+                     else [0.0] * n)
+    outcomes = []
+    for tag in ("streamed", "reference"):
+        if tag == "reference":
+            monkeypatch.setitem(cli.COMMANDS, "simulate", _reference_cmd_simulate)
+        code, out = run(tmp_path, "simulate", cfg, tag=tag)
+        written = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        outcomes.append((code, capsys.readouterr(), written))
+    assert outcomes[0] == outcomes[1]
+    assert sorted(outcomes[0][2]) == ([] if extra["x0"] == "zeros"
+                                      else ["summary.json", "trajectory.csv"])
+
+
+def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path, trajectory_controllers):
+    # States, readouts and CSV text are held one block at a time: ten times
+    # the horizon adds only the grid's times and state norms, 16 bytes a row.
+    cfg = {"plant": TRAJECTORY_PLANTS["heat15"],
+           "controller_file": trajectory_controllers["heat15"],
+           "horizon": 20.0, "dt": 0.01, "x0": "random", "seed": 7}
+    run(tmp_path, "simulate", cfg, tag="warm")  # lazily built tables and caches
+    peaks = []
+    for horizon in (20.0, 200.0):
+        tracemalloc.start()
+        try:
+            code, _ = run(tmp_path, "simulate", {**cfg, "horizon": horizon}, tag=f"h{horizon:g}")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("b, n_max", [(5.0, 64), (math.pi ** 2, 8), (-1.0, 3),
@@ -664,22 +812,26 @@ def test_certify_falls_back_when_the_reduced_loop_is_not_hurwitz(tmp_path):
     ("synthesize", {"plant": CONST_HEAT, "beta_depth": 0}, 2),
     # one step of length 1e20 overflows the matrix exponential
     ("simulate", {"plant": CONST_HEAT, "horizon": 1e20, "dt": 1e20}, 2),
+    # a grid of 10^15 rows does not fit in memory
+    ("simulate", {"plant": CONST_HEAT, "horizon": 1e12, "dt": 1e-3}, 2),
     # the full-loop Lyapunov sign iteration overflows on a mode at -1e-200
     ("certify", {"plant": {"type": "heat", "b": -1e-200,
                            "f": {"kind": "constant", "value": 0.0}}}, 4),
     # B B* overflows in the Riccati Hamiltonian: no numpy warning line first
     ("synthesize", {"plant": {"type": "heat", "b": 5.0,
                               "f": {"kind": "coefficients", "values": [1e200, 1.0]}}}, 5),
-], ids=["beta_depth_0", "overflowing_step", "lyapunov_failure", "huge_coefficients"])
+], ids=["beta_depth_0", "overflowing_step", "huge_grid", "lyapunov_failure",
+        "huge_coefficients"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_former_tracebacks_exit_with_one_line(tmp_path, capsys, const_heat_controller,
                                               command, extra, expected):
     cfg = dict(extra)
     if command in ("certify", "simulate"):
         cfg["controller_file"] = const_heat_controller
-    code, _ = run(tmp_path, command, cfg)
+    code, out = run(tmp_path, command, cfg)
     assert code == expected
     assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not (out / "trajectory.csv").exists()
 
 
 @pytest.mark.parametrize("entry", ["1.0", True, None, [1.0], {}],

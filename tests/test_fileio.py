@@ -420,7 +420,7 @@ def test_trajectory_csv_layout(tmp_path):
     inputs = np.array([[9.0], [10.0]])
     traj = Trajectory(times, states, outputs, inputs, dt=0.5)
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(str(path), traj, n_plant=2)
+    write_trajectory_csv(str(path), [traj], n_plant=2)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "t,x_1,x_2,w_1,u_1,y_1"
     first = lines[1].split(",")
@@ -447,7 +447,7 @@ def test_trajectory_csv_matches_per_cell_format(tmp_path):
     outputs = np.array([[5e-324], [-math.inf], [7.0]])
     traj = Trajectory(times, states, outputs, inputs, dt=0.5)
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(str(path), traj, n_plant=2)
+    write_trajectory_csv(str(path), [traj], n_plant=2)
     rows = ["t,x_1,x_2,w_1,u_1,y_1"]
     for i, t in enumerate(times):
         row = [t, *states[i].real, *inputs[i].real, *outputs[i].real]
@@ -546,21 +546,28 @@ def _reference_csv(traj, n_plant: int) -> bytes:
     return ("\n".join(rows) + "\n").encode()
 
 
+def _blocks(traj, rows: int) -> list:
+    """traj as Trajectory blocks of ``rows`` consecutive rows."""
+    return [Trajectory(traj.times[i:i + rows], traj.states[i:i + rows],
+                       traj.outputs[i:i + rows], traj.inputs[i:i + rows], dt=traj.dt)
+            for i in range(0, len(traj.times), rows)]
+
+
 @pytest.mark.parametrize("rows", [1, 255, 256, 257, 2001])
 def test_trajectory_csv_rows_across_block_boundaries(tmp_path, rng, rows):
     traj = _trajectory(rng, rows)
     path = tmp_path / "trajectory.csv"
-    write_trajectory_csv(str(path), traj, n_plant=3)
+    write_trajectory_csv(str(path), _blocks(traj, 256), n_plant=3)
     assert path.read_bytes() == _reference_csv(traj, 3)
 
 
 def test_trajectory_csv_fallback_path_writes_the_same_bytes(tmp_path, rng, monkeypatch):
     traj = _trajectory(rng, 300)
     fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
-    write_trajectory_csv(str(fast), traj, n_plant=3)
+    write_trajectory_csv(str(fast), [traj], n_plant=3)
     # no rounding is decided in the formatter: every cell goes through "%.17g"
     monkeypatch.setattr(fileio, "_ROUNDING_MARGIN", 1.0)
-    write_trajectory_csv(str(slow), traj, n_plant=3)
+    write_trajectory_csv(str(slow), [traj], n_plant=3)
     assert slow.read_bytes() == fast.read_bytes() == _reference_csv(traj, 3)
 
 
@@ -577,7 +584,7 @@ def test_trajectory_csv_failure_mid_stream_keeps_the_old_file(tmp_path, rng, mon
 
     monkeypatch.setattr(fileio, "_format_rows", fail_on_second_block)
     with pytest.raises(OSError, match="disk full"):
-        write_trajectory_csv(str(path), _trajectory(rng, 600), n_plant=3)
+        write_trajectory_csv(str(path), _blocks(_trajectory(rng, 600), 256), n_plant=3)
     assert calls == [256, 256]
     assert os.listdir(tmp_path) == ["trajectory.csv"]
     assert path.read_bytes() == b"old\n"

@@ -5,16 +5,23 @@ rendered with %.17g (full round-trip precision), dictionaries keep their
 construction order, and writes go through a temp file plus rename.
 
 Trajectory rows are formatted by a numpy kernel that reproduces "%.17g"
-byte for byte, in row blocks.  For each cell it takes E = floor(log10|x|)
-and s = |x| * 10**(16 - E) in long double, from a table of powers of ten
-correctly rounded to a 64-bit mantissa (built on the first trajectory write).
-The relative error of s is at most 2 * 2**-64, so below 0.011 for
-s < 10**17, and round(s) is the 17-digit mantissa whenever frac(s) is at
-least 0.015 away from 1/2.  The digits then go through the %g rules: trailing
-zeros dropped, fixed notation for -4 <= E < 17, else an exponent of at least
-two digits.  Cells within the margin, ties included, and nan and infinities
-are formatted with "%.17g" itself; where long double has fewer than 64
-mantissa bits, that is every nonzero cell.
+byte for byte, in row blocks.  Zeros are "0" or "-0"; the digit stages run
+on the finite nonzero cells only.  For each it takes E = floor(log10|x|) and
+s = |x| * 10**(16 - E) as an unevaluated sum p + t of two doubles, from a
+table of 10**k = (hi + lo) * 2**e with hi and lo correctly rounded (built
+from exact ints on the first trajectory write).  |x| * 2**e is exact, p and
+the error of its product with hi come from Dekker's exact two-product, and
+t adds that error to the rounded product with lo.  For s < 2**57 the
+rounding of that product (2**-50), of the sum (2**-49) and the part of
+10**k below lo (2**-106 relative, 2**-49) keep |p + t - s| below
+3 * 2**-49 < 1e-14.  p is an integer above 2**53, so round(s) =
+p + round(t) is the 17-digit mantissa whenever frac(s) is more than 1e-9
+(_ROUNDING_MARGIN) away from 1/2.  No long double is involved, so every
+host takes this path.
+The digits then go through the %g rules: trailing zeros dropped, fixed
+notation for -4 <= E < 17, else an exponent of at least two digits.  Cells
+within the margin (in practice exact ties) and nan and infinities are
+formatted with "%.17g" itself.
 """
 
 from __future__ import annotations
@@ -383,38 +390,29 @@ def write_trajectory_csv(path: str, blocks, n_plant: int):
 
 
 # A cell whose scaled mantissa s has frac(s) within this of 1/2 is left to
-# "%.17g": s is off by less than 0.011 (module docstring).
-_ROUNDING_MARGIN = 0.015
+# "%.17g": s is off by less than 1e-14 (module docstring).
+_ROUNDING_MARGIN = 1e-9
 
 # Exponents k of the table of 10**k: 16 - E for every float64 exponent E,
 # with room for log10 missing by one.
 _POW10_LOW, _POW10_HIGH = -294, 344
 # Decimal exponents the exponent table covers, undecided cells' included.
 _EXP_BIAS = 330
+# Veltkamp's splitter: v * _SPLIT splits a double into two 26-bit halves.
+_SPLIT = 2.0 ** 27 + 1
 
 # Assembly layout of one cell, 46 bytes: sign, the "0.000" prefix of fixed
 # notation below 1, the 17 digits each followed by a decimal-point slot, the
 # exponent and the separator.  A cell's text is the subsequence its keep row
-# selects; the bytes left out are zeroed and deleted.
+# selects: its layout row holds the template's kept bytes, 0xFF in the kept
+# digit and exponent slots for the cell's own bytes to be and-ed in, and
+# zeros elsewhere, which are deleted.
 _TEMPLATE = np.frombuffer(b"-0.000" + b"0." * 17 + b"e+000,", dtype=np.uint8)
 _DIGITS = slice(6, 40, 2)
 _EXPONENT = slice(41, 45)
 # Keep-row forms: fixed notation for E = -4..16, scientific with a two- or
 # three-digit exponent, and zero.
 _SCIENTIFIC, _ZERO = 21, 23
-
-
-def _round_to_64_bits(num: int, den: int):
-    """(m, e) with m * 2**e the nearest 64-bit-mantissa value to num / den
-    (ties to even)."""
-    e = num.bit_length() - den.bit_length() - 64
-    if num << max(-e, 0) >= (den << max(e, 0)) << 64:
-        e += 1
-    n, d = num << max(-e, 0), den << max(e, 0)
-    m, r = divmod(n, d)
-    if 2 * r > d or (2 * r == d and m & 1):
-        m += 1
-    return m, e
 
 
 def _keep_row(form: int, significant: int, negative: bool) -> list:
@@ -442,72 +440,132 @@ def _keep_row(form: int, significant: int, negative: bool) -> list:
     return keep
 
 
+def _split(v):
+    """(high, low), v = high + low exactly, each with at most 26 significant bits."""
+    c = v * _SPLIT
+    high = c - (c - v)
+    return high, v - high
+
+
+def _power_of_ten(k: int):
+    """(e, hi, lo): 10**k = (hi + lo + tail) * 2**e with hi the double nearest
+    to 10**k / 2**e in [1, 2], lo the double nearest to the rest, and
+    |tail| <= 2**-106."""
+    num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
+    e = num.bit_length() - den.bit_length()
+    num, den = num << max(-e, 0), den << max(e, 0)
+    if num < den:
+        num, e = num << 1, e - 1
+    hi = num / den    # int true division rounds correctly
+    # hi * 2**52 is an integer, so the rest num / den - hi is a ratio of ints
+    return e, hi, ((num << 52) - int(hi * 2.0 ** 52) * den) / (den << 52)
+
+
 @functools.cache
 def _decimal_tables():
     """Lookup tables of the row formatter, built on its first call.
 
-    10**k rounded to nearest in a 64-bit mantissa for k in [_POW10_LOW,
-    _POW10_HIGH], from exact integers; the ASCII of 0000..9999 and of each
-    signed three-digit exponent, as uint32 words; the keep rows by
+    For k in [_POW10_LOW, _POW10_HIGH], 10**k as its binary exponent e and
+    the double-double 10**k / 2**e, hi pre-split (_power_of_ten); each of
+    0000..9999 as the 8 layout bytes "d.d.d.d." in a uint64 word, and its
+    trailing-zero count; the ASCII of each signed three-digit exponent; the
+    layout rows, the template bytes each keep row selects, by
     ((form * 17 + significant - 1) * 2 + negative); and each E's form.
     """
-    pairs = [_round_to_64_bits(10 ** max(k, 0), 10 ** max(-k, 0))
-             for k in range(_POW10_LOW, _POW10_HIGH + 1)]
-    # two 32-bit halves are exact in any long double, and so is their sum
-    hi = np.array([m >> 32 for m, _ in pairs], dtype=np.longdouble)
-    lo = np.array([m & 0xFFFFFFFF for m, _ in pairs], dtype=np.longdouble)
-    powers = np.ldexp(hi * 2.0 ** 32 + lo, [e for _, e in pairs])
-    quads = (np.arange(10 ** 4)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
-    quads = quads.view(np.uint32).ravel()
+    e, hi, lo = np.array([_power_of_ten(k) for k in range(_POW10_LOW, _POW10_HIGH + 1)]).T
+    # ldexp takes a C int exponent; an int64 one costs it a slow cast
+    powers = (e.astype(np.intc), *_split(hi), lo)
+    chunks = np.arange(10 ** 4)
+    quads = np.full((10 ** 4, 8), ord("."), dtype=np.uint8)
+    quads[:, ::2] = chunks[:, None] // [1000, 100, 10, 1] % 10 + 48
+    quads = quads.view(np.uint64).ravel()
+    # trailing zeros of the four digits; 0000 is left to the caller
+    trailing = (chunks % 10 == 0).astype(np.int64) + (chunks % 100 == 0) + (chunks % 1000 == 0)
     exponents = np.frombuffer("".join(f"{E:+04d}" for E in range(-_EXP_BIAS, _EXP_BIAS + 1))
                               .encode(), np.uint32)
     keep = np.array([_keep_row(form, significant, negative) for form in range(_ZERO + 1)
-                     for significant in range(1, 18) for negative in (False, True)])
+                     for significant in range(1, 18) for negative in (False, True)], dtype=bool)
     E = np.arange(-_EXP_BIAS, _EXP_BIAS + 1)
     forms = np.where((E >= -4) & (E < 17), E + 4, _SCIENTIFIC + (np.abs(E) >= 100))
-    return powers, quads, exponents, keep.astype(np.uint8) * 0xFF, forms
+    layout = _TEMPLATE.copy()
+    layout[_DIGITS] = layout[_EXPONENT] = 0xFF
+    return powers, quads, trailing, exponents, keep.astype(np.uint8) * layout, forms
+
+
+def _scaled(a: np.ndarray, E: np.ndarray, powers):
+    """(p, t) with p + t = a * 10**(16 - E) to within 3 * 2**-49 where that
+    is below 2**57: p is the rounded product of a * 2**e and hi, and t its
+    exact error (Dekker's two-product) plus the rounded product with lo."""
+    k = 16 - _POW10_LOW - E
+    e, hi_high, hi_low, lo = (np.take(table, k) for table in powers)
+    a = np.ldexp(a, e)
+    p = a * (hi_high + hi_low)
+    a_high, a_low = _split(a)
+    err = ((a_high * hi_high - p) + a_high * hi_low + a_low * hi_high) + a_low * hi_low
+    return p, err + a * lo
 
 
 def _format_rows(cells: np.ndarray) -> bytes:
     """CSV lines of a 2-D float64 array: each entry as ``"%.17g" % v``."""
-    powers, quads, exponents, keep, forms = _decimal_tables()
+    powers, quads, trailing, exponents, layouts, forms = _decimal_tables()
     x = cells.ravel()
-    n = x.size
-    a = np.abs(x)
-    # without a 64-bit mantissa the error bound fails: every cell falls back
-    regular = np.isfinite(a) & (a != 0) & (np.finfo(np.longdouble).nmant >= 63)
-    a = np.where(regular, a, 1.0)
+    finite = np.isfinite(x)
+    nonzero = np.flatnonzero(finite & (x != 0))
+    a = np.abs(np.take(x, nonzero))
     E = np.floor(np.log10(a)).astype(np.int64)
-    a = a.astype(np.longdouble)
-    s = a * powers[16 - E - _POW10_LOW]
-    # log10 may miss by one beside a power of ten
-    miss = (s >= 1e17).astype(np.int64) - (s < 1e16)
-    if miss.any():
-        E += miss
-        s = a * powers[16 - E - _POW10_LOW]
-    D = np.rint(s)
-    # |frac(s) - 1/2| = 1/2 - |s - round(s)|
-    decided = (regular & (np.abs((s - D).astype(np.float64)) <= 0.5 - _ROUNDING_MARGIN)
-               & (D >= 1e16) & (D <= 1e17))
-    carry = D == 1e17
+    p, t = _scaled(a, E, powers)
+    # log10 may miss by one beside a power of ten: s >= 1e17 or s < 1e16
+    miss = ((p - 1e17) + t >= 0).astype(np.int64) - ((p - 1e16) + t < 0)
+    redo = np.flatnonzero(miss)
+    if redo.size:
+        E[redo] += miss[redo]
+        p[redo], t[redo] = _scaled(a[redo], E[redo], powers)
+    r = np.rint(t)
+    # |frac(s) - 1/2| = 1/2 - |t - round(t)|; p is an integer wherever D is
+    # in range, as 1e16 - 24 > 2**53
+    D = p.astype(np.int64) + r.astype(np.int64)
+    decided = (np.abs(t - r) <= 0.5 - _ROUNDING_MARGIN) & (D >= 10 ** 16) & (D <= 10 ** 17)
+    carry = D == 10 ** 17
     E += carry
-    D = np.where(carry, 1e16, D).astype(np.int64)
+    D[carry] = 10 ** 16
 
-    buf = np.empty((n, _TEMPLATE.size), dtype=np.uint8)
-    buf[:] = _TEMPLATE
-    lead, tail = np.divmod(D, 10 ** 16)
-    upper, lower = np.divmod(tail, 10 ** 8)
-    chunks = np.stack([upper // 10 ** 4, upper % 10 ** 4, lower // 10 ** 4, lower % 10 ** 4], 1)
-    digits = buf[:, _DIGITS]
-    digits[:, 0] = 48 + lead
-    digits[:, 1:] = quads[chunks].view(np.uint8).reshape(n, 16)
-    significant = 17 - np.argmax(digits[:, ::-1] != 48, axis=1)
-    buf[:, _EXPONENT] = exponents[E + _EXP_BIAS].view(np.uint8).reshape(n, 4)
+    # D = lead * 10**16 + upper * 10**8 + lower: unsigned division is the
+    # cheaper one, and every quotient lands in a preallocated array
+    m = a.size
+    D = D.view(np.uint64)
+    top, lower, lead, upper = (np.empty(m, np.uint64) for _ in range(4))
+    np.floor_divide(D, 10 ** 8, out=top)
+    np.subtract(D, top * 10 ** 8, out=lower)
+    np.floor_divide(top, 10 ** 8, out=lead)
+    np.subtract(top, lead * 10 ** 8, out=upper)
+    chunks = np.empty((m, 4), np.uint64)
+    np.floor_divide(upper, 10 ** 4, out=chunks[:, 0])
+    np.subtract(upper, chunks[:, 0] * 10 ** 4, out=chunks[:, 1])
+    np.floor_divide(lower, 10 ** 4, out=chunks[:, 2])
+    np.subtract(lower, chunks[:, 2] * 10 ** 4, out=chunks[:, 3])
+    chunks = chunks.view(np.int64)    # each below 10**4: an index as it is
+
+    quad_text = np.take(quads, chunks).view(np.uint8).reshape(m, 32)
+    significant = 17 - np.take(trailing, chunks[:, 3])
+    empty = np.flatnonzero(chunks[:, 3] == 0)
+    tail = quad_text[empty, -2::-2] != 48    # digits 16 down to 1
+    significant[empty] = np.where(tail.any(axis=1), 17 - np.argmax(tail, axis=1), 1)
+    form = np.where(decided, np.take(forms, E + _EXP_BIAS), 0)
+    negative = np.signbit(x)
+    text = np.take(layouts, (form * 17 + significant - 1) * 2 + negative[nonzero], axis=0)
+    text[:, _DIGITS.start] &= (48 + lead).astype(np.uint8)
+    text[:, _DIGITS.start + 2:_DIGITS.stop] &= quad_text
+    text[:, _EXPONENT] &= np.take(exponents, E + _EXP_BIAS).view(np.uint8).reshape(m, 4)
+
+    # zeros by sign, then the nonzero cells' rows; nan, infinities and
+    # undecided cells are overwritten below
+    buf = text
+    if nonzero.size < x.size:
+        buf = np.take(layouts[_ZERO * 17 * 2:][:2], negative.view(np.uint8), axis=0)
+        row = f"V{_TEMPLATE.size}"
+        np.put(buf.view(row).ravel(), nonzero, text.view(row).ravel())
     buf.reshape(cells.shape + (_TEMPLATE.size,))[:, -1, -1] = ord("\n")
-
-    form = np.where(decided, forms[E + _EXP_BIAS], np.where(x == 0, _ZERO, 0))
-    buf &= keep[(form * 17 + significant - 1) * 2 + np.signbit(x)]
-    undecided = np.flatnonzero(~decided & (x != 0))
+    undecided = np.concatenate([nonzero[~decided], np.flatnonzero(~finite)])
     if undecided.size:
         text = ["%.17g" % v for v in x[undecided].tolist()]
         buf[undecided, :-1] = np.array(text, dtype=f"S{_TEMPLATE.size - 1}").view(

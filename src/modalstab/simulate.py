@@ -168,7 +168,7 @@ def _free_blocks(A: np.ndarray, x0, T: float, dt: float, columns: int):
         states = np.empty((len(block_times), A.shape[0]), dtype=Phi.dtype)
         states[0] = Phi @ state if start else state
         for i in range(1, len(states)):
-            states[i] = Phi @ states[i - 1]
+            np.dot(Phi, states[i - 1], out=states[i])
         state = states[-1]
         yield block_times, states
 
@@ -224,16 +224,24 @@ def simulate_modal(blocks, x0, T: float, dt: float) -> Trajectory:
 
 
 def estimate_decay_rate(traj: Trajectory) -> float:
-    """Negated least-squares slope of log ||x(t)|| past the transient window."""
+    """Negated least-squares slope of log ||x(t)|| past the transient window,
+    up to the last nonzero state."""
     return fit_decay_rate(traj.times, traj.state_norms())
 
 
 def fit_decay_rate(times: np.ndarray, norms: np.ndarray) -> float:
     """:func:`estimate_decay_rate` of a trajectory with these times and
-    state norms."""
-    start = int(math.floor(len(norms) * DECAY_SKIP_FRACTION))
-    t = times[start:]
-    r = norms[start:]
+    state norms.
+
+    The fit window ends at the last positive norm, since a stable loop's
+    states underflow to exact zeros on a long enough grid; its first
+    DECAY_SKIP_FRACTION is the skipped transient.
+    """
+    positive = np.flatnonzero(norms > 0.0)
+    end = positive[-1] + 1 if positive.size else 0
+    start = int(math.floor(end * DECAY_SKIP_FRACTION))
+    t = times[start:end]
+    r = norms[start:end]
     keep = r > 0.0
     if np.sum(keep) < 2:
         raise DegenerateTrajectory("trajectory is zero after the skipped prefix")

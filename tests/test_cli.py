@@ -134,6 +134,36 @@ def test_commands_load_neither_scipy_nor_jsonschema(tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+_SIMULATE_IMPORTS_SCRIPT = """
+import json, sys
+from modalstab.cli import main
+plant = json.loads(sys.argv[2])
+controller = sys.argv[1] + "/synthesize/controller.json"
+for command, cfg in (("synthesize", {"plant": plant}),
+                     ("simulate", {"plant": plant, "controller_file": controller,
+                                   "horizon": 1.0, "dt": 0.1, "x0": "random", "seed": 7})):
+    path = f"{sys.argv[1]}/{command}.json"
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    assert main([command, "--config", path, "--out", sys.argv[1] + "/" + command]) == 0
+print(sorted(name for name in sys.modules if "fraction" in name or "decimal" in name))
+"""
+
+
+def test_simulate_loads_neither_fractions_nor_decimal(tmp_path):
+    # The trajectory formatter builds its power table from exact ints:
+    # fractions would import decimal, a cost every cold command pays.
+    import modalstab
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(modalstab.__file__)))
+    done = subprocess.run([sys.executable, "-c", _SIMULATE_IMPORTS_SCRIPT, str(tmp_path),
+                           json.dumps(HEAT)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "simulate" / "trajectory.csv").exists()
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
                     reason="one CPU runs one BLAS thread either way")
 def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
@@ -339,6 +369,30 @@ def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path, trajectory_con
             tracemalloc.stop()
         assert code == 0
     assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("x0, code", [("ones", 0), ("zeros", 2)])
+def test_simulate_fits_the_decay_up_to_the_last_nonzero_state(
+        tmp_path, capsys, trajectory_controllers, x0, code):
+    # heat5's loop decays at rate 5, so its states underflow to exact zeros
+    # near t = 150, long before the last 70% of a 2000 s grid begins.  The fit
+    # ends at the last positive norm; a zero x0 has none and still exits 2.
+    ctrl = trajectory_controllers["heat5"]
+    dims = read_json(ctrl)["dims"]
+    cfg = {"plant": TRAJECTORY_PLANTS["heat5"], "controller_file": ctrl, "horizon": 2000.0,
+           "dt": 1.0, "x0": "ones" if x0 == "ones" else [0.0] * (dims["n_unstable"]
+                                                                + dims["n_retained"])}
+    got, out = run(tmp_path, "simulate", cfg, tag=x0)
+    assert got == code
+    if code:
+        assert "trajectory is zero after the skipped prefix" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+        return
+    summary = read_json(str(out / "summary.json"))
+    assert summary["final_norm"] == 0.0
+    assert summary["decay_rate"] == pytest.approx(-summary["spectral_abscissa"], rel=0.01)
+    rows = (out / "trajectory.csv").read_text().splitlines()
+    assert len(rows) == 2002 and rows[-1] == "2000,0,0,0,0"
 
 
 @pytest.mark.parametrize("b, n_max", [(5.0, 64), (math.pi ** 2, 8), (-1.0, 3),

@@ -510,17 +510,68 @@ def test_row_formatter_matches_format_across_the_notation_switches():
     _assert_rows_match(values + [-v for v in values])
 
 
+def _nearest_double(x: float, exact: Fraction) -> bool:
+    """No double beside x is closer to the exact value than x."""
+    return all(abs(exact - Fraction(x)) <= abs(exact - Fraction(float(np.nextafter(x, to))))
+               for to in (-np.inf, np.inf))
+
+
+def _bits(x: float) -> int:
+    """Significant bits of a double."""
+    num = abs(x.as_integer_ratio()[0])
+    return (num >> ((num & -num).bit_length() - 1)).bit_length() if num else 0
+
+
 def test_power_table_is_correctly_rounded():
-    if np.finfo(np.longdouble).nmant < 63:
-        pytest.skip("long double narrower than a 64-bit mantissa: every cell falls back")
-    powers = fileio._decimal_tables()[0]
-    for k, p in zip(range(fileio._POW10_LOW, fileio._POW10_HIGH + 1), powers):
-        num, den = p.as_integer_ratio()
-        exact = Fraction(10) ** k
-        # floor(log2(10**k)); 10**k is no power of two for k != 0
-        log2 = (10 ** k).bit_length() - 1 if k >= 0 else -(10 ** -k).bit_length()
-        half_ulp = Fraction(2) ** (log2 - 64)
-        assert abs(Fraction(num, den) - exact) <= half_ulp, k
+    # 10**k = (hi + lo) * 2**e with hi the double nearest to 10**k / 2**e in
+    # [1, 2] and lo the double nearest to the rest; hi is stored as two
+    # halves of at most 26 bits for Dekker's exact product
+    exponents, hi_high, hi_low, lo = fileio._decimal_tables()[0]
+    assert exponents.size == fileio._POW10_HIGH - fileio._POW10_LOW + 1
+    for k, e, high, low, rest in zip(range(fileio._POW10_LOW, fileio._POW10_HIGH + 1),
+                                     exponents.tolist(), hi_high.tolist(), hi_low.tolist(),
+                                     lo.tolist()):
+        scaled = Fraction(10) ** k / Fraction(2) ** e
+        assert 1 <= scaled < 2, k
+        hi = high + low
+        assert Fraction(hi) == Fraction(high) + Fraction(low), k
+        assert _bits(high) <= 26 and _bits(low) <= 26, k
+        assert _nearest_double(hi, scaled), k
+        assert _nearest_double(rest, scaled - Fraction(hi)), k
+        # what is left is below 2**-106, so the scaled mantissa is off by
+        # less than 1e-14 (module docstring)
+        assert abs(scaled - Fraction(hi) - Fraction(rest)) <= Fraction(1, 2 ** 106), k
+
+
+def test_row_formatter_matches_format_on_ties_and_their_neighbours():
+    # each of the first eleven bases b gives one k with an exact 17-digit
+    # tie in b * (1 + 2**-k): 1 + 2**-17 is 1.00000762939453125; every such
+    # value and its neighbours within 3 ulps must round as "%.17g" does
+    bases = [1.0, 3.0, 5.0, 7.0, 0.75, 1.25, 9.5, 12345.0, 2.0 ** -10, 2.0 ** 20, 2.0 ** 50,
+             0.1, 7e-300, 6.02e23]
+    values = [v for b in bases for k in range(1, 60) for v in _neighbours(b * (1 + 2.0 ** -k), 3)]
+    _assert_rows_match(values)
+    _assert_rows_match([-v for v in values])
+
+
+def test_row_formatter_matches_format_on_sparse_decaying_blocks(rng):
+    # like a parabolic loop's trajectory: about half the cells exact zeros,
+    # whole zero columns, signed zeros and subnormals among decayed modes
+    cells = rng.standard_normal((61, 133)) * 10.0 ** -rng.integers(0, 320, size=(61, 133))
+    cells[rng.random(cells.shape) < 0.3] = 0.0
+    cells[:, 101:] = 0.0
+    cells[:, 90:95] = -0.0
+    cells[::7, 40:50] = np.array([5e-324, -5e-324, 2.2e-308, -1e-310, 4e-320,
+                                  1e-323, -2.225073858507201e-308, 3e-315, 0.0, -0.0])
+    assert 0.4 < np.mean(cells == 0) < 0.6
+    assert fileio._format_rows(cells) == _reference_rows(cells)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (61, 133)])
+def test_row_formatter_matches_format_on_all_zero_blocks(shape):
+    cells = np.zeros(shape)
+    cells[:, ::2] = -0.0
+    assert fileio._format_rows(cells) == _reference_rows(cells)
 
 
 def _trajectory(rng, rows: int, n_plant: int = 3) -> Trajectory:

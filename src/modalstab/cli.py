@@ -31,7 +31,7 @@ from .errors import (BetaExceedsDecay, CertificateNotFound, DimensionMismatch,
                      NoAdmissibleParameter, NotDetectable, NotHurwitz, NotReachable,
                      NotStabilizable, RiccatiDivergence)
 from .fileio import SchemaViolation
-from .gains import BETA_GRID_DEPTH, loop_bounds, scan_certificate
+from .gains import BETA_GRID_DEPTH, beta_grid, loop_bounds, scan_certificate
 from .modal import (ModalSystem, StateSpaceSystem, closed_loop_matrix,
                     partition_spectrum, select_truncation, truncate, truncate_tail)
 from .plants import DEFAULT_N_MAX, SourceProfile, build_heat, build_heat_boundary, build_wave
@@ -450,7 +450,7 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
     # One beta for every row keeps the columns comparable: the most
     # permissive grid point admissible at the smallest N.
     alpha_min = min(truncate_tail(sys_, ns[0]).decay_alpha, loop.env.alpha)
-    beta = alpha_min / 2.0 ** int(cfg["beta_depth"])
+    beta = beta_grid(alpha_min, int(cfg["beta_depth"]))[-1]
 
     rows = []
     for N in ns:

@@ -232,10 +232,6 @@ class StabilityCertificate:
         }
 
 
-def _small_gain_holds(beta: float, product: float, bounds) -> bool:
-    return beta > 0 and product < 1.0 and all(math.isfinite(b.value) for b in bounds)
-
-
 def certify_small_gain(gain_R: GainBound, is_R: GainBound, gain_tail_bound: GainBound,
                        is_tail: GainBound, N: int) -> StabilityCertificate:
     """Combine tail and controller-loop bounds into a verdict.
@@ -259,7 +255,7 @@ def certify_small_gain(gain_R: GainBound, is_R: GainBound, gain_tail_bound: Gain
 
     product = gain_R.value * gain_tail_bound.value
     finite = all(math.isfinite(b.value) for b in (gain_R, is_R, gain_tail_bound, is_tail))
-    certified = _small_gain_holds(beta, product, (gain_R, is_R, gain_tail_bound, is_tail))
+    certified = beta > 0 and product < 1.0 and finite
     diagnostics = [
         f"beta={beta:.9g}",
         f"gain_tail={gain_tail_bound.value:.9g}",
@@ -327,14 +323,29 @@ def loop_bounds(r_sys, margin_fraction: float = 0.5) -> LoopBounds:
 def scan_certificate(tail: TailModel, loop: LoopBounds, N: int,
                      depth: int = BETA_GRID_DEPTH,
                      fixed_beta: float = None) -> StabilityCertificate:
-    """Scan the beta grid and return the first Certified certificate.
+    """Scan the beta grid and return the largest Certified grid beta.
 
     ``loop`` is the controller loop's ``loop_bounds``, so one envelope serves
-    many tails.  The grid is {alpha_min / 2^j} with alpha_min the smaller of
-    the tail decay rate and the controller-loop envelope rate.  If no grid
-    point certifies, the first minimum-product attempt is returned with
-    verdict Failed.  With ``fixed_beta`` set, only that single beta is
-    evaluated.
+    many tails.  The grid is {alpha_min / 2^j : j = 1..depth} with alpha_min
+    the smaller of the tail decay rate and the controller-loop envelope rate
+    (j = 0 is never strictly below both), less the points that underflow to
+    0, which never certify.  With ``fixed_beta`` set, only that single beta
+    is evaluated.
+
+    Every bound grows with beta: a / (alpha - beta) and
+    (1 + alpha - beta) / (alpha - beta) do for each envelope, and the norms
+    do not depend on beta.  So the product and the finiteness of the bounds
+    only worsen as beta grows: if the smallest grid beta fails, every grid
+    beta fails, and the certifying grid points are a run at the small end.
+    The scan evaluates the smallest beta first and returns it, with verdict
+    Failed, if it does not certify (its product is then the least of the
+    grid); when that product is not finite, it returns the largest grid beta
+    instead, as a least-product rule would.  Otherwise it bisects for the
+    largest certifying grid beta.  A Failed scan costs one evaluation (two
+    when its product is not finite), a Certified one at most
+    1 + ceil(log2 depth).  The returned certificate is always the one
+    evaluated at its beta, so soundness does not rest on the monotonicity;
+    only the choice among grid points does.
     """
     if tail.decay_alpha <= 0:
         raise BetaExceedsDecay(f"tail decay rate {tail.decay_alpha:g} <= 0")
@@ -346,21 +357,27 @@ def scan_certificate(tail: TailModel, loop: LoopBounds, N: int,
             truncation_N=int(N), verdict="Failed",
             diagnostics=(f"controller loop is not exponentially stable: {loop.failure}",))
     tail_env = DecayEnvelope(tail.amplitude_a, tail.decay_alpha)
+
+    def attempt(beta):
+        h_tail, g_tail = gain_weak(tail_env, beta, tail.input_norm, tail.output_graph_norm)
+        h_r, g_r = gain_strong(loop.env, beta, loop.norm_b, loop.norm_c, loop.norm_a)
+        return certify_small_gain(g_r, h_r, g_tail, h_tail, N)
+
+    if fixed_beta is not None:
+        return attempt(float(fixed_beta))
     alpha_min = min(tail.decay_alpha, loop.env.alpha)
-    grid = [float(fixed_beta)] if fixed_beta is not None else beta_grid(alpha_min, depth)
-    best = None
-    for beta in grid:
-        try:
-            h_tail, g_tail = gain_weak(tail_env, beta, tail.input_norm, tail.output_graph_norm)
-            h_r, g_r = gain_strong(loop.env, beta, loop.norm_b, loop.norm_c, loop.norm_a)
-        except BetaExceedsDecay:
-            continue
-        bounds = (g_r, h_r, g_tail, h_tail)
-        product = g_r.value * g_tail.value
-        if _small_gain_holds(beta, product, bounds):
-            return certify_small_gain(*bounds, N)
-        if best is None or product < best[0]:
-            best = (product, bounds)
-    if best is None:
+    grid = [beta for beta in beta_grid(alpha_min, depth)[1:] if beta > 0]
+    if not grid:
         raise BetaExceedsDecay("no grid beta lies strictly below both decay rates")
-    return certify_small_gain(*best[1], N)
+    cert = attempt(grid[-1])
+    if cert.verdict != "Certified":
+        return cert if math.isfinite(cert.product) else attempt(grid[0])
+    lo, hi = 0, len(grid) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        trial = attempt(grid[mid])
+        if trial.verdict == "Certified":
+            hi, cert = mid, trial
+        else:
+            lo = mid + 1
+    return cert

@@ -1,17 +1,21 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from modalstab import (DecayEnvelope, GainBound, StabilityCertificate,
+from modalstab import (DecayEnvelope, GainBound, StabilityCertificate, StateSpaceSystem,
                        certify_small_gain, decay_envelope, gain_strong, gain_weak, gains,
-                       scan_certificate, truncate)
+                       partition_spectrum, scan_certificate, synthesize_controller, truncate)
 from modalstab.errors import (BetaExceedsDecay, BetaMismatch, LyapunovSolveFailed,
                               NotHurwitz, SmoothnessMismatch)
-from modalstab.gains import beta_grid, loop_bounds
-from modalstab.modal import TailModel
+from modalstab.gains import BETA_GRID_DEPTH, LoopBounds, beta_grid, loop_bounds
+from modalstab.modal import TailModel, truncate_tail
 from modalstab.plants import SourceProfile, build_heat
 from modalstab.simulate import matrix_exponential
+from modalstab.synthesis import reduced_R_system
 
 from conftest import random_hurwitz
 
@@ -216,3 +220,131 @@ def test_scan_certificate_fixed_beta():
     r_sys = StateSpaceSystem([[-2.0]], [[1.0]], [[1.0]])
     cert = scan_certificate(tail, loop_bounds(r_sys), N=1, fixed_beta=0.125)
     assert cert.beta == 0.125
+
+
+def test_scan_certificate_edges():
+    tail = TailModel(decay_alpha=5.0, input_norm=0.01, output_graph_norm=0.1)
+    loop = loop_bounds(StateSpaceSystem([[-2.0]], [[1.0]], [[1.0]]))
+    with pytest.raises(BetaExceedsDecay, match="no grid beta lies strictly below both"):
+        scan_certificate(tail, loop, N=1, depth=0)
+    # the loop envelope rate is 1 (margin 0.5 of the pole at -2)
+    for beta in (1.0, 5.0):
+        with pytest.raises(BetaExceedsDecay):
+            scan_certificate(tail, loop, N=1, fixed_beta=beta)
+
+
+_UNIT = np.finfo(float).eps
+_sizes = st.floats(min_value=0.0, max_value=1e3)
+_rates = st.floats(min_value=1e-3, max_value=1e3)
+_amplitudes = st.floats(min_value=1.0, max_value=1e3)
+
+
+@given(a=_amplitudes, alpha=_rates, norms=st.tuples(_sizes, _sizes, _sizes),
+       fractions=st.tuples(st.floats(min_value=0.0, max_value=0.999),
+                           st.floats(min_value=0.0, max_value=0.999)))
+def test_gains_nondecreasing_in_beta(a, alpha, norms, fractions):
+    env = DecayEnvelope(a, alpha)
+    lo, hi = sorted(alpha * f for f in fractions)
+    norm_b, norm_c, norm_a = norms
+    weak = [gain_weak(env, beta, norm_b, norm_c) for beta in (lo, hi)]
+    strong = [gain_strong(env, beta, norm_b, norm_c, norm_a) for beta in (lo, hi)]
+    assert weak[0][0].value <= weak[1][0].value
+    assert strong[0][0].value <= strong[1][0].value
+    assert strong[0][1].value <= strong[1][1].value
+    # (1 + alpha - beta) and (alpha - beta) are rounded apart, so the weak IO
+    # value may dip by a few units of roundoff between betas an ulp apart.
+    assert weak[0][1].value <= weak[1][1].value * (1.0 + 4.0 * _UNIT)
+
+
+def _grid_scan(tail, loop, N, depth):
+    """The scan before bisection: every grid point, in descending order.
+
+    Returns the first Certified certificate, else the first one of least
+    product, and the products of the points it could evaluate.
+    """
+    tail_env = DecayEnvelope(tail.amplitude_a, tail.decay_alpha)
+    best, products = None, []
+    for beta in beta_grid(min(tail.decay_alpha, loop.env.alpha), depth):
+        try:
+            h_tail, g_tail = gain_weak(tail_env, beta, tail.input_norm, tail.output_graph_norm)
+            h_r, g_r = gain_strong(loop.env, beta, loop.norm_b, loop.norm_c, loop.norm_a)
+        except BetaExceedsDecay:
+            continue
+        cert = certify_small_gain(g_r, h_r, g_tail, h_tail, N)
+        products.append(cert.product)
+        if cert.verdict == "Certified":
+            return cert, products
+        if best is None or cert.product < best.product:
+            best = cert
+    return best, products
+
+
+def _counted_scan(tail, loop, depth):
+    with mock.patch.object(gains, "gain_weak", wraps=gains.gain_weak) as weak:
+        cert = scan_certificate(tail, loop, N=3, depth=depth)
+    return cert, weak.call_count
+
+
+@given(tail=st.builds(TailModel, _rates, _sizes, _sizes, _amplitudes),
+       loop=st.builds(LoopBounds, st.builds(DecayEnvelope, _amplitudes, _rates),
+                      _sizes, _sizes, _sizes),
+       depth=st.integers(min_value=1, max_value=40))
+def test_scan_matches_full_grid_scan(tail, loop, depth):
+    cert, evaluations = _counted_scan(tail, loop, depth)
+    if cert.verdict == "Certified":
+        assert evaluations <= 1 + (depth - 1).bit_length()
+    else:
+        assert evaluations == 1
+    reference, products = _grid_scan(tail, loop, 3, depth)
+    # Byte-identity rests on the product growing with beta; on a Failed scan,
+    # strictly at the small end, so that the least product is the smallest beta's.
+    if reference.verdict == "Failed":
+        assume(depth == 1 or products[-2] > products[-1])
+    assert cert.to_document() == reference.to_document()
+
+
+def _reduced_loop(sys_, N):
+    """The README's controller loop over the unstable prefix of truncate(sys_, N)."""
+    truncated, _tail = truncate(sys_, N)
+    ctrl = synthesize_controller(partition_spectrum(sys_), truncated)
+    n_u = ctrl.n_unstable
+    return loop_bounds(reduced_R_system(truncated.A[:n_u, :n_u], truncated.B[:n_u, :],
+                                        truncated.C[:, :n_u], ctrl.K_u, ctrl.L_u))
+
+
+@pytest.mark.parametrize("empty_loop, beta", [(False, 0.35355339059327373), (True, 25.0)],
+                         ids=["inf", "nan"])
+def test_scan_returns_largest_beta_when_product_is_not_finite(empty_loop, beta):
+    # An amplitude near the float maximum overflows the tail gain: the product
+    # is inf, or nan when an empty loop's zero gain meets it.
+    tail = TailModel(50.0, 1.0, 1.0, amplitude_a=1e308)
+    if empty_loop:
+        loop = LoopBounds(DecayEnvelope(1.0, math.inf), 0.0, 0.0, 0.0)
+    else:
+        loop = _reduced_loop(build_heat(1.0, SourceProfile.constant(1.0), N_max=4), 1)
+    cert, evaluations = _counted_scan(tail, loop, BETA_GRID_DEPTH)
+    assert (cert.verdict, cert.beta, evaluations) == ("Failed", beta, 2)
+    assert math.isnan(cert.product) == empty_loop and not math.isfinite(cert.product)
+    reference, _products = _grid_scan(tail, loop, 3, BETA_GRID_DEPTH)
+    assert repr(cert.to_document()) == repr(reference.to_document())
+
+
+def test_scan_skips_grid_betas_that_underflow():
+    # alpha_min / 2^12 underflows to 0, where no verdict certifies; the
+    # tail has no input, so every positive beta certifies.
+    tail = TailModel(1e-320, 0.0, 0.0)
+    loop = LoopBounds(DecayEnvelope(1.0, math.inf), 0.0, 0.0, 0.0)
+    cert = scan_certificate(tail, loop, N=3)
+    assert cert.verdict == "Certified" and cert.beta == beta_grid(1e-320)[1]
+    assert cert.to_document() == _grid_scan(tail, loop, 3, BETA_GRID_DEPTH)[0].to_document()
+
+
+def test_scan_evaluation_counts():
+    # the README example: Failed at N = 4, Certified at N = 8
+    sys_ = build_heat(5.0, SourceProfile.coefficients([1.0 / (k + 1) ** 2 for k in range(33)]),
+                      N_max=32)
+    counts = {}
+    for N in (4, 8):
+        cert, counts[cert.verdict] = _counted_scan(truncate_tail(sys_, N), _reduced_loop(sys_, N),
+                                                   BETA_GRID_DEPTH)
+    assert counts["Failed"] == 1 and 1 <= counts["Certified"] <= 5

@@ -323,7 +323,7 @@ def loop_bounds(r_sys, margin_fraction: float = 0.5) -> LoopBounds:
 def scan_certificate(tail: TailModel, loop: LoopBounds, N: int,
                      depth: int = BETA_GRID_DEPTH,
                      fixed_beta: float = None) -> StabilityCertificate:
-    """Scan the beta grid and return the largest Certified grid beta.
+    """The certificate at the largest certifying grid beta, else a Failed one.
 
     ``loop`` is the controller loop's ``loop_bounds``, so one envelope serves
     many tails.  The grid is {alpha_min / 2^j : j = 1..depth} with alpha_min

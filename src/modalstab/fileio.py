@@ -372,8 +372,9 @@ def write_trajectory_csv(path: str, blocks, n_plant: int):
 
     ``blocks`` yields the trajectory as Trajectory blocks of consecutive
     rows; each is formatted and written as it arrives, so only one block's
-    text is ever held in memory.
+    text is ever held in memory, in buffers that every block reuses.
     """
+    buffers = None
     with _atomic_output(path, "wb") as fh:
         for i, block in enumerate(blocks):
             if i == 0:
@@ -386,7 +387,31 @@ def write_trajectory_csv(path: str, blocks, n_plant: int):
                 fh.write((",".join(header) + "\n").encode())
             columns = (block.times[:, None], block.states.real, block.inputs.real,
                        block.outputs.real)
-            fh.write(_format_rows(np.hstack(columns, dtype=np.float64)))
+            rows = len(block.times)
+            if buffers is None or rows > len(buffers.cells):
+                buffers = _RowBuffers(rows, sum(c.shape[1] for c in columns))
+            cells = np.concatenate(columns, axis=1, out=buffers.cells[:rows])
+            fh.write(_format_rows(cells, buffers))
+
+
+class _RowBuffers:
+    """The arrays that formatting a block fills, for blocks of up to ``rows``
+    rows of ``columns`` cells.
+
+    The blocks of one trajectory write share one set, so that blocks after
+    the first write into pages the first one faulted in.  All are allocated
+    at once, before the first block's temporaries: allocated one by one
+    among them, they left a long-running process's heap about 2 MB higher
+    after the write.
+    """
+
+    def __init__(self, rows: int, columns: int):
+        size = rows * columns
+        self.cells = np.empty((rows, columns))
+        self.chunks = np.empty((size, 4), np.uint64)
+        self.quads = np.empty((size, 4), np.uint64)
+        self.text = np.empty((size, _TEMPLATE.size), np.uint8)
+        self.rows = np.empty((size, _TEMPLATE.size), np.uint8)
 
 
 # A cell whose scaled mantissa s has frac(s) within this of 1/2 is left to
@@ -505,8 +530,14 @@ def _scaled(a: np.ndarray, E: np.ndarray, powers):
     return p, err + a * lo
 
 
-def _format_rows(cells: np.ndarray) -> bytes:
-    """CSV lines of a 2-D float64 array: each entry as ``"%.17g" % v``."""
+def _format_rows(cells: np.ndarray, buffers: _RowBuffers = None) -> bytes:
+    """CSV lines of a 2-D float64 array: each entry as ``"%.17g" % v``.
+
+    The digit chunks and the assembled text are built in ``buffers``, fresh
+    ones unless given.  The takes into them use mode="clip", as every index
+    is in range and the default "raise" would copy through a temporary.
+    """
+    buffers = _RowBuffers(*cells.shape) if buffers is None else buffers
     powers, quads, trailing, exponents, layouts, forms = _decimal_tables()
     x = cells.ravel()
     finite = np.isfinite(x)
@@ -538,21 +569,23 @@ def _format_rows(cells: np.ndarray) -> bytes:
     np.subtract(D, top * 10 ** 8, out=lower)
     np.floor_divide(top, 10 ** 8, out=lead)
     np.subtract(top, lead * 10 ** 8, out=upper)
-    chunks = np.empty((m, 4), np.uint64)
+    chunks = buffers.chunks[:m]
     np.floor_divide(upper, 10 ** 4, out=chunks[:, 0])
     np.subtract(upper, chunks[:, 0] * 10 ** 4, out=chunks[:, 1])
     np.floor_divide(lower, 10 ** 4, out=chunks[:, 2])
     np.subtract(lower, chunks[:, 2] * 10 ** 4, out=chunks[:, 3])
     chunks = chunks.view(np.int64)    # each below 10**4: an index as it is
 
-    quad_text = np.take(quads, chunks).view(np.uint8).reshape(m, 32)
+    quad_text = np.take(quads, chunks, out=buffers.quads[:m], mode="clip").view(
+        np.uint8).reshape(m, 32)
     significant = 17 - np.take(trailing, chunks[:, 3])
     empty = np.flatnonzero(chunks[:, 3] == 0)
     tail = quad_text[empty, -2::-2] != 48    # digits 16 down to 1
     significant[empty] = np.where(tail.any(axis=1), 17 - np.argmax(tail, axis=1), 1)
     form = np.where(decided, np.take(forms, E + _EXP_BIAS), 0)
     negative = np.signbit(x)
-    text = np.take(layouts, (form * 17 + significant - 1) * 2 + negative[nonzero], axis=0)
+    text = np.take(layouts, (form * 17 + significant - 1) * 2 + negative[nonzero], axis=0,
+                   out=buffers.text[:m], mode="clip")
     text[:, _DIGITS.start] &= (48 + lead).astype(np.uint8)
     text[:, _DIGITS.start + 2:_DIGITS.stop] &= quad_text
     text[:, _EXPONENT] &= np.take(exponents, E + _EXP_BIAS).view(np.uint8).reshape(m, 4)
@@ -561,7 +594,8 @@ def _format_rows(cells: np.ndarray) -> bytes:
     # undecided cells are overwritten below
     buf = text
     if nonzero.size < x.size:
-        buf = np.take(layouts[_ZERO * 17 * 2:][:2], negative.view(np.uint8), axis=0)
+        buf = np.take(layouts[_ZERO * 17 * 2:][:2], negative.view(np.uint8), axis=0,
+                      out=buffers.rows[:x.size], mode="clip")
         row = f"V{_TEMPLATE.size}"
         np.put(buf.view(row).ravel(), nonzero, text.view(row).ravel())
     buf.reshape(cells.shape + (_TEMPLATE.size,))[:, -1, -1] = ord("\n")

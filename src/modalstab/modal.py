@@ -371,7 +371,10 @@ def closed_loop_matrix(plant: StateSpaceSystem, controller: StateSpaceSystem) ->
     """Generator of the output-feedback interconnection in direct coordinates.
 
     Plant (A,B,C) in feedback with controller (E,F,G): u = G w, controller is
-    driven by y = C x.
+    driven by y = C x.  The result is float64 when every entry is real, as
+    for every shipped plant and controller document, so that :mod:`.simulate`
+    exponentiates, steps and eigen-solves a real loop in real arithmetic;
+    otherwise it is complex128.
     """
     if plant.m != controller.p:
         raise DimensionMismatch(f"controller emits {controller.p} inputs, plant expects {plant.m}")
@@ -383,6 +386,8 @@ def closed_loop_matrix(plant: StateSpaceSystem, controller: StateSpaceSystem) ->
     M[:n, n:] = plant.B @ controller.C
     M[n:, :n] = controller.B @ plant.C
     M[n:, n:] = controller.A
+    if not np.any(M.imag):
+        return np.ascontiguousarray(M.real)
     return M
 
 

@@ -3,7 +3,11 @@
 Everything here is deliberately independent of the certificate machinery so
 the two sides can check each other: stepping is exact for LTI dynamics (no
 time-discretization error at grid points), and the gain probe produces
-certified lower bounds from explicit input families.
+certified lower bounds from explicit input families.  The exponential, the
+stepping and the spectral abscissa take their arithmetic from the matrix's
+dtype, so a real closed loop (see :func:`closed_loop_matrix`) is
+exponentiated, stepped and eigen-solved in float64, a complex one in
+complex128.
 """
 
 from __future__ import annotations
@@ -89,7 +93,7 @@ def matrix_exponential(A: np.ndarray, t: float = 1.0) -> np.ndarray:
     n = At.shape[0]
     if n == 0:
         return np.zeros((0, 0), dtype=dtype)
-    nrm = float(np.max(np.sum(np.abs(At), axis=0))) if n else 0.0
+    nrm = float(np.max(np.sum(np.abs(At), axis=0)))
     for order, theta in _PADE_THETA:
         if nrm <= theta:
             return _pade_low(At, order)

@@ -16,7 +16,8 @@ from scipy.linalg import block_diag
 from modalstab import (DecayEnvelope, StateSpaceSystem, TailModel, certify_small_gain, cli,
                        closed_loop_matrix, decay_envelope, fileio, gain_strong, gain_weak,
                        matrix_exponential, partition_spectrum, plants, reduced_R_system,
-                       select_truncation, spectral_abscissa, synthesize_controller, truncate)
+                       select_truncation, simulate_closed_loop, spectral_abscissa,
+                       synthesize_controller, truncate)
 from modalstab.cli import build_plant, main
 from modalstab.errors import (BetaExceedsDecay, CertificateNotFound, DegenerateTrajectory,
                               NotHurwitz, NotReachable, UnstableModeDiscarded)
@@ -350,6 +351,44 @@ def test_streamed_simulate_writes_the_whole_trajectory_bytes(
     assert outcomes[0] == outcomes[1]
     assert sorted(outcomes[0][2]) == ([] if extra["x0"] == "zeros"
                                       else ["summary.json", "trajectory.csv"])
+
+
+def _bench_loop(trajectory_controllers, key):
+    """(truncated plant, controller, config) of the benchmark's simulate of key."""
+    cfg = {**cli.CONFIG_DEFAULTS, "plant": TRAJECTORY_PLANTS[key],
+           "controller_file": trajectory_controllers[key],
+           "horizon": 20.0, "dt": 0.01, "x0": "random", "seed": 7}
+    sys_, controller = cli._plant_and_controller(cfg, "simulate")
+    _cert, N = cli._recheck_certificate(sys_, controller, cfg)
+    return truncate(sys_, N)[0], controller.as_state_space(), cfg
+
+
+def test_simulate_witness_of_a_real_loop_is_real(tmp_path, trajectory_controllers):
+    # heat5's abscissa is a real double eigenvalue of a real loop; a complex
+    # eigensolver gave it an imaginary part of 9.5e-8
+    _, _, cfg = _bench_loop(trajectory_controllers, "heat5")
+    code, out = run(tmp_path, "simulate", cfg)
+    assert code == 0
+    witness = read_json(str(out / "summary.json"))["abscissa_witness"]
+    assert witness["im"] == 0.0
+
+
+@pytest.mark.parametrize("key, tol", [("heat5", 1e-11), ("wave3", 1e-12)])
+def test_real_loop_steps_like_the_complex_loop(trajectory_controllers, key, tol):
+    # heat5's loop is a 2x2 Jordan-like block (a defective double eigenvalue),
+    # so rounding grows as the square of the step count: at row 2000 the
+    # float64 and complex128 steps are 2.9e-12 and 4.0e-12 from the exact
+    # e^{M t} x0, and 1.1e-12 from each other
+    plant, controller, cfg = _bench_loop(trajectory_controllers, key)
+    x0 = cli._resolve_x0(cfg, plant.n)
+    states = simulate_closed_loop(plant, controller, x0, cfg["horizon"], cfg["dt"]).states
+    assert states.dtype == np.float64
+    M = closed_loop_matrix(plant, controller).astype(np.complex128)
+    Phi = matrix_exponential(M, cfg["dt"])
+    step = np.concatenate([x0, np.zeros(controller.n)]).astype(np.complex128)
+    for row in states:
+        assert np.linalg.norm(row - step) <= tol * np.linalg.norm(step)
+        step = Phi @ step
 
 
 def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path, trajectory_controllers):

@@ -612,6 +612,18 @@ def test_trajectory_csv_rows_across_block_boundaries(tmp_path, rng, rows):
     assert path.read_bytes() == _reference_csv(traj, 3)
 
 
+def test_trajectory_csv_blocks_larger_than_the_first(tmp_path, rng):
+    # the blocks of one write share buffers sized by the first block; a
+    # larger block replaces them
+    traj = _trajectory(rng, 600)
+    edges = [0, 3, 300, 301, 600]
+    blocks = [Trajectory(traj.times[a:b], traj.states[a:b], traj.outputs[a:b],
+                         traj.inputs[a:b], dt=traj.dt) for a, b in zip(edges, edges[1:])]
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(str(path), blocks, n_plant=3)
+    assert path.read_bytes() == _reference_csv(traj, 3)
+
+
 def test_trajectory_csv_fallback_path_writes_the_same_bytes(tmp_path, rng, monkeypatch):
     traj = _trajectory(rng, 300)
     fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
@@ -627,11 +639,11 @@ def test_trajectory_csv_failure_mid_stream_keeps_the_old_file(tmp_path, rng, mon
     path.write_bytes(b"old\n")
     format_rows, calls = fileio._format_rows, []
 
-    def fail_on_second_block(cells):
+    def fail_on_second_block(cells, buffers):
         calls.append(len(cells))
         if len(calls) == 2:
             raise OSError("disk full")
-        return format_rows(cells)
+        return format_rows(cells, buffers)
 
     monkeypatch.setattr(fileio, "_format_rows", fail_on_second_block)
     with pytest.raises(OSError, match="disk full"):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,6 +167,31 @@ def test_close_loop_scalar_example():
     assert eig_match_distance(np.linalg.eigvals(M), [-1.0, -1.0]) < 1e-6
     direct = closed_loop_matrix(plant, controller)
     assert eig_match_distance(np.linalg.eigvals(direct), [-1.0, -1.0]) < 1e-6
+
+
+def _assembled_loop(plant, controller):
+    return np.block([[plant.A, plant.B @ controller.C], [controller.B @ plant.C, controller.A]])
+
+
+def test_closed_loop_matrix_is_float64_for_a_real_loop(rng):
+    plant = random_system(rng, 4, m=2, p=3)
+    controller = random_system(rng, 3, m=3, p=2)
+    M = closed_loop_matrix(plant, controller)
+    assert M.dtype == np.float64 and M.flags.c_contiguous
+    assert np.array_equal(M, _assembled_loop(plant, controller))
+
+
+@pytest.mark.parametrize("side, name", [(side, name) for side in ("plant", "controller")
+                                        for name in "ABC"])
+def test_closed_loop_matrix_stays_complex_for_a_complex_block(rng, side, name):
+    loop = {"plant": random_system(rng, 4, m=2, p=3),
+            "controller": random_system(rng, 3, m=3, p=2)}
+    entries = getattr(loop[side], name).copy()
+    entries[0, 0] += 1e-3j
+    loop[side] = dataclasses.replace(loop[side], **{name: entries})
+    M = closed_loop_matrix(loop["plant"], loop["controller"])
+    assert M.dtype == np.complex128 and np.any(M.imag)
+    assert np.array_equal(M, _assembled_loop(loop["plant"], loop["controller"]))
 
 
 def test_close_loop_similarity_random(rng):

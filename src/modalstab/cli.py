@@ -35,7 +35,7 @@ from .gains import BETA_GRID_DEPTH, beta_grid, loop_bounds, scan_certificate
 from .modal import (ModalSystem, StateSpaceSystem, closed_loop_matrix,
                     partition_spectrum, select_truncation, truncate, truncate_tail)
 from .plants import DEFAULT_N_MAX, SourceProfile, build_heat, build_heat_boundary, build_wave
-from .simulate import closed_loop_blocks, fit_decay_rate, spectral_abscissa
+from .simulate import closed_loop_blocks, fit_decay_rate, row_norms, spectral_abscissa
 from .synthesis import (DesignInfo, ObserverController, check_stabilizable, loop_system,
                         matches_observer_structure, observer_controller, reduced_R_system,
                         synthesize_controller)
@@ -403,7 +403,7 @@ def cmd_simulate(cfg: dict, out_dir: str) -> int:
         nonlocal rate, final_norm
         norms = []
         for block in closed_loop_blocks(M, truncated, controller_ss, x0, T, dt):
-            norms.append(np.linalg.norm(block.states, axis=1))
+            norms.append(row_norms(block.states))
             yield block
         norms = np.concatenate(norms)
         # still inside the write: a failed fit leaves no trajectory.csv

@@ -38,6 +38,8 @@ _B13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
 _MAX_SQUARINGS = 60
 # Leading share of a trajectory that the decay-rate fit skips as transient.
 DECAY_SKIP_FRACTION = 0.3
+# A row norm below this may have squared entries outside the normal range.
+TINY_NORM = 1e-140
 # Trajectories are stepped in blocks of max(1, CELLS // columns) rows, where
 # columns is the width of their trajectory.csv rows, so that a streamed run
 # holds one block of states and formatted text whatever its horizon.
@@ -144,7 +146,22 @@ class Trajectory:
             object.__setattr__(self, name, arr)
 
     def state_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.states, axis=1)
+        return row_norms(self.states)
+
+
+def row_norms(states: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row.  A row whose norm is below TINY_NORM is
+    recomputed as 2^e ||x / 2^e||, with 2^e at its largest |entry|, so that
+    squares below the normal range do not vanish; the scaling is exact, so a
+    row none of whose squares underflowed keeps its bits."""
+    norms = np.linalg.norm(states, axis=1)
+    tiny = np.flatnonzero(norms < TINY_NORM)
+    if tiny.size:
+        rows = states[tiny].astype(np.result_type(states.dtype, np.float64))
+        e = np.frexp(np.max(np.abs(rows), axis=1))[1]
+        scaled = np.ldexp(rows.view(np.float64), -e[:, None]).view(rows.dtype)
+        norms[tiny] = np.ldexp(np.linalg.norm(scaled, axis=1), e)
+    return norms
 
 
 def _steps_grid(T: float, dt: float):

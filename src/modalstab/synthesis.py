@@ -20,9 +20,10 @@ from .errors import (
     NotStabilizable,
     RiccatiDivergence,
 )
-from .modal import ModalSystem, SpectrumPartition, StateSpaceSystem, _matrix_sign
+from .modal import ModalSystem, SpectrumPartition, StateSpaceSystem, _matrix_sign, truncate
 
-# Singular values below RANK_RTOL * sigma_max count as zero in rank tests.
+# A PBH pencil [lambda I - A, X] is rank deficient when sigma_min is at most
+# RANK_RTOL * max(||A||_F, ||X||_F), over the whole unstable prefix.
 RANK_RTOL = 1e-10
 # Relative entrywise mismatch up to which a controller has the observer structure.
 STRUCTURE_RTOL = 1e-8
@@ -54,82 +55,61 @@ class ModeCheckReport:
     offending_detectable: tuple
 
 
-def _pencil_rank_margin(pencil: np.ndarray, dim: int):
-    """(full_rank, margin): margin is sigma_dim / sigma_1 (0 if sigma_1 = 0)."""
-    sv = np.linalg.svd(pencil, compute_uv=False)
-    if sv[0] == 0.0:
-        return dim == 0, 0.0
-    margin = float(sv[dim - 1] / sv[0]) if dim >= 1 else 1.0
-    return margin > RANK_RTOL, margin
+def _pbh_margin(A: np.ndarray, X: np.ndarray, eigenvalues) -> float:
+    """Least sigma_min([lambda I - A, X]) over ``eigenvalues``, relative to
+    max(||A||_F, ||X||_F); 1 when there are none, the most it can be, since
+    sigma_min <= ||X||_2 at an eigenvalue of A.  This is the Hautus (PBH)
+    test: (A, X) is stabilizable at lambda iff the pencil has full row rank."""
+    if not eigenvalues:
+        return 1.0
+    scale = max(float(np.linalg.norm(A)), float(np.linalg.norm(X)))
+    if scale == 0.0:
+        return 0.0
+    eye = np.eye(A.shape[0])
+    return min(float(np.linalg.svd(np.hstack([ev * eye - A, X]), compute_uv=False)[-1])
+               for ev in eigenvalues) / scale
 
 
 def check_stabilizable(sys: ModalSystem) -> ModeCheckReport:
-    """Rank test [lambda I - A_k, B_k] at every unstable block eigenvalue.
-
-    Block spectra are disjoint by construction, so per-block tests decide
-    stabilizability of the whole resolved part.  The report also carries the
-    dual (detectability) results, [lambda I - A_k; C_k], since both share the
-    spectral work.  Only the unstable prefix has eigenvalues to test; the
-    coefficient norms come from the system's block table.
+    """PBH tests of the dense unstable prefix (A_u, B_u, C_u) at each block's
+    eigenvalues with Re >= 0: the tests ``design_feedback`` and
+    ``design_observer`` apply.  A block is stabilizable when its stab_margin,
+    ``_pbh_margin(A_u, B_u, ...)``, exceeds RANK_RTOL; detectable when the
+    det_margin of (A_u*, C_u*) at conj(lambda) does, the conjugate transpose
+    of [lambda I - A_u; C_u] with the same singular values.  Stable blocks
+    have nothing to test and margin 1.  The coefficient norms come from the
+    system's block table.
     """
+    prefix, _tail = truncate(sys, sys.n_unstable)
+    A, B, A_dual, C_dual = prefix.A, prefix.B, prefix.A.conj().T, prefix.C.conj().T
     entries = []
-    bad_stab, bad_det = [], []
     for i, (label, d, b_norm, c_norm) in enumerate(zip(
             sys.labels.tolist(), sys.dims.tolist(), sys.input_norms.tolist(),
             sys.output_norms.tolist())):
-        unstable = []
-        stab_ok, det_ok = True, True
-        stab_margin, det_margin = 1.0, 1.0
-        if i < sys.n_unstable:
-            blk = sys.block(i)
-            unstable = [complex(ev) for ev in sys.eigenvalues(i) if ev.real >= 0.0]
-            eye = np.eye(d, dtype=np.complex128)
-            for ev in unstable:
-                pencil_b = np.hstack([ev * eye - blk.block_matrix, blk.input_row])
-                ok_b, m_b = _pencil_rank_margin(pencil_b, d)
-                stab_ok &= ok_b
-                stab_margin = min(stab_margin, m_b)
-                pencil_c = np.vstack([ev * eye - blk.block_matrix, blk.output_col])
-                ok_c, m_c = _pencil_rank_margin(pencil_c, d)
-                det_ok &= ok_c
-                det_margin = min(det_margin, m_c)
-        if not stab_ok:
-            bad_stab.append(label)
-        if not det_ok:
-            bad_det.append(label)
+        unstable = tuple(ev for ev in sys.eigenvalues(i).tolist()
+                         if ev.real >= 0.0) if i < sys.n_unstable else ()
+        stab_margin = _pbh_margin(A, B, unstable)
+        det_margin = _pbh_margin(A_dual, C_dual, [ev.conjugate() for ev in unstable])
         entries.append(BlockModeCheck(
             label=label,
             dim=d,
-            unstable_eigenvalues=tuple(unstable),
-            stabilizable=stab_ok,
-            detectable=det_ok,
+            unstable_eigenvalues=unstable,
+            stabilizable=stab_margin > RANK_RTOL,
+            detectable=det_margin > RANK_RTOL,
             stab_margin=stab_margin,
             det_margin=det_margin,
             input_coefficient=b_norm,
             output_coefficient=c_norm,
         ))
+    bad_stab = tuple(e.label for e in entries if not e.stabilizable)
+    bad_det = tuple(e.label for e in entries if not e.detectable)
     return ModeCheckReport(
         blocks=tuple(entries),
         stabilizable=not bad_stab,
         detectable=not bad_det,
-        offending_stabilizable=tuple(bad_stab),
-        offending_detectable=tuple(bad_det),
+        offending_stabilizable=bad_stab,
+        offending_detectable=bad_det,
     )
-
-
-def _pbh_dense(A: np.ndarray, B: np.ndarray) -> bool:
-    """Dense stabilizability PBH test at every eigenvalue with Re >= 0."""
-    n = A.shape[0]
-    if n == 0:
-        return True
-    eye = np.eye(n, dtype=np.complex128)
-    for ev in np.linalg.eigvals(A):
-        if ev.real < 0.0:
-            continue
-        ok, _ = _pencil_rank_margin(np.hstack([ev * eye - A, B]), n)
-        if not ok:
-            return False
-    return True
 
 
 def care_stabilizing_solution(A: np.ndarray, B: np.ndarray):
@@ -180,7 +160,7 @@ def design_feedback(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=np.complex128)
     n = A.shape[0]
     B = np.asarray(B, dtype=np.complex128)
-    if not _pbh_dense(A, B):
+    if _pbh_margin(A, B, [ev for ev in np.linalg.eigvals(A) if ev.real >= 0.0]) <= RANK_RTOL:
         raise NotStabilizable("an eigenvalue with Re >= 0 is unreachable from the input")
     P, _ = care_stabilizing_solution(A, B)
     K = -B.conj().T @ P

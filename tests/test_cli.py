@@ -434,6 +434,29 @@ def test_simulate_fits_the_decay_up_to_the_last_nonzero_state(
     assert len(rows) == 2002 and rows[-1] == "2000,0,0,0,0"
 
 
+def test_simulate_norms_do_not_underflow(tmp_path):
+    # The loop decays at rate 20.5, so its last states are near 1e-171 and
+    # their squares underflow: the state norms must not, and the fit must use
+    # the whole window.
+    plant = {"type": "heat", "b": 60.0, "N_max": 64,
+             "f": {"kind": "indicator", "xi1": 0.1, "xi2": 0.6}}
+    code, syn = run(tmp_path, "synthesize", {"plant": plant}, tag="syn")
+    assert code == 4
+    cfg = {"plant": plant, "controller_file": str(syn / "controller.json"),
+           "x0": "random", "seed": 7}
+    code, out = run(tmp_path, "simulate", cfg, tag="sim")
+    assert code == 0
+    summary = read_json(str(out / "summary.json"))
+    n = summary["plant_dim"] + summary["controller_dim"]
+    rows = [[float(v) for v in line.split(",")]
+            for line in (out / "trajectory.csv").read_text().splitlines()[1:]]
+    times = np.array([row[0] for row in rows])
+    norms = np.array([math.hypot(*row[1:1 + n]) for row in rows])  # scaled, exact to an ulp
+    assert np.all(norms > 0.0) and norms[-1] < 1e-160
+    assert summary["final_norm"] == pytest.approx(norms[-1], rel=1e-14, abs=0.0)
+    assert summary["decay_rate"] == pytest.approx(_reference_decay_rate(times, norms), rel=1e-12)
+
+
 @pytest.mark.parametrize("b, n_max", [(5.0, 64), (math.pi ** 2, 8), (-1.0, 3),
                                       (5.0, 1), (42.0, 2)])
 def test_boundary_plant_shares_one_far_table(b, n_max):
@@ -790,6 +813,29 @@ def test_unstabilizable_plant_fails_synthesis(tmp_path, capsys, plant):
     assert code == 5
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("synthesis failed: ")
+
+
+@pytest.mark.parametrize("f", [
+    {"kind": "coefficients", "values": [1.0, 1e-30] + [0.0] * 63},
+    # the quadrature leaves f_1 = 5.5e-17 where the constant kind has an exact 0
+    {"kind": "samples", "values": [1.0] * 4097},
+], ids=["coefficients", "samples"])
+def test_nearly_unreachable_mode_fails_analyze_and_synthesis(tmp_path, capsys, f):
+    plant = {"type": "heat", "b": 15.0, "f": f, "N_max": 64}
+    code, out = run(tmp_path, "analyze", {"plant": plant})
+    assert code == 0
+    doc = read_json(str(out / "analysis.json"))
+    assert doc["verdict"]["stabilizable"] is False
+    assert doc["verdict"]["offending_stabilizable"] == [1]
+    mode1 = doc["modes"][1]
+    assert mode1["label"] == 1 and mode1["input_coefficient"] > 0.0
+    assert not mode1["stabilizable"] and mode1["stab_margin"] < 1e-10
+    capsys.readouterr()
+    for command, extra in (("synthesize", {}), ("sweep", {"sweep_N": [2, 8]})):
+        code, _ = run(tmp_path, command, {"plant": plant, **extra}, tag=command)
+        assert code == 5
+        assert capsys.readouterr().err == (
+            "synthesis failed: unstable modes [1] are unreachable from the input\n")
 
 
 @pytest.mark.parametrize("plant, inputs, message", [

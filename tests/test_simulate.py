@@ -11,7 +11,7 @@ from modalstab import (SourceProfile, StateSpaceSystem, brute_force_gain,
                        reduced_R_system, synthesize_controller, truncate)
 from modalstab.errors import DegenerateTrajectory, DimensionMismatch
 from modalstab.gains import loop_bounds
-from modalstab.simulate import BRUTE_FORCE_MAX_STEPS, BRUTE_FORCE_OMEGAS, Trajectory
+from modalstab.simulate import BRUTE_FORCE_MAX_STEPS, BRUTE_FORCE_OMEGAS, Trajectory, row_norms
 
 from conftest import random_hurwitz, random_system
 
@@ -103,6 +103,22 @@ def test_estimate_decay_rate_rejects_zero_trajectory():
                       np.zeros((len(times), 0)), dt=0.1)
     with pytest.raises(DegenerateTrajectory):
         estimate_decay_rate(traj)
+
+
+def test_state_norms_survive_underflowing_squares(rng):
+    # e^{-0.7 t} reaches 1e-304 at t = 1000, where its square is no longer a
+    # normal double; 0 and subnormal rows keep their exact norms.
+    times = np.arange(0.0, 1000.0001, 1.0)
+    decay = np.exp(-0.7 * times)
+    states = np.column_stack([3.0 * decay, -4.0 * decay, 0.0 * decay])
+    traj = Trajectory(times, states, states, np.zeros((len(times), 0)), dt=1.0)
+    assert np.allclose(traj.state_norms(), 5.0 * decay, rtol=1e-15, atol=0.0)
+    assert estimate_decay_rate(traj) == pytest.approx(0.7, rel=1e-10)
+    assert list(row_norms(np.array([[0.0, 0.0], [5e-324, 0.0]]))) == [0.0, 5e-324]
+    # rows whose squares stay normal keep their bits, complex ones too
+    for tiny in (1e-141 * rng.standard_normal((30, 6)),
+                 1e-141 * (rng.standard_normal((30, 6)) + 1j * rng.standard_normal((30, 6)))):
+        assert np.array_equal(row_norms(tiny), np.linalg.norm(tiny, axis=1))
 
 
 def test_trajectory_validation():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modalstab import (SourceProfile, StateSpaceSystem, build_heat,
                        check_stabilizable, design_feedback,
@@ -100,12 +102,81 @@ def test_check_stabilizable_flags_zero_coefficient():
     assert by_label[2].unstable_eigenvalues == ()
 
 
+def test_check_stabilizable_flags_an_all_zero_pencil():
+    # b = 0 and f = 0: A_u = 0 and B_u = 0 leave no scale to measure against.
+    report = check_stabilizable(build_heat(0.0, SourceProfile.constant(0.0), N_max=4))
+    assert report.offending_stabilizable == (0,)
+    assert report.blocks[0].stab_margin == 0.0 and report.detectable
+
+
 def test_check_detectable_flags_zero_output():
     blocks = (ModalBlock([[1.0]], [[1.0]], [[0.0]], label=0),)
     tail = TailModel(decay_alpha=1.0, input_norm=0.0, output_graph_norm=0.0)
     report = check_stabilizable(ModalSystem(blocks, tail, 1, 1))
     assert report.stabilizable and not report.detectable
     assert report.offending_detectable == (0,)
+
+
+def test_nearly_invisible_unstable_block_is_not_detectable():
+    # Block 1's own pencil [0; 1e-30] has full rank relative to itself; relative
+    # to the unstable prefix it is rank deficient, as the observer design finds.
+    blocks = (ModalBlock([[2.0]], [[1.0]], [[1.0]], label=0),
+              ModalBlock([[1.0]], [[1.0]], [[1e-30]], label=1),
+              ModalBlock([[-3.0]], [[1.0]], [[1.0]], label=2))
+    tail = TailModel(decay_alpha=4.0, input_norm=0.0, output_graph_norm=0.0)
+    sys_ = ModalSystem(blocks, tail, 1, 1)
+    report = check_stabilizable(sys_)
+    assert report.stabilizable and not report.detectable
+    assert report.offending_detectable == (1,)
+    assert report.blocks[1].det_margin < 1e-29
+    prefix, _ = truncate(sys_, sys_.n_unstable)
+    design_feedback(prefix.A, prefix.B)
+    with pytest.raises(NotDetectable):
+        design_observer(prefix.A, prefix.C)
+
+
+# A modal coefficient: an exact zero, or +-10^e with e down to -30.
+_COEFFICIENT = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([-1.0, 1.0]),
+              st.floats(-30.0, 0.0)))
+
+
+@st.composite
+def _block(draw, unstable: bool):
+    """A 1x1 block at a real eigenvalue or a 2x2 rotation block at re +- i im."""
+    re = draw(st.floats(0.0, 10.0) if unstable else st.floats(-10.0, -0.1))
+    if draw(st.booleans()):
+        A = [[re]]
+    else:
+        im = draw(st.floats(0.1, 10.0))
+        A = [[re, im], [-im, re]]
+    B = [[draw(_COEFFICIENT)] for _ in A]
+    C = [[draw(_COEFFICIENT) for _ in A]]
+    return A, B, C
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(unstable=st.lists(_block(True), min_size=1, max_size=4),
+       stable=st.lists(_block(False), max_size=2))
+def test_rank_report_predicts_the_designs(unstable, stable):
+    blocks = [ModalBlock(A, B, C, label=k) for k, (A, B, C) in enumerate(unstable + stable)]
+    tail = TailModel(decay_alpha=20.0, input_norm=0.0, output_graph_norm=0.0)
+    sys_ = ModalSystem(blocks, tail, 1, 1)
+    report = check_stabilizable(sys_)
+    prefix, _ = truncate(sys_, sys_.n_unstable)
+    for design, X, verdict, rank_error in (
+            (design_feedback, prefix.B, report.stabilizable, NotStabilizable),
+            (design_observer, prefix.C, report.detectable, NotDetectable)):
+        try:
+            design(prefix.A, X)
+        except rank_error:
+            assert not verdict
+        except RiccatiDivergence:
+            # raised past the rank test, which the report must have passed too
+            assert verdict
+        else:
+            assert verdict
 
 
 def test_synthesize_controller_structure():

@@ -185,20 +185,21 @@ def _eig_doc(values) -> list:
 
 
 def analysis_document(plant_doc: dict, sys_: ModalSystem, part, report, lift) -> dict:
-    modes = []
-    for i, chk in enumerate(report.blocks):
-        modes.append({
-            "label": int(chk.label),
-            "dim": int(chk.dim),
-            "unstable": i < sys_.n_unstable,
-            "eigenvalues": _eig_doc(sys_.eigenvalues(i)),
-            "stabilizable": bool(chk.stabilizable),
-            "detectable": bool(chk.detectable),
-            "stab_margin": float(chk.stab_margin),
-            "det_margin": float(chk.det_margin),
-            "input_coefficient": float(chk.input_coefficient),
-            "output_coefficient": float(chk.output_coefficient),
-        })
+    stable = (1.0,) * (len(sys_) - sys_.n_unstable)  # no rank test, the most a margin can be
+    modes = [{
+        "label": label,
+        "dim": dim,
+        "unstable": i < sys_.n_unstable,
+        "eigenvalues": _eig_doc(sys_.eigenvalues(i)),
+        "stabilizable": label not in report.offending_stabilizable,
+        "detectable": label not in report.offending_detectable,
+        "stab_margin": stab_margin,
+        "det_margin": det_margin,
+        "input_coefficient": b_norm,
+        "output_coefficient": c_norm,
+    } for i, (label, dim, stab_margin, det_margin, b_norm, c_norm) in enumerate(zip(
+        sys_.labels.tolist(), sys_.dims.tolist(), report.stab_margins + stable,
+        report.det_margins + stable, sys_.input_norms.tolist(), sys_.output_norms.tolist()))]
     doc = {
         "plant": plant_doc,
         "spectrum": {
@@ -270,12 +271,14 @@ def cmd_analyze(cfg: dict, out_dir: str) -> int:
 
 
 def _require_synthesizable(report):
+    """The unstable prefix of a report that passes both rank tests."""
     if not report.stabilizable:
         raise NotStabilizable(
             f"unstable modes {list(report.offending_stabilizable)} are unreachable from the input")
     if not report.detectable:
         raise NotDetectable(
             f"unstable modes {list(report.offending_detectable)} are invisible at the output")
+    return report.prefix
 
 
 def _epsilon_halving(sys_: ModalSystem, epsilon: float):
@@ -293,12 +296,11 @@ def _epsilon_halving(sys_: ModalSystem, epsilon: float):
     yield count
 
 
-def _prefix_design(sys_: ModalSystem, part, margin_fraction: float):
+def _prefix_design(prefix: StateSpaceSystem, part, margin_fraction: float):
     """The controller over the unstable prefix and the bounds of its reduced loop.
 
     Neither depends on the truncation order, so one serves every candidate N.
     """
-    prefix, _tail = truncate(sys_, sys_.n_unstable)
     design = synthesize_controller(part, prefix)
     return design, loop_bounds(_controller_loop(prefix, design), margin_fraction)
 
@@ -313,7 +315,7 @@ def _write_design(out_dir: str, sys_: ModalSystem, design: ObserverController, c
 def cmd_synthesize(cfg: dict, out_dir: str) -> int:
     sys_, lift = build_plant(cfg["plant"])
     part = partition_spectrum(sys_)
-    _require_synthesizable(check_stabilizable(sys_))
+    prefix = _require_synthesizable(check_stabilizable(sys_))
 
     if cfg.get("N") is not None:
         candidates = iter([int(cfg["N"])])
@@ -329,7 +331,7 @@ def cmd_synthesize(cfg: dict, out_dir: str) -> int:
         tail = truncate_tail(sys_, N)
         if design is None:
             # after the first tail, so that an inadmissible N is reported first
-            design, loop = _prefix_design(sys_, part, float(cfg["margin_fraction"]))
+            design, loop = _prefix_design(prefix, part, float(cfg["margin_fraction"]))
         cert = scan_certificate(tail, loop, N, depth=int(cfg["beta_depth"]))
         if cert.verdict == "Certified":
             _write_design(out_dir, sys_, design, cert)
@@ -436,7 +438,7 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
         raise SchemaViolation("sweep requires a non-empty sweep_N list")
     sys_, lift = build_plant(cfg["plant"])
     part = partition_spectrum(sys_)
-    _require_synthesizable(check_stabilizable(sys_))
+    prefix = _require_synthesizable(check_stabilizable(sys_))
 
     ns = sorted({int(N) for N in requested})
     for N in ns:
@@ -444,7 +446,7 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
             raise ValueError(
                 f"sweep N={N} outside [{sys_.n_unstable}, {len(sys_)}]")
 
-    _design, loop = _prefix_design(sys_, part, float(cfg["margin_fraction"]))
+    _design, loop = _prefix_design(prefix, part, float(cfg["margin_fraction"]))
     if loop.env is None:
         raise NotHurwitz(loop.failure)
     # One beta for every row keeps the columns comparable: the most

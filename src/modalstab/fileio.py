@@ -152,7 +152,8 @@ def matrix_from_doc(doc, rows: int = None, cols: int = None) -> np.ndarray:
 
 
 def schema_text(name: str) -> str:
-    return (resources.files("modalstab") / "schemas" / f"{name}.schema.json").read_text()
+    path = resources.files("modalstab") / "schemas" / f"{name}.schema.json"
+    return path.read_text(encoding="utf-8")
 
 
 # Each keyword check takes (value, instance, schema, root, path) and yields
@@ -358,7 +359,7 @@ def read_json(path: str, schema_name: str = None) -> dict:
         raise SchemaViolation(f"{path}: invalid JSON: {name} is not a number")
 
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, parse_constant=non_finite)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaViolation(f"{path}: invalid JSON: {exc}") from exc

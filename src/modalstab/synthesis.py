@@ -30,29 +30,23 @@ STRUCTURE_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
-class BlockModeCheck:
-    """Rank-test outcome for one modal block."""
-
-    label: int
-    dim: int
-    unstable_eigenvalues: tuple
-    stabilizable: bool
-    detectable: bool
-    stab_margin: float
-    det_margin: float
-    input_coefficient: float
-    output_coefficient: float
-
-
-@dataclass(frozen=True)
 class ModeCheckReport:
-    """Per-block and global stabilizability/detectability verdicts."""
+    """PBH margins of the unstable blocks, in block order, the labels of
+    those that fail, and the dense unstable prefix (A_u, B_u, C_u) tested."""
 
-    blocks: tuple
-    stabilizable: bool
-    detectable: bool
+    prefix: StateSpaceSystem
+    stab_margins: tuple
+    det_margins: tuple
     offending_stabilizable: tuple
     offending_detectable: tuple
+
+    @property
+    def stabilizable(self) -> bool:
+        return not self.offending_stabilizable
+
+    @property
+    def detectable(self) -> bool:
+        return not self.offending_detectable
 
 
 def _pbh_margin(A: np.ndarray, X: np.ndarray, eigenvalues) -> float:
@@ -71,44 +65,30 @@ def _pbh_margin(A: np.ndarray, X: np.ndarray, eigenvalues) -> float:
 
 
 def check_stabilizable(sys: ModalSystem) -> ModeCheckReport:
-    """PBH tests of the dense unstable prefix (A_u, B_u, C_u) at each block's
-    eigenvalues with Re >= 0: the tests ``design_feedback`` and
+    """PBH tests of the dense unstable prefix (A_u, B_u, C_u) at each unstable
+    block's eigenvalues with Re >= 0: the tests ``design_feedback`` and
     ``design_observer`` apply.  A block is stabilizable when its stab_margin,
     ``_pbh_margin(A_u, B_u, ...)``, exceeds RANK_RTOL; detectable when the
     det_margin of (A_u*, C_u*) at conj(lambda) does, the conjugate transpose
     of [lambda I - A_u; C_u] with the same singular values.  Stable blocks
-    have nothing to test and margin 1.  The coefficient norms come from the
-    system's block table.
+    have nothing to test and get no margin; the report carries the prefix so
+    that the design needs no second truncation.
     """
-    prefix, _tail = truncate(sys, sys.n_unstable)
+    n_u = sys.n_unstable
+    prefix, _tail = truncate(sys, n_u)
     A, B, A_dual, C_dual = prefix.A, prefix.B, prefix.A.conj().T, prefix.C.conj().T
-    entries = []
-    for i, (label, d, b_norm, c_norm) in enumerate(zip(
-            sys.labels.tolist(), sys.dims.tolist(), sys.input_norms.tolist(),
-            sys.output_norms.tolist())):
-        unstable = tuple(ev for ev in sys.eigenvalues(i).tolist()
-                         if ev.real >= 0.0) if i < sys.n_unstable else ()
-        stab_margin = _pbh_margin(A, B, unstable)
-        det_margin = _pbh_margin(A_dual, C_dual, [ev.conjugate() for ev in unstable])
-        entries.append(BlockModeCheck(
-            label=label,
-            dim=d,
-            unstable_eigenvalues=unstable,
-            stabilizable=stab_margin > RANK_RTOL,
-            detectable=det_margin > RANK_RTOL,
-            stab_margin=stab_margin,
-            det_margin=det_margin,
-            input_coefficient=b_norm,
-            output_coefficient=c_norm,
-        ))
-    bad_stab = tuple(e.label for e in entries if not e.stabilizable)
-    bad_det = tuple(e.label for e in entries if not e.detectable)
+    stab, det = [], []
+    for i in range(n_u):
+        unstable = [ev for ev in sys.eigenvalues(i).tolist() if ev.real >= 0.0]
+        stab.append(_pbh_margin(A, B, unstable))
+        det.append(_pbh_margin(A_dual, C_dual, [ev.conjugate() for ev in unstable]))
+    labels = sys.labels[:n_u].tolist()
     return ModeCheckReport(
-        blocks=tuple(entries),
-        stabilizable=not bad_stab,
-        detectable=not bad_det,
-        offending_stabilizable=bad_stab,
-        offending_detectable=bad_det,
+        prefix=prefix,
+        stab_margins=tuple(stab),
+        det_margins=tuple(det),
+        offending_stabilizable=tuple(l for l, m in zip(labels, stab) if not m > RANK_RTOL),
+        offending_detectable=tuple(l for l, m in zip(labels, det) if not m > RANK_RTOL),
     )
 
 

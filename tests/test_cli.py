@@ -16,7 +16,7 @@ from scipy.linalg import block_diag
 from modalstab import (DecayEnvelope, StateSpaceSystem, TailModel, certify_small_gain, cli,
                        closed_loop_matrix, decay_envelope, fileio, gain_strong, gain_weak,
                        matrix_exponential, partition_spectrum, plants, reduced_R_system,
-                       select_truncation, simulate_closed_loop, spectral_abscissa,
+                       select_truncation, simulate_closed_loop, spectral_abscissa, synthesis,
                        synthesize_controller, truncate)
 from modalstab.cli import build_plant, main
 from modalstab.errors import (BetaExceedsDecay, CertificateNotFound, DegenerateTrajectory,
@@ -163,6 +163,28 @@ def test_simulate_loads_neither_fractions_nor_decimal(tmp_path):
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "simulate" / "trajectory.csv").exists()
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_commands_decode_documents_as_utf8(tmp_path):
+    # Every document is written as UTF-8 bytes.  A read in the locale's
+    # encoding warns under -X warn_default_encoding, and -W error makes it fatal.
+    import modalstab
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(modalstab.__file__)))
+    controller = str(tmp_path / "synthesize" / "controller.json")
+    for command, extra in (("analyze", {}), ("synthesize", {}),
+                           ("certify", {"controller_file": controller}),
+                           ("simulate", {"controller_file": controller,
+                                         "horizon": 1.0, "dt": 0.1}),
+                           ("sweep", {"sweep_N": [3, 5]})):
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps({"plant": HEAT, **extra}), encoding="utf-8")
+        done = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                               "-W", "error::EncodingWarning", "-m", "modalstab", command,
+                               "--config", str(cfg), "--out", str(tmp_path / command)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
@@ -838,6 +860,32 @@ def test_nearly_unreachable_mode_fails_analyze_and_synthesis(tmp_path, capsys, f
             "synthesis failed: unstable modes [1] are unreachable from the input\n")
 
 
+def test_rank_tests_run_on_the_unstable_blocks_only(tmp_path, monkeypatch):
+    # heat b = 5 has one unstable mode among 4,097: two PBH tests, not 8,194.
+    plant = {"type": "heat", "b": 5.0, "f": _constant(1.0), "N_max": 4096}
+    sys_, _ = build_plant(plant)
+    calls = []
+    original = synthesis._pbh_margin
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(synthesis, "_pbh_margin", counting)
+    report = check_stabilizable(sys_)
+    assert sys_.n_unstable == 1 and len(calls) == 2 * sys_.n_unstable
+    assert len(report.stab_margins) == len(report.det_margins) == sys_.n_unstable
+    code, out = run(tmp_path, "analyze", {"plant": plant})
+    assert code == 0 and len(calls) == 4 * sys_.n_unstable
+    modes = read_json(str(out / "analysis.json"))["modes"]
+    assert len(modes) == len(sys_) == 4097
+    assert [m["label"] for m in modes] == sys_.labels.tolist()
+    assert modes[0]["unstable"] and modes[0]["stab_margin"] == report.stab_margins[0]
+    stable = modes[sys_.n_unstable:]
+    assert all(not m["unstable"] and m["stabilizable"] and m["detectable"]
+               and m["stab_margin"] == m["det_margin"] == 1.0 for m in stable)
+
+
 @pytest.mark.parametrize("plant, inputs, message", [
     (WAVE, 1, "controller dimension 5 matches no truncation of the plant "
               "(resolved block dimensions reach 48)"),
@@ -919,7 +967,8 @@ def test_ill_conditioned_loop_envelope_passes_its_residual_check():
     # residual-correction solve brings it under 1.
     sys_, _ = build_plant({"type": "heat", "b": 60.0, "N_max": 64,
                            "f": {"kind": "indicator", "xi1": 0.1, "xi2": 0.6}})
-    _design, loop = cli._prefix_design(sys_, partition_spectrum(sys_), 0.5)
+    _design, loop = cli._prefix_design(check_stabilizable(sys_).prefix,
+                                       partition_spectrum(sys_), 0.5)
     assert loop.env.amplitude_a > 1e5
 
 

@@ -392,10 +392,12 @@ def test_block_table_matches_per_block_oracle(data):
         assert truncate_tail(sys_, N) == TailModel(
             alpha, float(np.sqrt(input_sq)), float(np.sqrt(output_sq)),
             amp if np.isfinite(amp) else 1e308)
-    report = check_stabilizable(sys_)
-    assert [chk.label for chk in report.blocks] == order
-    assert [(chk.input_coefficient, chk.output_coefficient) for chk in report.blocks] == [
+    assert sys_.labels.tolist() == order
+    assert list(zip(sys_.input_norms.tolist(), sys_.output_norms.tolist())) == [
         (oracle[lab]["in_norm"], oracle[lab]["out_norm"]) for lab in order]
+    report = check_stabilizable(sys_)
+    assert len(report.stab_margins) == len(report.det_margins) == n_u
+    assert report.prefix.n == int(sys_.dims[:n_u].sum())
 
 
 def test_block_table_edge_cases():

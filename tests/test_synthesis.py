@@ -95,18 +95,19 @@ def test_check_stabilizable_flags_zero_coefficient():
     assert not report.stabilizable
     assert report.offending_stabilizable == (1,)
     assert report.detectable  # unit output weight on every heat mode
-    by_label = {blk.label: blk for blk in report.blocks}
-    assert by_label[1].input_coefficient == 0.0
-    assert by_label[1].stab_margin == 0.0
-    assert by_label[0].stabilizable
-    assert by_label[2].unstable_eigenvalues == ()
+    labels = sys_.labels.tolist()
+    assert sys_.input_norms[labels.index(1)] == 0.0
+    assert report.stab_margins[labels.index(1)] == 0.0
+    assert 0 not in report.offending_stabilizable
+    # block 2 is stable: no rank test, no margin
+    assert len(report.stab_margins) == sys_.n_unstable == labels.index(2)
 
 
 def test_check_stabilizable_flags_an_all_zero_pencil():
     # b = 0 and f = 0: A_u = 0 and B_u = 0 leave no scale to measure against.
     report = check_stabilizable(build_heat(0.0, SourceProfile.constant(0.0), N_max=4))
     assert report.offending_stabilizable == (0,)
-    assert report.blocks[0].stab_margin == 0.0 and report.detectable
+    assert report.stab_margins[0] == 0.0 and report.detectable
 
 
 def test_check_detectable_flags_zero_output():
@@ -128,7 +129,7 @@ def test_nearly_invisible_unstable_block_is_not_detectable():
     report = check_stabilizable(sys_)
     assert report.stabilizable and not report.detectable
     assert report.offending_detectable == (1,)
-    assert report.blocks[1].det_margin < 1e-29
+    assert report.det_margins[1] < 1e-29
     prefix, _ = truncate(sys_, sys_.n_unstable)
     design_feedback(prefix.A, prefix.B)
     with pytest.raises(NotDetectable):

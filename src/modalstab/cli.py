@@ -35,7 +35,8 @@ from .gains import BETA_GRID_DEPTH, beta_grid, loop_bounds, scan_certificate
 from .modal import (ModalSystem, StateSpaceSystem, closed_loop_matrix,
                     partition_spectrum, select_truncation, truncate, truncate_tail)
 from .plants import DEFAULT_N_MAX, SourceProfile, build_heat, build_heat_boundary, build_wave
-from .simulate import closed_loop_blocks, fit_decay_rate, row_norms, spectral_abscissa
+from .simulate import (closed_loop_blocks, fit_decay_rate, observer_loop, row_norms,
+                       spectral_abscissa)
 from .synthesis import (DesignInfo, ObserverController, check_stabilizable, loop_system,
                         matches_observer_structure, observer_controller, reduced_R_system,
                         synthesize_controller)
@@ -158,7 +159,9 @@ def _controller_loop(truncated: StateSpaceSystem, controller: ObserverController
 
 
 def _recheck_certificate(sys_: ModalSystem, controller: ObserverController, cfg: dict):
-    """Certificate for an imported controller at its own design truncation.
+    """(certificate, truncation, observer) for an imported controller at its
+    own design truncation; observer says whether the controller has the
+    observer structure over that truncation.
 
     The reduced controller-loop bound is only used after the observer
     structure has been verified entrywise against the rebuilt plant;
@@ -167,8 +170,9 @@ def _recheck_certificate(sys_: ModalSystem, controller: ObserverController, cfg:
     N = _block_count_for_dim(sys_, controller.n)
     truncated, tail = truncate(sys_, N)
     _check_io_dims(truncated, controller)
+    observer = matches_observer_structure(truncated, controller)
     r_sys = None
-    if matches_observer_structure(truncated, controller):
+    if observer:
         try:
             r_sys = _controller_loop(truncated, controller)
         except NotHurwitz:
@@ -177,7 +181,7 @@ def _recheck_certificate(sys_: ModalSystem, controller: ObserverController, cfg:
         r_sys = loop_system(truncated, controller.as_state_space())
     cert = scan_certificate(tail, loop_bounds(r_sys, float(cfg["margin_fraction"])), N,
                             depth=int(cfg["beta_depth"]))
-    return cert, N
+    return cert, truncated, observer
 
 
 def _eig_doc(values) -> list:
@@ -362,9 +366,10 @@ def _plant_and_controller(cfg: dict, command: str):
 
 def cmd_certify(cfg: dict, out_dir: str) -> int:
     sys_, controller = _plant_and_controller(cfg, "certify")
-    cert, N = _recheck_certificate(sys_, controller, cfg)
+    cert, _truncated, _observer = _recheck_certificate(sys_, controller, cfg)
     write_certificate(out_dir, cert)
-    print(f"certify: {cert.verdict} at N={N} beta={cert.beta:.9g} product={cert.product:.9g}")
+    print(f"certify: {cert.verdict} at N={cert.truncation_N} beta={cert.beta:.9g} "
+          f"product={cert.product:.9g}")
     return EXIT_OK if cert.verdict == "Certified" else EXIT_NO_CERTIFICATE
 
 
@@ -389,22 +394,31 @@ def _resolve_x0(cfg: dict, n: int) -> np.ndarray:
 def cmd_simulate(cfg: dict, out_dir: str) -> int:
     sys_, controller = _plant_and_controller(cfg, "simulate")
     # The certificate covers every truncation; the simulated one may be finer.
-    cert, N_design = _recheck_certificate(sys_, controller, cfg)
-    N = int(cfg["N"]) if cfg.get("N") is not None else N_design
-    truncated, _tail = truncate(sys_, N)
-    _check_io_dims(truncated, controller)
+    cert, truncated, observer = _recheck_certificate(sys_, controller, cfg)
+    N = int(cfg["N"]) if cfg.get("N") is not None else cert.truncation_N
+    if N != cert.truncation_N:
+        # the observer no longer models this plant, so the loop is not triangular
+        truncated, _tail = truncate(sys_, N)
+        _check_io_dims(truncated, controller)
+        observer = False
 
     x0 = _resolve_x0(cfg, truncated.n)
     T, dt = float(cfg["horizon"]), float(cfg["dt"])
-    controller_ss = controller.as_state_space()
-    M = closed_loop_matrix(truncated, controller_ss)
-    abscissa, witness = spectral_abscissa(M)
+    loop = observer_loop(sys_, truncated, controller.K_u, controller.L_u) if observer else None
+    if loop is None:
+        controller_ss = controller.as_state_space()
+        M = closed_loop_matrix(truncated, controller_ss)
+        abscissa, witness = spectral_abscissa(M)
+        trajectory = closed_loop_blocks(M, truncated, controller_ss, x0, T, dt)
+    else:
+        abscissa, witness = loop.abscissa, loop.witness
+        trajectory = loop.blocks(x0, T, dt)
     rate = final_norm = None
 
     def blocks():
         nonlocal rate, final_norm
         norms = []
-        for block in closed_loop_blocks(M, truncated, controller_ss, x0, T, dt):
+        for block in trajectory:
             norms.append(row_norms(block.states))
             yield block
         norms = np.concatenate(norms)

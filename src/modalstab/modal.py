@@ -235,9 +235,10 @@ class ModalSystem:
     ``n_unstable``.  The blocks are kept as ``stacks``, one ``BlockStack``
     per dimension, and a table with one entry per block in canonical order:
     ``labels``, ``dims``, ``max_real``, ``input_norms`` and ``output_norms``
-    (Frobenius norms of B and C), and the terms a truncation adds to the
-    tail.  ``len(sys)`` counts the blocks; ``block(i)``, ``eigenvalues(i)``
-    and ``blocks`` give them one at a time.
+    (Frobenius norms of B and C), ``conditions`` (the unit-column
+    eigenvector condition number, +inf if defective), and the terms a
+    truncation adds to the tail.  ``len(sys)`` counts the blocks;
+    ``block(i)``, ``eigenvalues(i)`` and ``blocks`` give them one at a time.
     """
 
     def __init__(self, blocks, tail: TailModel, input_dim: int, output_dim: int):
@@ -272,7 +273,7 @@ class ModalSystem:
         for col in columns:
             col.setflags(write=False)
         (self.labels, self.dims, self._group, self._row, self.max_real, _, self.input_norms,
-         self.output_norms, self._input_sq, self._output_sq, self._conditions) = columns
+         self.output_norms, self._input_sq, self._output_sq, self.conditions) = columns
         # a block is unstable when its rightmost eigenvalue has Re >= 0
         self.n_unstable = int(np.count_nonzero(self.max_real >= 0.0))
 
@@ -466,7 +467,7 @@ def truncate_tail(sys: ModalSystem, N: int) -> TailModel:
         raise UnstableModeDiscarded(
             f"block {sys.labels[N]} has eigenvalue real part {sys.max_real[N]:g} >= 0")
     tail = sys.tail
-    amp = max(tail.amplitude_a, float(np.max(sys._conditions[N:], initial=1.0)))
+    amp = max(tail.amplitude_a, float(np.max(sys.conditions[N:], initial=1.0)))
     return TailModel(
         decay_alpha=min(tail.decay_alpha, -float(np.max(sys.max_real[N:], initial=-np.inf))),
         input_norm=np.sqrt(_sum_forward(tail.input_norm ** 2, sys._input_sq[N:])),

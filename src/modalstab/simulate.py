@@ -1,13 +1,23 @@
-"""Dense simulation oracles: matrix exponentials, trajectories, gain probes.
+"""Simulation oracles: matrix exponentials, trajectories, gain probes.
 
 Everything here is deliberately independent of the certificate machinery so
-the two sides can check each other: stepping is exact for LTI dynamics (no
-time-discretization error at grid points), and the gain probe produces
+the two sides can check each other: trajectories are exact for LTI dynamics
+(no time-discretization error at grid points), and the gain probe produces
 certified lower bounds from explicit input families.  The exponential, the
 stepping and the spectral abscissa take their arithmetic from the matrix's
 dtype, so a real closed loop (see :func:`closed_loop_matrix`) is
 exponentiated, stepped and eigen-solved in float64, a complex one in
 complex128.
+
+Grid values carry no integration error, but they do carry rounding.  The
+dense path multiplies each state by e^(M dt) to get the next, so its
+rounding grows with the step count: on a stiff loop of 130 states, 2e-10 of
+a row by step 100 and 1e-7 by step 1000.  An observer loop at its design
+truncation is evaluated instead through its separation structure
+(:class:`ObserverLoop`): each grid time from closed forms of the retained
+modes and a power of the small core's e^(A_c dt), so rounding does not
+accumulate step by step, and the spectrum comes from the structure, not a
+dense eigensolve.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTrajectory, DimensionMismatch, EigensolverNoConvergence
-from .modal import StateSpaceSystem, closed_loop_matrix
+from .modal import ModalSystem, StateSpaceSystem, closed_loop_matrix
 
 # Pade orders and backward-error thresholds for the scaling-and-squaring
 # exponential; order 13 kicks in beyond the last threshold.
@@ -44,6 +54,14 @@ TINY_NORM = 1e-140
 # columns is the width of their trajectory.csv rows, so that a streamed run
 # holds one block of states and formatted text whatever its horizon.
 CELLS = 8192
+# An observer loop is evaluated through its separation structure (see
+# ObserverLoop) unless a retained block's eigenvector condition number exceeds
+# CONDITION_MAX, or a retained eigenvalue lam lies within SEPARATION_RTOL
+# (1 + |lam|) of an eigenvalue of the core A_c.  The closed forms divide by
+# that gap, by its square where A_c is defective, and go through the
+# eigenvectors; within both bounds a row keeps some nine digits.
+CONDITION_MAX = 1e4
+SEPARATION_RTOL = 1e-2
 
 
 def _pade_low(A: np.ndarray, order: int) -> np.ndarray:
@@ -176,8 +194,9 @@ def _free_blocks(A: np.ndarray, x0, T: float, dt: float, columns: int):
     max(1, CELLS // columns) consecutive grid rows.
 
     One matrix exponential is reused for every step, so grid values carry no
-    integration error; each state is Phi times the one before it.  The grid's
-    times come first, so a grid too large for memory fails before any step.
+    integration error; each state is Phi times the one before it, so their
+    rounding grows with the step count.  The grid's times come first, so a
+    grid too large for memory fails before any step.
     """
     A = np.atleast_2d(np.asarray(A))
     state = np.asarray(x0).reshape(A.shape[0])
@@ -224,7 +243,226 @@ def simulate_closed_loop(plant: StateSpaceSystem, controller: StateSpaceSystem,
                         for name in ("times", "states", "outputs", "inputs")), dt=dt)
 
 
+def _rightmost(eigs: np.ndarray):
+    """(abscissa, witness) of a real matrix's spectrum: the largest real part,
+    and among the eigenvalues that reach it the one of least |Im|, reported
+    with Im >= 0."""
+    abscissa = float(np.max(eigs.real))
+    tied = eigs[eigs.real == abscissa]
+    return abscissa, complex(abscissa, float(np.min(np.abs(tied.imag))))
+
+
+def _block_powers(Phi: np.ndarray, rows: int) -> np.ndarray:
+    """(rows, k, k) stack of Phi^0 .. Phi^(rows - 1), filled by doubling:
+    rows [m, 2m) are rows [0, m) times Phi^m, and Phi^2m is Phi^m squared."""
+    k = Phi.shape[0]
+    powers = np.empty((rows, k, k))
+    powers[0] = np.eye(k)
+    filled, step = 1, Phi
+    while filled < rows:
+        take = min(filled, rows - filled)
+        np.matmul(powers[:take], step, out=powers[filled:filled + take])
+        filled += take
+        step = step @ step
+    return powers
+
+
+class _RetainedModes:
+    """Eigendecomposition V diag(lam) V^-1 of the retained block-diagonal
+    A_s, kept per block dimension: ``idx`` holds each block's state
+    positions within A_s, ``vec`` and ``inv`` its eigenvector matrix and
+    that matrix's inverse.  The modal index runs over the dimension groups
+    in turn, block by block within a group."""
+
+    def __init__(self, A_s: np.ndarray, dims: np.ndarray):
+        starts = np.cumsum(dims) - dims
+        self.groups, lams = [], []
+        for d in sorted(set(dims.tolist())):
+            idx = starts[dims == d][:, None] + np.arange(d)
+            blocks = A_s[idx[:, :, None], idx[:, None, :]]
+            if d == 1:
+                lam, vec = blocks[:, 0].astype(np.complex128), np.ones((len(idx), 1, 1))
+            else:
+                lam, vec = np.linalg.eig(blocks)
+            vec = vec.astype(np.complex128)
+            self.groups.append((idx, vec, np.linalg.inv(vec)))
+            lams.append(lam.ravel())
+        self.lam = np.concatenate(lams) if lams else np.zeros(0, dtype=np.complex128)
+
+    def _apply(self, X: np.ndarray, to_modal: bool) -> np.ndarray:
+        out = np.empty(X.shape, dtype=np.complex128)
+        start = 0
+        for idx, vec, inv in self.groups:
+            modal = slice(start, start + idx.size)
+            src, dst = (idx.ravel(), modal) if to_modal else (modal, idx.ravel())
+            part = X[src].reshape(*idx.shape, -1)
+            out[dst] = ((inv if to_modal else vec) @ part).reshape(idx.size, *X.shape[1:])
+            start += idx.size
+        return out
+
+    def to_modal(self, X: np.ndarray) -> np.ndarray:
+        """V^-1 X for X with one row per retained state."""
+        return self._apply(X, True)
+
+    def from_modal(self, Y: np.ndarray) -> np.ndarray:
+        """V Y for Y with one row per retained eigenvalue."""
+        return self._apply(Y, False)
+
+
+class ObserverLoop:
+    """The loop of a plant truncation closed by an observer controller over
+    it, evaluated through its separation structure.
+
+    With K~ = [K_u, 0] and L~ = [L_u; 0] the loop is, in the coordinates
+    (x, e = x - w), e' = (A + L~C) e and x' = (A + BK~) x - BK~ e.  Split at
+    the unstable prefix, the retained modes evolve alone, e_s' = A_s e_s; the
+    core z = (x_u, e_u) obeys z' = A_c z + [0; L_u C_s] e_s with
+    A_c = [[A_u + B_u K_u, -B_u K_u], [0, A_u + L_u C_u]]; and
+    x_s' = A_s x_s + B_s K_u D z with D = [I, -I].  So the spectrum is
+    spec(A_u + B_u K_u) u spec(A_u + L_u C_u) u twice the retained modes'.
+
+    Two Sylvester equations, diagonal in the eigenvectors V of A_s, split
+    the core from e_s (z = z^ + Y e_s, z^' = A_c z^) and x_s from z^
+    (x_s = x^_s + X z^).  What is left, x^_s' = A_s x^_s + B_s K_u D Y e_s,
+    is driven at A_s's own eigenvalues, so its solution is a divided
+    difference of exponentials, t e^(lam t) where two eigenvalues are equal.
+    Every state is then a fixed read-out of z^(t), stepped by powers of
+    e^(A_c dt), plus one of a real basis of retained-mode exponentials,
+    e^(a t), e^(a t) cos(b t) and e^(a t) sin(b t), and of the basis times t.
+    """
+
+    def __init__(self, A_c, B, C, K, L, modes: _RetainedModes, abscissa: float,
+                 witness: complex):
+        n, n_u = C.shape[1], K.shape[1]
+        s_ = slice(n_u, n)
+        self.abscissa, self.witness = abscissa, witness
+        self.A_c, self.C, self.K_u, self.modes = A_c, C, K, modes
+        k, lam = 2 * n_u, modes.lam
+        # Y: (A_c - lam I) y = -[0; L_u C_s v];  X = V chi with
+        # chi (A_c - lam I) = V^-1 B_s K_u D, one pair of solves per eigenvalue
+        solve = (np.linalg.inv(A_c - lam[:, None, None] * np.eye(k)) if k and len(lam)
+                 else np.zeros((len(lam), k, k)))
+        self.V = modes.from_modal(np.eye(len(lam)))
+        drive = np.zeros((len(lam), k), dtype=np.complex128)
+        drive[:, n_u:] = (L @ (C[:, s_] @ self.V)).T
+        self.Y = -(solve @ drive[:, :, None])[:, :, 0]
+        bK = modes.to_modal(B[s_]) @ K
+        self.chi = (np.hstack([bK, -bK])[:, None, :] @ solve)[:, 0, :]
+        X = modes.from_modal(self.chi).real
+        # H = V^-1 B_s K_u D Y V: the drive of x^_s by e_s, in modal coordinates
+        self.H = bK @ (self.Y[:, :n_u] - self.Y[:, n_u:]).T
+        self.equal = lam[:, None] == lam[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.divided = np.where(self.equal, 0.0, 1.0 / (lam[:, None] - lam[None, :]))
+        self.real = np.flatnonzero(lam.imag == 0.0)
+        self.pairs = np.flatnonzero(lam.imag > 0.0)
+        # (x_u, x_s, w_u, w_s) from z^ = (x^_u, e^_u)
+        eye = np.eye(n_u)
+        self.core = np.vstack([np.hstack([eye, 0.0 * eye]), X, np.hstack([eye, -eye]), X])
+
+    def _modal_weights(self, x0: np.ndarray):
+        """(z^(0), weights) for the trajectory from (x0, 0): the rows of
+        weights read the states off [basis, t basis]."""
+        n, n_u = len(x0), self.K_u.shape[1]
+        Y, lam = self.Y, self.modes.lam
+        eta = self.modes.to_modal(x0[n_u:])              # e_s(0) = x_s(0) = x0_s
+        z = np.concatenate([x0[:n_u], x0[:n_u]]) - (eta @ Y).real
+        xi = eta - self.chi @ z                          # V^-1 x^_s(0)
+        W = self.H * self.divided * eta
+        g = self.V * (xi + W.sum(axis=1)) - self.modes.from_modal(W)
+        h = self.V * ((self.H * self.equal) @ eta)
+        weights = np.zeros((2 * len(lam), 2 * n), dtype=np.complex128)
+        e, te = weights[:len(lam)], weights[len(lam):]
+        e[:, :n_u] = Y[:, :n_u] * eta[:, None]
+        e[:, n_u:n] = g.T
+        e[:, n:n + n_u] = (Y[:, :n_u] - Y[:, n_u:]) * eta[:, None]
+        e[:, n + n_u:] = (g - self.V * eta).T
+        te[:, n_u:n] = te[:, n + n_u:] = h.T
+        # a conjugate pair's terms add to 2 Re(e^(lam t) w), read off
+        # e^(a t) cos(b t) and e^(a t) sin(b t) by 2 Re w and -2 Im w
+        real = []
+        for part in (e, te):
+            paired = np.stack([2.0 * part[self.pairs].real, -2.0 * part[self.pairs].imag], axis=1)
+            real += [part[self.real].real, paired.reshape(-1, 2 * n)]
+        return z, np.vstack(real)
+
+    def blocks(self, x0, T: float, dt: float):
+        """The trajectory from (x0, 0), x0 real, as Trajectory blocks of
+        max(1, CELLS // columns) consecutive grid rows, the blocks of
+        :func:`closed_loop_blocks`.  A block's states are evaluated at all
+        of its grid times at once, by one product of [basis, t basis, z^]
+        with the read-outs; the first row is (x0, 0) itself."""
+        x0 = np.asarray(x0, dtype=np.float64).reshape(self.C.shape[1])
+        n, n_u = len(x0), self.K_u.shape[1]
+        times, _ = _steps_grid(T, dt)
+        z, weights = self._modal_weights(x0)
+        weights = np.vstack([weights, self.core.T])
+        rates, pairs = self.modes.lam[self.real].real, self.modes.lam[self.pairs]
+        columns = 1 + 2 * n + self.K_u.shape[0] + self.C.shape[0]
+        rows = min(max(1, CELLS // columns), len(times))
+        Phi = matrix_exponential(self.A_c, dt)
+        powers = _block_powers(Phi, rows)
+        advance = powers[-1] @ Phi
+        powers = powers.reshape(rows * len(z), len(z))
+        s_r, width = len(rates), len(rates) + 2 * len(pairs)
+        basis = np.empty((rows, 2 * width + len(z)))
+        # e^(lam (t_0 + i dt)) as e^(lam t_0) e^(lam i dt): the second factor
+        # is one table for every block
+        steps = np.arange(rows) * dt
+        real_steps, pair_steps = (np.exp(np.multiply.outer(steps, lam)) for lam in (rates, pairs))
+        for start in range(0, len(times), rows):
+            t = times[start:start + rows]
+            used = basis[:len(t)]
+            np.multiply(real_steps[:len(t)], np.exp(rates * t[0]), out=used[:, :s_r])
+            used[:, s_r:width] = (pair_steps[:len(t)] * np.exp(pairs * t[0])).view(np.float64)
+            np.multiply(used[:, :width], t[:, None], out=used[:, width:2 * width])
+            used[:, 2 * width:] = (powers[:len(t) * len(z)] @ z).reshape(len(t), len(z))
+            states = used @ weights
+            if not start:
+                states[0] = np.concatenate([x0, np.zeros(n)])  # exactly, not a sum of modes
+            z = advance @ z
+            yield Trajectory(t, states, states[:, :n] @ self.C.T,
+                             states[:, n:n + n_u] @ self.K_u.T, dt=dt)
+
+
+def observer_loop(sys: ModalSystem, truncated: StateSpaceSystem, K_u: np.ndarray,
+                  L_u: np.ndarray):
+    """The :class:`ObserverLoop` of ``truncated``, the leading blocks of
+    ``sys``, and the observer controller with prefix gains K_u, L_u, or None
+    when its closed forms do not apply or would lose accuracy; the caller
+    then steps the dense loop.
+
+    That is when some data are complex, when the prefix of K_u's width ends
+    inside a block, when a retained block's eigenvector condition number
+    exceeds CONDITION_MAX, or when a retained eigenvalue lam lies within
+    SEPARATION_RTOL (1 + |lam|) of an eigenvalue of A_c: the decoupling
+    divides by that difference.
+    """
+    data = (truncated.A, truncated.B, truncated.C, K_u, L_u)
+    if any(np.any(M.imag) for M in data):
+        return None
+    A, B, C, K, L = (np.ascontiguousarray(M.real) for M in data)
+    n, n_u = A.shape[0], K.shape[1]
+    totals = np.concatenate(([0], np.cumsum(sys.dims)))
+    first, stop = np.searchsorted(totals, [n_u, n]).tolist()
+    if (first >= len(totals) or totals[first] != n_u
+            or np.any(sys.conditions[first:stop] > CONDITION_MAX)):
+        return None
+    u = slice(0, n_u)
+    BK = B[u] @ K
+    fb, ob = A[u, u] + BK, A[u, u] + L @ C[:, u]
+    A_c = np.block([[fb, -BK], [np.zeros((n_u, n_u)), ob]])
+    modes = _RetainedModes(A[n_u:, n_u:], sys.dims[first:stop])
+    lam = modes.lam
+    core_eigs = np.concatenate([np.linalg.eigvals(fb), np.linalg.eigvals(ob)])
+    if np.any(np.abs(lam[:, None] - core_eigs) <= SEPARATION_RTOL * (1.0 + np.abs(lam))[:, None]):
+        return None
+    spectrum = np.concatenate([core_eigs, *(sys.eigenvalues(i) for i in range(first, stop))])
+    return ObserverLoop(A_c, B, C, K, L, modes, *_rightmost(spectrum))
+
+
 def simulate_autonomous(A: np.ndarray, x0, T: float, dt: float) -> Trajectory:
+
     """Exact-step free evolution x' = A x, read out as y = x (one shared array)."""
     A = np.atleast_2d(np.asarray(A))
     times, states = (np.concatenate(part) for part in

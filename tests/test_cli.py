@@ -16,8 +16,8 @@ from scipy.linalg import block_diag
 from modalstab import (DecayEnvelope, StateSpaceSystem, TailModel, certify_small_gain, cli,
                        closed_loop_matrix, decay_envelope, fileio, gain_strong, gain_weak,
                        matrix_exponential, partition_spectrum, plants, reduced_R_system,
-                       select_truncation, simulate_closed_loop, spectral_abscissa, synthesis,
-                       synthesize_controller, truncate)
+                       select_truncation, simulate, simulate_closed_loop, spectral_abscissa,
+                       synthesis, synthesize_controller, truncate)
 from modalstab.cli import build_plant, main
 from modalstab.errors import (BetaExceedsDecay, CertificateNotFound, DegenerateTrajectory,
                               NotHurwitz, NotReachable, UnstableModeDiscarded)
@@ -309,8 +309,8 @@ def _reference_decay_rate(times, norms) -> float:
 
 def _reference_cmd_simulate(cfg: dict, out_dir: str) -> int:
     sys_, controller = cli._plant_and_controller(cfg, "simulate")
-    cert, N_design = cli._recheck_certificate(sys_, controller, cfg)
-    N = int(cfg["N"]) if cfg.get("N") is not None else N_design
+    cert, _truncated, _observer = cli._recheck_certificate(sys_, controller, cfg)
+    N = int(cfg["N"]) if cfg.get("N") is not None else cert.truncation_N
     truncated, _tail = truncate(sys_, N)
     cli._check_io_dims(truncated, controller)
     x0 = cli._resolve_x0(cfg, truncated.n)
@@ -341,26 +341,42 @@ def _reference_cmd_simulate(cfg: dict, out_dir: str) -> int:
     return 0
 
 
+def _bent_controller(tmp_path, ctrl: str) -> str:
+    """A copy of the controller document whose last E entry is moved by 1e-4
+    relative: far past STRUCTURE_RTOL, so it fails the observer check."""
+    doc = read_json(ctrl)
+    doc["E"][-1][-1] *= 1.0 + 1e-4
+    path = tmp_path / "bent_controller.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# Configurations that take the dense path: heat5 and wave3 simulated finer
+# than their design N (1 and 21), and heat15's controller bent off the
+# observer structure.
 @pytest.mark.parametrize("key, extra", [
-    ("heat5", {"x0": "ones"}),
-    ("heat15", {"x0": "random", "seed": 7}),
-    ("heat15", {"x0": "ones", "horizon": 1.21}),
-    ("wave3", {"x0": "list"}),
-    ("wave3", {"x0": "random", "seed": 3, "horizon": 0.01}),
-    ("heat5", {"x0": "zeros"}),
+    ("heat5", {"x0": "ones", "N": 3}),
+    ("heat15", {"x0": "random", "seed": 7, "bent": True}),
+    ("heat15", {"x0": "ones", "horizon": 1.21, "bent": True}),
+    ("wave3", {"x0": "list", "N": 25}),
+    ("wave3", {"x0": "random", "seed": 3, "horizon": 0.01, "N": 25}),
+    ("heat5", {"x0": "zeros", "N": 3}),
 ], ids=["heat5_two_blocks", "heat15_partial_last_block", "heat15_two_whole_blocks",
         "wave3_listed_x0", "wave3_two_rows", "zero_x0_degenerate_fit"])
 def test_streamed_simulate_writes_the_whole_trajectory_bytes(
         tmp_path, capsys, monkeypatch, trajectory_controllers, key, extra):
-    # heat5 steps 2001 rows in blocks of 1638, heat15 in blocks of 61 (122
-    # rows fill two) and wave3 in blocks of 94; the zero x0 fails its fit and
-    # must leave no documents, as the reference does.
+    # heat5 at N=3 steps 2001 rows in blocks of 1170, heat15 in blocks of 61
+    # (122 rows fill two) and wave3 at N=25 in blocks of 86; the zero x0
+    # fails its fit and must leave no documents, as the reference does.
+    extra = dict(extra)
     ctrl = trajectory_controllers[key]
+    if extra.pop("bent", False):
+        ctrl = _bent_controller(tmp_path, ctrl)
     cfg = {"plant": TRAJECTORY_PLANTS[key], "controller_file": ctrl,
            "horizon": 20.0, "dt": 0.01, **extra}
     if extra["x0"] in ("list", "zeros"):
-        dims = read_json(ctrl)["dims"]
-        n = dims["n_unstable"] + dims["n_retained"]
+        sys_, _ = build_plant(TRAJECTORY_PLANTS[key])
+        n = int(sys_.dims[:extra["N"]].sum())
         cfg["x0"] = ([(-1) ** k / (k + 1) for k in range(n)] if extra["x0"] == "list"
                      else [0.0] * n)
     outcomes = []
@@ -381,8 +397,8 @@ def _bench_loop(trajectory_controllers, key):
            "controller_file": trajectory_controllers[key],
            "horizon": 20.0, "dt": 0.01, "x0": "random", "seed": 7}
     sys_, controller = cli._plant_and_controller(cfg, "simulate")
-    _cert, N = cli._recheck_certificate(sys_, controller, cfg)
-    return truncate(sys_, N)[0], controller.as_state_space(), cfg
+    _cert, truncated, _observer = cli._recheck_certificate(sys_, controller, cfg)
+    return truncated, controller.as_state_space(), cfg
 
 
 def test_simulate_witness_of_a_real_loop_is_real(tmp_path, trajectory_controllers):
@@ -411,6 +427,158 @@ def test_real_loop_steps_like_the_complex_loop(trajectory_controllers, key, tol)
     for row in states:
         assert np.linalg.norm(row - step) <= tol * np.linalg.norm(step)
         step = Phi @ step
+
+
+HEAT5_HALF = {"type": "heat", "b": 5.0, "f": {"kind": "indicator", "xi1": 0.0, "xi2": 0.5}}
+
+
+def _mp_abscissa(truncated, controller, blocks) -> float:
+    """Largest real eigenvalue part of A_u + B_u K_u, A_u + L_u C_u and the
+    retained blocks, each solved at 50 digits from its float64 entries."""
+    import mpmath
+
+    def exact(M):
+        return mpmath.matrix(np.asarray(M).real.tolist())
+
+    def eigs(M):
+        return [M[0, 0]] if M.rows == 1 else mpmath.eig(M, left=False, right=False)
+
+    n_u = controller.n_unstable
+    A, B, C, K, L = (exact(M) for M in (
+        truncated.A, truncated.B, truncated.C, controller.K_u, controller.L_u))
+    A_u = A[0:n_u, 0:n_u]
+    spectrum = [*eigs(A_u + B[0:n_u, :] * K), *eigs(A_u + L * C[:, 0:n_u])]
+    for blk in blocks:
+        spectrum += eigs(exact(blk.block_matrix))
+    return float(max(mpmath.re(z) for z in spectrum))
+
+
+@pytest.mark.parametrize("plant", [HEAT5_HALF, TRAJECTORY_PLANTS["wave3"]],
+                         ids=["heat5_indicator", "wave3"])
+def test_design_n_abscissa_matches_an_mpmath_reference(tmp_path, plant):
+    # heat5's abscissa, b - pi^2, is an eigenvalue of the plant and of the
+    # observer error; a dense eigensolve of the loop put it 8.9e-6 off, and
+    # wave3's -1/2 (shared by every retained mode) 6.4e-9 off
+    import mpmath
+
+    _, syn = run(tmp_path, "synthesize", {"plant": plant}, tag="syn")
+    cfg = {"plant": plant, "controller_file": str(syn / "controller.json"),
+           "horizon": 0.1, "dt": 0.01}
+    code, out = run(tmp_path, "simulate", cfg, tag="sim")
+    assert code == 0
+    summary = read_json(str(out / "summary.json"))
+    sys_, controller = cli._plant_and_controller(cfg, "simulate")
+    _cert, truncated, observer = cli._recheck_certificate(
+        sys_, controller, {**cli.CONFIG_DEFAULTS, **cfg})
+    assert observer
+    retained = sys_.blocks[sys_.n_unstable:cli._block_count_for_dim(sys_, truncated.n)]
+    with mpmath.workdps(50):
+        ref = _mp_abscissa(truncated, controller, retained)
+    assert summary["spectral_abscissa"] == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert summary["abscissa_witness"]["re"] == summary["spectral_abscissa"]
+    assert summary["abscissa_witness"]["im"] >= 0.0
+
+
+def _long_double_states(M: np.ndarray, x0: np.ndarray, steps: int, dt: float) -> np.ndarray:
+    """States of x' = M x on the grid, from a degree-20 Taylor exponential of
+    the float64 M scaled to 1-norm 1/4 and squared back, all in long double."""
+    A = M.astype(np.longdouble) * np.longdouble(dt)
+    squarings = max(0, math.ceil(math.log2(float(np.max(np.sum(np.abs(A), axis=0))) / 0.25)))
+    A /= np.longdouble(2.0) ** squarings
+    Phi = term = np.eye(len(A), dtype=np.longdouble)
+    for k in range(1, 21):
+        term = term @ A / np.longdouble(k)
+        Phi = Phi + term
+    for _ in range(squarings):
+        Phi = Phi @ Phi
+    states = np.empty((steps + 1, len(A)), dtype=np.longdouble)
+    states[0] = x0
+    for i in range(steps):
+        states[i + 1] = Phi @ states[i]
+    return states
+
+
+def _worst_row_error(states: np.ndarray, ref: np.ndarray) -> float:
+    """Largest entry error of a row relative to the row's largest |entry|."""
+    err = np.max(np.abs(states.astype(np.longdouble) - ref), axis=1)
+    return float(np.max(err / np.max(np.abs(ref), axis=1)))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is not extended precision here")
+@pytest.mark.parametrize("key", ["heat5", "wave3", "heat15"])
+def test_design_n_trajectory_beats_the_dense_steps(tmp_path, trajectory_controllers, key):
+    # The dense loop's rounding grows with the step count: heat15's reaches
+    # 5e-7 of a row by row 2000, its structured evaluation 1.5e-9.
+    plant, controller, cfg = _bench_loop(trajectory_controllers, key)
+    code, out = run(tmp_path, "simulate", cfg)
+    assert code == 0
+    cells = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    structured = cells[:, 1:1 + plant.n + controller.n]
+    x0 = cli._resolve_x0(cfg, plant.n)
+    dense = simulate_closed_loop(plant, controller, x0, cfg["horizon"], cfg["dt"]).states
+    ref = _long_double_states(closed_loop_matrix(plant, controller),
+                              np.concatenate([x0, np.zeros(controller.n)]),
+                              len(cells) - 1, cfg["dt"])
+    errors = _worst_row_error(structured, ref), _worst_row_error(dense, ref)
+    assert errors[0] < errors[1], errors
+    if key == "heat15":
+        assert errors[0] <= 1e-8, errors
+
+
+def test_design_n_simulate_solves_nothing_larger_than_the_core(
+        tmp_path, monkeypatch, trajectory_controllers):
+    # heat15's loop has 130 states and a core of 2 n_u = 4; another N takes
+    # the dense eigensolve and exponential of its whole loop
+    orders = []
+
+    def spy(fn):
+        def wrapped(A, *args, **kwargs):
+            orders.append(np.shape(A)[-1])
+            return fn(A, *args, **kwargs)
+        return wrapped
+
+    for name in ("eig", "eigvals", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name)))
+    monkeypatch.setattr(simulate, "matrix_exponential", spy(simulate.matrix_exponential))
+    cfg = {"plant": TRAJECTORY_PLANTS["heat15"],
+           "controller_file": trajectory_controllers["heat15"], "x0": "random", "seed": 7}
+    code, _ = run(tmp_path, "simulate", cfg, tag="design")
+    assert code == 0 and orders and max(orders) <= 4, orders
+    orders.clear()
+    code, _ = run(tmp_path, "simulate", {**cfg, "N": 64, "x0": "ones"}, tag="coarser")
+    assert code == 0 and max(orders) == 64 + 65
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="one CPU runs one BLAS thread either way")
+def test_simulate_decay_rate_does_not_depend_on_blas_threads(tmp_path):
+    # The late states of this loop are near 1e-171.  Stepped densely, their
+    # rounding moved the fitted rate from 20.5156 (one BLAS thread) to
+    # 20.4055 in a process that loaded numpy, and so its threads, first.
+    import modalstab
+
+    plant = {"type": "heat", "b": 60.0, "N_max": 64,
+             "f": {"kind": "indicator", "xi1": 0.1, "xi2": 0.6}}
+    code, syn = run(tmp_path, "synthesize", {"plant": plant}, tag="syn")
+    assert code == 4
+    cfg = tmp_path / "simulate.json"
+    cfg.write_text(json.dumps({"plant": plant, "controller_file": str(syn / "controller.json"),
+                               "x0": "random", "seed": 7}))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(modalstab.__file__))
+    numpy_first = ("import sys, numpy\nfrom modalstab.cli import main\n"
+                   "sys.exit(main(sys.argv[1:]))")
+    rates = []
+    for i, launcher in enumerate((["-m", "modalstab"], ["-c", numpy_first])):
+        out = tmp_path / f"sim{i}"
+        done = subprocess.run([sys.executable, *launcher, "simulate", "--config", str(cfg),
+                               "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        rates.append(read_json(str(out / "summary.json"))["decay_rate"])
+    assert rates[1] == pytest.approx(rates[0], rel=1e-9, abs=0.0)
 
 
 def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path, trajectory_controllers):

@@ -5,13 +5,15 @@ import pytest
 import scipy.linalg
 
 from modalstab import (SourceProfile, StateSpaceSystem, brute_force_gain,
-                       build_heat, decay_envelope, estimate_decay_rate, gain_strong,
-                       matrix_exponential, partition_spectrum, simulate_autonomous,
+                       build_heat, closed_loop_matrix, decay_envelope, estimate_decay_rate,
+                       gain_strong, matrix_exponential, partition_spectrum, simulate_autonomous,
                        simulate_closed_loop, simulate_modal, spectral_abscissa,
                        reduced_R_system, synthesize_controller, truncate)
 from modalstab.errors import DegenerateTrajectory, DimensionMismatch
 from modalstab.gains import loop_bounds
-from modalstab.simulate import BRUTE_FORCE_MAX_STEPS, BRUTE_FORCE_OMEGAS, Trajectory, row_norms
+from modalstab.modal import ModalBlock, ModalSystem, TailModel
+from modalstab.simulate import (BRUTE_FORCE_MAX_STEPS, BRUTE_FORCE_OMEGAS, CONDITION_MAX,
+                                SEPARATION_RTOL, Trajectory, observer_loop, row_norms)
 
 from conftest import random_hurwitz, random_system
 
@@ -88,6 +90,70 @@ def test_simulate_closed_loop_wiring(rng):
     assert np.allclose(traj.outputs, traj.states[:, :n] @ truncated.C.T)
     assert np.allclose(traj.inputs, traj.states[:, n:] @ ctrl.G.T)
     assert traj.state_norms()[-1] < 1e-2 * traj.state_norms()[0]
+
+
+def _observer_case(stable_blocks):
+    """(plant, truncation, controller): one unstable mode a = b = c = 1, whose
+    feedback and observer both place -sqrt(2), then the given stable
+    (A, B, C) blocks, all retained."""
+    blocks = [ModalBlock([[1.0]], [[1.0]], [[1.0]], label=0)]
+    blocks += [ModalBlock(*blk, label=i + 1) for i, blk in enumerate(stable_blocks)]
+    sys_ = ModalSystem(blocks, TailModel(decay_alpha=10.0, input_norm=0.0,
+                                         output_graph_norm=0.0), 1, 1)
+    truncated, _ = truncate(sys_, len(sys_))
+    return sys_, truncated, synthesize_controller(partition_spectrum(sys_), truncated)
+
+
+def _near_core(factor):
+    # a stable mode factor * SEPARATION_RTOL (1 + |lam|) left of A_c's
+    # double, defective eigenvalue -sqrt(2): the closest the closed forms get
+    lam = -math.sqrt(2.0)
+    return [([[lam - factor * SEPARATION_RTOL * (1.0 - lam)]], [[1.0]], [[1.0]])]
+
+
+def _conditioned(kappa):
+    # [[-3, c], [0, -4]] has unit-column eigenvector condition
+    # sqrt((1 + cos) / (1 - cos)) with cos = c / sqrt(c^2 + 1), so kappa at
+    # c = (kappa^2 - 1) / (2 kappa)
+    c = (kappa * kappa - 1.0) / (2.0 * kappa)
+    return [([[-3.0, c], [0.0, -4.0]], [[1.0], [1.0]], [[1.0, 1.0]])]
+
+
+@pytest.mark.parametrize("blocks, structured", [
+    (_near_core(0.5), False), (_near_core(2.0), True),
+    (_conditioned(2.0 * CONDITION_MAX), False), (_conditioned(0.5 * CONDITION_MAX), True),
+], ids=["core_near", "core_apart", "ill_conditioned", "conditioned"])
+def test_observer_loop_falls_back_at_its_thresholds(rng, blocks, structured):
+    sys_, truncated, ctrl = _observer_case(blocks)
+    loop = observer_loop(sys_, truncated, ctrl.K_u, ctrl.L_u)
+    assert (loop is not None) == structured
+    if not structured:
+        return
+    x0 = rng.standard_normal(truncated.n)
+    got = np.concatenate([b.states for b in loop.blocks(x0, 5.0, 0.05)])
+    dense = simulate_closed_loop(truncated, ctrl.as_state_space(), x0, 5.0, 0.05).states
+    assert got.dtype == np.float64
+    err = np.max(np.abs(got - dense), axis=1) / np.max(np.abs(dense), axis=1)
+    assert np.max(err) <= 1e-9
+
+
+def test_observer_loop_leaves_complex_data_to_the_dense_path():
+    sys_, truncated, ctrl = _observer_case([([[-3.0 + 1.0j]], [[1.0]], [[1.0]])])
+    assert observer_loop(sys_, truncated, ctrl.K_u, ctrl.L_u) is None
+
+
+def test_observer_loop_spectrum_is_the_separation_spectrum():
+    # spec(A_u + B_u K_u) u spec(A_u + L_u C_u) u the retained modes: the
+    # witness is the rightmost, of least |Im| among ties, with Im >= 0
+    w = 2.0
+    sys_, truncated, ctrl = _observer_case([([[-0.5, w], [-w, -0.5]], [[1.0], [0.0]],
+                                             [[1.0, 0.0]]),
+                                            ([[-0.5, 1.0], [-1.0, -0.5]], [[1.0], [1.0]],
+                                             [[0.0, 1.0]])])
+    loop = observer_loop(sys_, truncated, ctrl.K_u, ctrl.L_u)
+    assert loop.abscissa == -0.5 and loop.witness == complex(-0.5, 1.0)
+    dense = np.linalg.eigvals(closed_loop_matrix(truncated, ctrl.as_state_space()))
+    assert np.max(dense.real) == pytest.approx(-0.5, abs=1e-6)
 
 
 def test_estimate_decay_rate_oracle():

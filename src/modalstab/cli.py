@@ -31,8 +31,8 @@ from .errors import (BetaExceedsDecay, CertificateNotFound, DimensionMismatch,
                      NoAdmissibleParameter, NotDetectable, NotHurwitz, NotReachable,
                      NotStabilizable, RiccatiDivergence)
 from .fileio import SchemaViolation
-from .gains import BETA_GRID_DEPTH, beta_grid, loop_bounds, scan_certificate
-from .modal import (ModalSystem, StateSpaceSystem, closed_loop_matrix,
+from .gains import BETA_GRID_DEPTH, LoopBounds, beta_grid, loop_bounds, scan_certificate
+from .modal import (ModalSystem, StateSpaceSystem, closed_loop_matrix, leading_blocks,
                     partition_spectrum, select_truncation, truncate, truncate_tail)
 from .plants import DEFAULT_N_MAX, SourceProfile, build_heat, build_heat_boundary, build_wave
 from .simulate import (closed_loop_blocks, fit_decay_rate, observer_loop, row_norms,
@@ -75,6 +75,8 @@ CONFIG_DEFAULTS = {
 
 _CONFIG_KEY_ORDER = ("plant", "N", "epsilon", "beta_depth", "margin_fraction",
                      "horizon", "dt", "seed", "x0", "sweep_N", "controller_file")
+# DesignInfo's fields, in the controller document's order
+_DESIGN_KEYS = ("feedback_rate", "observer_rate", "feedback_residual", "observer_residual")
 
 
 def load_config(path: str) -> dict:
@@ -98,21 +100,14 @@ def build_plant(doc: dict):
 
 def controller_to_doc(controller: ObserverController, inputs: int, outputs: int) -> dict:
     return {
-        "E": fileio.matrix_to_doc(controller.E),
-        "F": fileio.matrix_to_doc(controller.F),
-        "G": fileio.matrix_to_doc(controller.G),
+        **{name: fileio.matrix_to_doc(getattr(controller, name)) for name in "EFG"},
         "dims": {
             "n_unstable": int(controller.n_unstable),
             "n_retained": int(controller.n_retained),
             "inputs": int(inputs),
             "outputs": int(outputs),
         },
-        "design": {
-            "feedback_rate": float(controller.info.feedback_rate),
-            "observer_rate": float(controller.info.observer_rate),
-            "feedback_residual": float(controller.info.feedback_residual),
-            "observer_residual": float(controller.info.observer_residual),
-        },
+        "design": {name: float(getattr(controller.info, name)) for name in _DESIGN_KEYS},
     }
 
 
@@ -123,24 +118,11 @@ def controller_from_doc(doc: dict) -> ObserverController:
     E = fileio.matrix_from_doc(doc["E"], n, n)
     F = fileio.matrix_from_doc(doc["F"], n, int(dims["outputs"]))
     G = fileio.matrix_from_doc(doc["G"], int(dims["inputs"]), n)
-    d = doc["design"]
     # F = -[L; 0] and G = [K, 0] carry the unstable-prefix gains verbatim.
     return ObserverController(
         E=E, F=F, G=G, K_u=G[:, :n_u].copy(), L_u=-F[:n_u, :].copy(),
         n_unstable=n_u, n_retained=int(dims["n_retained"]),
-        info=DesignInfo(float(d["feedback_rate"]), float(d["observer_rate"]),
-                        float(d["feedback_residual"]), float(d["observer_residual"])))
-
-
-def _block_count_for_dim(sys_: ModalSystem, n: int) -> int:
-    """Number of leading blocks whose total state dimension is exactly n."""
-    totals = np.concatenate(([0], np.cumsum(sys_.dims)))
-    hits = np.flatnonzero(totals == n)
-    if hits.size:
-        return int(hits[0])
-    raise DimensionMismatch(
-        f"controller dimension {n} matches no truncation of the plant "
-        f"(resolved block dimensions reach {totals[-1]})")
+        info=DesignInfo(*(float(doc["design"][name]) for name in _DESIGN_KEYS)))
 
 
 def _check_io_dims(truncated: StateSpaceSystem, controller: ObserverController):
@@ -152,40 +134,41 @@ def _check_io_dims(truncated: StateSpaceSystem, controller: ObserverController):
             f"controller drives {controller.G.shape[0]} plant inputs, plant accepts {truncated.m}")
 
 
-def _controller_loop(truncated: StateSpaceSystem, controller: ObserverController) -> StateSpaceSystem:
+def _reduced_loop(sys_: ModalSystem, k_u: int, truncated: StateSpaceSystem,
+                  controller: ObserverController, margin_fraction: float) -> LoopBounds:
+    """Bounds of the controller loop reduced to its first k_u blocks; the
+    tail after them decays with the loop's other states and caps its alpha."""
     n_u = int(controller.n_unstable)
-    return reduced_R_system(truncated.A[:n_u, :n_u], truncated.B[:n_u, :],
-                            truncated.C[:, :n_u], controller.K_u, controller.L_u)
+    r_sys = reduced_R_system(truncated.A[:n_u, :n_u], truncated.B[:n_u, :],
+                             truncated.C[:, :n_u], controller.K_u, controller.L_u)
+    return loop_bounds(r_sys, margin_fraction, truncate_tail(sys_, k_u).decay_alpha)
 
 
 def _recheck_certificate(sys_: ModalSystem, controller: ObserverController, cfg: dict):
-    """(certificate, truncation, observer) for an imported controller at its
-    own design truncation; observer says whether the controller has the
-    observer structure over that truncation.
-
-    The reduced controller-loop bound is only used after the observer
-    structure has been verified entrywise against the rebuilt plant;
-    otherwise the conservative full-loop bound applies.
+    """(certificate, design) for an imported controller at its own design
+    truncation, with design the verdict of ``matches_observer_structure``.
+    The reduced controller-loop bound is used only on that verdict, and the
+    conservative full-loop bound without it or when that loop is unstable.
     """
-    N = _block_count_for_dim(sys_, controller.n)
-    truncated, tail = truncate(sys_, N)
-    _check_io_dims(truncated, controller)
-    observer = matches_observer_structure(truncated, controller)
-    r_sys = None
-    if observer:
-        try:
-            r_sys = _controller_loop(truncated, controller)
-        except NotHurwitz:
-            r_sys = None
-    if r_sys is None:
-        r_sys = loop_system(truncated, controller.as_state_space())
-    cert = scan_certificate(tail, loop_bounds(r_sys, float(cfg["margin_fraction"])), N,
-                            depth=int(cfg["beta_depth"]))
-    return cert, truncated, observer
-
-
-def _eig_doc(values) -> list:
-    return [{"re": float(z.real), "im": float(z.imag)} for z in np.asarray(values).ravel()]
+    margin_fraction = float(cfg["margin_fraction"])
+    design = matches_observer_structure(sys_, controller)
+    if design is not None:
+        N, truncated = design.N, design.truncated
+    else:
+        N = leading_blocks(sys_, controller.n)
+        if N is None:
+            raise DimensionMismatch(
+                f"controller dimension {controller.n} matches no truncation of the plant "
+                f"(resolved block dimensions reach {int(sys_.dims.sum())})")
+        truncated, _tail = truncate(sys_, N)
+        _check_io_dims(truncated, controller)
+    try:
+        loop = design and _reduced_loop(sys_, design.k_u, truncated, controller, margin_fraction)
+    except NotHurwitz:
+        loop = None
+    if loop is None:
+        loop = loop_bounds(loop_system(truncated, controller.as_state_space()), margin_fraction)
+    return scan_certificate(truncate_tail(sys_, N), loop, N, depth=int(cfg["beta_depth"])), design
 
 
 def analysis_document(plant_doc: dict, sys_: ModalSystem, part, report, lift) -> dict:
@@ -194,7 +177,7 @@ def analysis_document(plant_doc: dict, sys_: ModalSystem, part, report, lift) ->
         "label": label,
         "dim": dim,
         "unstable": i < sys_.n_unstable,
-        "eigenvalues": _eig_doc(sys_.eigenvalues(i)),
+        "eigenvalues": [{"re": float(z.real), "im": float(z.imag)} for z in sys_.eigenvalues(i)],
         "stabilizable": label not in report.offending_stabilizable,
         "detectable": label not in report.offending_detectable,
         "stab_margin": stab_margin,
@@ -254,12 +237,6 @@ def write_certificate(out_dir: str, cert):
     fileio.write_json_atomic(os.path.join(out_dir, "certificate.json"), doc)
 
 
-def _write_controller(out_dir: str, controller: ObserverController, truncated: StateSpaceSystem):
-    doc = controller_to_doc(controller, truncated.m, truncated.p)
-    fileio.validate_document(doc, "controller")
-    fileio.write_json_atomic(os.path.join(out_dir, "controller.json"), doc)
-
-
 def cmd_analyze(cfg: dict, out_dir: str) -> int:
     sys_, lift = build_plant(cfg["plant"])
     part = partition_spectrum(sys_)
@@ -300,19 +277,21 @@ def _epsilon_halving(sys_: ModalSystem, epsilon: float):
     yield count
 
 
-def _prefix_design(prefix: StateSpaceSystem, part, margin_fraction: float):
+def _prefix_design(sys_: ModalSystem, prefix: StateSpaceSystem, part, margin_fraction: float):
     """The controller over the unstable prefix and the bounds of its reduced loop.
 
     Neither depends on the truncation order, so one serves every candidate N.
     """
     design = synthesize_controller(part, prefix)
-    return design, loop_bounds(_controller_loop(prefix, design), margin_fraction)
+    return design, _reduced_loop(sys_, sys_.n_unstable, prefix, design, margin_fraction)
 
 
 def _write_design(out_dir: str, sys_: ModalSystem, design: ObserverController, cert):
     truncated, _tail = truncate(sys_, cert.truncation_N)
-    controller = observer_controller(truncated, design.K_u, design.L_u, design.info)
-    _write_controller(out_dir, controller, truncated)
+    doc = controller_to_doc(observer_controller(truncated, design.K_u, design.L_u, design.info),
+                            truncated.m, truncated.p)
+    fileio.validate_document(doc, "controller")
+    fileio.write_json_atomic(os.path.join(out_dir, "controller.json"), doc)
     write_certificate(out_dir, cert)
 
 
@@ -335,7 +314,7 @@ def cmd_synthesize(cfg: dict, out_dir: str) -> int:
         tail = truncate_tail(sys_, N)
         if design is None:
             # after the first tail, so that an inadmissible N is reported first
-            design, loop = _prefix_design(prefix, part, float(cfg["margin_fraction"]))
+            design, loop = _prefix_design(sys_, prefix, part, float(cfg["margin_fraction"]))
         cert = scan_certificate(tail, loop, N, depth=int(cfg["beta_depth"]))
         if cert.verdict == "Certified":
             _write_design(out_dir, sys_, design, cert)
@@ -366,7 +345,7 @@ def _plant_and_controller(cfg: dict, command: str):
 
 def cmd_certify(cfg: dict, out_dir: str) -> int:
     sys_, controller = _plant_and_controller(cfg, "certify")
-    cert, _truncated, _observer = _recheck_certificate(sys_, controller, cfg)
+    cert, _design = _recheck_certificate(sys_, controller, cfg)
     write_certificate(out_dir, cert)
     print(f"certify: {cert.verdict} at N={cert.truncation_N} beta={cert.beta:.9g} "
           f"product={cert.product:.9g}")
@@ -394,17 +373,16 @@ def _resolve_x0(cfg: dict, n: int) -> np.ndarray:
 def cmd_simulate(cfg: dict, out_dir: str) -> int:
     sys_, controller = _plant_and_controller(cfg, "simulate")
     # The certificate covers every truncation; the simulated one may be finer.
-    cert, truncated, observer = _recheck_certificate(sys_, controller, cfg)
+    cert, design = _recheck_certificate(sys_, controller, cfg)
     N = int(cfg["N"]) if cfg.get("N") is not None else cert.truncation_N
-    if N != cert.truncation_N:
-        # the observer no longer models this plant, so the loop is not triangular
-        truncated, _tail = truncate(sys_, N)
-        _check_io_dims(truncated, controller)
-        observer = False
+    # the loop is triangular only at the verdict's N; the certificate has
+    # checked the inputs and outputs
+    at_design = design is not None and N == design.N
+    truncated = design.truncated if at_design else truncate(sys_, N)[0]
+    loop = observer_loop(sys_, design, controller) if at_design else None
 
     x0 = _resolve_x0(cfg, truncated.n)
     T, dt = float(cfg["horizon"]), float(cfg["dt"])
-    loop = observer_loop(sys_, truncated, controller.K_u, controller.L_u) if observer else None
     if loop is None:
         controller_ss = controller.as_state_space()
         M = closed_loop_matrix(truncated, controller_ss)
@@ -460,13 +438,13 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
             raise ValueError(
                 f"sweep N={N} outside [{sys_.n_unstable}, {len(sys_)}]")
 
-    _design, loop = _prefix_design(prefix, part, float(cfg["margin_fraction"]))
+    _design, loop = _prefix_design(sys_, prefix, part, float(cfg["margin_fraction"]))
     if loop.env is None:
         raise NotHurwitz(loop.failure)
     # One beta for every row keeps the columns comparable: the most
-    # permissive grid point admissible at the smallest N.
-    alpha_min = min(truncate_tail(sys_, ns[0]).decay_alpha, loop.env.alpha)
-    beta = beta_grid(alpha_min, int(cfg["beta_depth"]))[-1]
+    # permissive grid point admissible at every N.  The loop's alpha is
+    # capped by every block outside the prefix, so by each row's tail too.
+    beta = beta_grid(loop.alpha, int(cfg["beta_depth"]))[-1]
 
     rows = []
     for N in ns:

@@ -297,7 +297,8 @@ class LoopBounds:
 
     Its decay envelope and the 2-norms of its (A, B, C); one serves every
     truncation order of a plant.  ``env`` is None when the loop is not
-    exponentially stable, and ``failure`` then says why.
+    exponentially stable, and ``failure`` then says why.  ``rest_alpha`` is
+    the decay rate of the loop's states outside the bounded system's.
     """
 
     env: DecayEnvelope
@@ -305,9 +306,15 @@ class LoopBounds:
     norm_b: float
     norm_c: float
     failure: str = ""
+    rest_alpha: float = math.inf
+
+    @property
+    def alpha(self) -> float:
+        """The rate all of the loop decays at: the envelope's, capped by rest_alpha."""
+        return min(self.env.alpha, self.rest_alpha)
 
 
-def loop_bounds(r_sys, margin_fraction: float = 0.5) -> LoopBounds:
+def loop_bounds(r_sys, margin_fraction: float = 0.5, rest_alpha: float = math.inf) -> LoopBounds:
     """Decay envelope and 2-norms of a finite controller-loop system."""
     try:
         env = decay_envelope(r_sys.A, margin_fraction)
@@ -317,7 +324,8 @@ def loop_bounds(r_sys, margin_fraction: float = 0.5) -> LoopBounds:
         env,
         float(np.linalg.norm(r_sys.A, 2)) if r_sys.n else 0.0,
         float(np.linalg.norm(r_sys.B, 2)) if r_sys.B.size else 0.0,
-        float(np.linalg.norm(r_sys.C, 2)) if r_sys.C.size else 0.0)
+        float(np.linalg.norm(r_sys.C, 2)) if r_sys.C.size else 0.0,
+        rest_alpha=rest_alpha)
 
 
 def scan_certificate(tail: TailModel, loop: LoopBounds, N: int,
@@ -327,9 +335,10 @@ def scan_certificate(tail: TailModel, loop: LoopBounds, N: int,
 
     ``loop`` is the controller loop's ``loop_bounds``, so one envelope serves
     many tails.  The grid is {alpha_min / 2^j : j = 1..depth} with alpha_min
-    the smaller of the tail decay rate and the controller-loop envelope rate
+    the smaller of the tail decay rate and the controller loop's ``alpha``
     (j = 0 is never strictly below both), less the points that underflow to
-    0, which never certify.  With ``fixed_beta`` set, only that single beta
+    0, which never certify.  So beta stays below the decay rate of every
+    state of the closed loop.  With ``fixed_beta`` set, only that single beta
     is evaluated.
 
     Every bound grows with beta: a / (alpha - beta) and
@@ -365,7 +374,7 @@ def scan_certificate(tail: TailModel, loop: LoopBounds, N: int,
 
     if fixed_beta is not None:
         return attempt(float(fixed_beta))
-    alpha_min = min(tail.decay_alpha, loop.env.alpha)
+    alpha_min = min(tail.decay_alpha, loop.alpha)
     grid = [beta for beta in beta_grid(alpha_min, depth)[1:] if beta > 0]
     if not grid:
         raise BetaExceedsDecay("no grid beta lies strictly below both decay rates")

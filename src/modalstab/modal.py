@@ -477,6 +477,13 @@ def truncate_tail(sys: ModalSystem, N: int) -> TailModel:
     )
 
 
+def leading_blocks(sys: ModalSystem, n: int):
+    """How many leading blocks span n states; None if n ends inside or past one."""
+    totals = np.concatenate(([0], np.cumsum(sys.dims)))
+    count = int(np.searchsorted(totals, n))
+    return count if count < len(totals) and totals[count] == n else None
+
+
 def truncate(sys: ModalSystem, N: int):
     """Keep the first N blocks dense; absorb the rest into the tail.
 

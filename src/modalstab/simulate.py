@@ -126,9 +126,19 @@ def matrix_exponential(A: np.ndarray, t: float = 1.0) -> np.ndarray:
     return X
 
 
+def _rightmost(eigs: np.ndarray):
+    """(abscissa, witness) of a real matrix's spectrum: the largest real part,
+    and among the eigenvalues that reach it the one of least |Im|, reported
+    with Im >= 0."""
+    abscissa = float(np.max(eigs.real))
+    tied = eigs[eigs.real == abscissa]
+    return abscissa, complex(abscissa, float(np.min(np.abs(tied.imag))))
+
+
 def spectral_abscissa(A: np.ndarray):
-    """(max real part, witnessing eigenvalue) of a dense matrix; for a real
-    matrix the witness is the member of its conjugate pair with Im >= 0."""
+    """(max real part, witnessing eigenvalue) of a dense matrix: for a real
+    matrix the witness of :func:`_rightmost`, for a complex one its first
+    eigenvalue of largest real part."""
     A = np.atleast_2d(np.asarray(A))
     if A.shape[0] == 0:
         return float("-inf"), complex(0.0)
@@ -136,9 +146,9 @@ def spectral_abscissa(A: np.ndarray):
         eigs = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
         raise EigensolverNoConvergence(str(exc)) from exc
+    if not np.any(A.imag):
+        return _rightmost(eigs)
     witness = complex(eigs[int(np.argmax(eigs.real))])
-    if witness.imag < 0.0 and not np.any(A.imag):  # a real A has the conjugate too
-        witness = witness.conjugate()
     return witness.real, witness
 
 
@@ -241,15 +251,6 @@ def simulate_closed_loop(plant: StateSpaceSystem, controller: StateSpaceSystem,
                                      x0, T, dt))
     return Trajectory(*(np.concatenate([getattr(b, name) for b in blocks])
                         for name in ("times", "states", "outputs", "inputs")), dt=dt)
-
-
-def _rightmost(eigs: np.ndarray):
-    """(abscissa, witness) of a real matrix's spectrum: the largest real part,
-    and among the eigenvalues that reach it the one of least |Im|, reported
-    with Im >= 0."""
-    abscissa = float(np.max(eigs.real))
-    tied = eigs[eigs.real == abscissa]
-    return abscissa, complex(abscissa, float(np.min(np.abs(tied.imag))))
 
 
 def _block_powers(Phi: np.ndarray, rows: int) -> np.ndarray:
@@ -425,29 +426,25 @@ class ObserverLoop:
                              states[:, n:n + n_u] @ self.K_u.T, dt=dt)
 
 
-def observer_loop(sys: ModalSystem, truncated: StateSpaceSystem, K_u: np.ndarray,
-                  L_u: np.ndarray):
-    """The :class:`ObserverLoop` of ``truncated``, the leading blocks of
-    ``sys``, and the observer controller with prefix gains K_u, L_u, or None
-    when its closed forms do not apply or would lose accuracy; the caller
-    then steps the dense loop.
+def observer_loop(sys: ModalSystem, design, controller):
+    """The :class:`ObserverLoop` of ``design.truncated``, the first design.N
+    blocks of ``sys``, closed by ``controller``, whose gains K_u, L_u act on
+    the first design.k_u blocks (``design`` is the verdict of
+    ``synthesis.matches_observer_structure``); or None when its closed forms
+    do not apply or would lose accuracy, and the caller steps the dense loop.
 
-    That is when some data are complex, when the prefix of K_u's width ends
-    inside a block, when a retained block's eigenvector condition number
-    exceeds CONDITION_MAX, or when a retained eigenvalue lam lies within
-    SEPARATION_RTOL (1 + |lam|) of an eigenvalue of A_c: the decoupling
-    divides by that difference.
+    That is when some data are complex, when a retained block's eigenvector
+    condition number exceeds CONDITION_MAX, or when a retained eigenvalue lam
+    lies within SEPARATION_RTOL (1 + |lam|) of an eigenvalue of A_c: the
+    decoupling divides by that difference.
     """
-    data = (truncated.A, truncated.B, truncated.C, K_u, L_u)
-    if any(np.any(M.imag) for M in data):
-        return None
-    A, B, C, K, L = (np.ascontiguousarray(M.real) for M in data)
-    n, n_u = A.shape[0], K.shape[1]
-    totals = np.concatenate(([0], np.cumsum(sys.dims)))
-    first, stop = np.searchsorted(totals, [n_u, n]).tolist()
-    if (first >= len(totals) or totals[first] != n_u
+    truncated, first, stop = design.truncated, design.k_u, design.N
+    data = (truncated.A, truncated.B, truncated.C, controller.K_u, controller.L_u)
+    if (any(np.any(M.imag) for M in data)
             or np.any(sys.conditions[first:stop] > CONDITION_MAX)):
         return None
+    A, B, C, K, L = (np.ascontiguousarray(M.real) for M in data)
+    n_u = K.shape[1]
     u = slice(0, n_u)
     BK = B[u] @ K
     fb, ob = A[u, u] + BK, A[u, u] + L @ C[:, u]
@@ -462,7 +459,6 @@ def observer_loop(sys: ModalSystem, truncated: StateSpaceSystem, K_u: np.ndarray
 
 
 def simulate_autonomous(A: np.ndarray, x0, T: float, dt: float) -> Trajectory:
-
     """Exact-step free evolution x' = A x, read out as y = x (one shared array)."""
     A = np.atleast_2d(np.asarray(A))
     times, states = (np.concatenate(part) for part in

@@ -20,7 +20,8 @@ from .errors import (
     NotStabilizable,
     RiccatiDivergence,
 )
-from .modal import ModalSystem, SpectrumPartition, StateSpaceSystem, _matrix_sign, truncate
+from .modal import (ModalSystem, SpectrumPartition, StateSpaceSystem, _matrix_sign,
+                    closed_loop_matrix, leading_blocks, truncate)
 
 # A PBH pencil [lambda I - A, X] is rank deficient when sigma_min is at most
 # RANK_RTOL * max(||A||_F, ||X||_F), over the whole unstable prefix.
@@ -209,10 +210,7 @@ def synthesize_controller(partition: SpectrumPartition,
     n_u = int(partition.unstable_dim)
     if n_u > n:
         raise DimensionMismatch(f"unstable dimension {n_u} exceeds truncated dimension {n}")
-    A, B, C = truncated.A, truncated.B, truncated.C
-    A_u = A[:n_u, :n_u]
-    B_u = B[:n_u, :]
-    C_u = C[:, :n_u]
+    A_u, B_u, C_u = truncated.A[:n_u, :n_u], truncated.B[:n_u, :], truncated.C[:, :n_u]
 
     K_u = design_feedback(A_u, B_u)
     L_u = design_observer(A_u, C_u)
@@ -288,8 +286,6 @@ def loop_system(truncated: StateSpaceSystem, controller: StateSpaceSystem) -> St
     C x + v.  Valid for arbitrary controllers; the bound computed from it is
     sound but much more conservative than the reduced form.
     """
-    from .modal import closed_loop_matrix
-
     A = closed_loop_matrix(truncated, controller)
     n, q = truncated.n, controller.n
     B = np.zeros((n + q, controller.m), dtype=np.complex128)
@@ -299,22 +295,36 @@ def loop_system(truncated: StateSpaceSystem, controller: StateSpaceSystem) -> St
     return StateSpaceSystem(A, B, C)
 
 
-def matches_observer_structure(truncated: StateSpaceSystem,
-                               controller: ObserverController) -> bool:
-    """Verify the observer block identities entrywise against the plant.
+@dataclass(frozen=True)
+class DesignTruncation:
+    """A controller's first N plant blocks, dense, its gains on the first k_u."""
 
-    Checks E = A + [L;0] C + B [K,0], F = -[L;0], G = [K,0].  Only when these
-    hold may the reduced controller-loop bound be used for an imported
-    controller.
+    N: int
+    truncated: StateSpaceSystem
+    k_u: int
+
+
+def matches_observer_structure(sys: ModalSystem, controller: ObserverController):
+    """The :class:`DesignTruncation` of ``controller`` if it is the observer
+    controller of the first N blocks of ``sys``, else None; only then does
+    its loop reduce to the prefix's data (``reduced_R_system``).  Its
+    dimension must be that of the first N blocks, and its ``n_unstable``
+    that of the first k_u >= ``sys.n_unstable``: the prefix ends on a block
+    boundary, so it is invariant, and no non-decaying block is outside it.
+    E = A + [L;0] C + B [K,0], F = -[L;0] and G = [K,0] must hold entrywise
+    within STRUCTURE_RTOL.
     """
-    n = truncated.n
-    n_u = controller.n_unstable
-    if controller.n != n or n_u > n:
-        return False
+    N = leading_blocks(sys, controller.n)
+    k_u = leading_blocks(sys, controller.n_unstable)
+    if (N is None or k_u is None or k_u < sys.n_unstable
+            or controller.G.shape[0] != sys.input_dim or controller.F.shape[1] != sys.output_dim):
+        return None
+    truncated, _tail = truncate(sys, N)
     ref = observer_controller(truncated, controller.K_u, controller.L_u, controller.info)
     scale = 1.0 + max(float(np.linalg.norm(truncated.A)), float(np.linalg.norm(ref.E)))
     pairs = ((controller.E, ref.E, scale),
              (controller.F, ref.F, 1.0 + float(np.linalg.norm(ref.F))),
              (controller.G, ref.G, 1.0 + float(np.linalg.norm(ref.G))))
-    return all(float(np.linalg.norm(mine - theirs)) <= STRUCTURE_RTOL * bound
-               for mine, theirs, bound in pairs)
+    matches = all(float(np.linalg.norm(mine - theirs)) <= STRUCTURE_RTOL * bound
+                  for mine, theirs, bound in pairs)
+    return DesignTruncation(N, truncated, k_u) if matches else None

@@ -1,0 +1,98 @@
+"""The survey set: one `synthesize` config per plant, named by plant, b and profile.
+
+- heat and heat_boundary at b in {5, 15, 30, 60}, each with the profiles
+  constant 1, indicator [0, 1/2], indicator [0.1, 0.6] and cosine k0 = 1.5;
+- wave at b in {3, 30} and kappa in {0.5, 1, 3}, with indicator [0, 1/2];
+- heat b = 9.8 with indicator [0, 1/2], whose retained mode 1 decays at
+  only pi^2 - 9.8 = 0.0696: a certificate's beta must stay below it.
+
+Every plant uses N_max 64.  Four of them fail the PBH rank test on
+stabilizability (``PBH_FAILURES``).
+
+Run ``PYTHONPATH=src python tests/survey.py OUT`` to synthesize every config
+into OUT/<name>/, simulate each Certified controller over a horizon of 0.1
+into OUT/<name>/simulate/, and print one line per config.  Rerunning on the
+same code reproduces every document byte for byte, so two checkouts can be
+compared with ``diff -r``.
+"""
+
+import json
+import os
+import sys
+import tempfile
+
+from modalstab.cli import main
+
+PROFILES = {
+    "constant": {"kind": "constant", "value": 1.0},
+    "indicator": {"kind": "indicator", "xi1": 0.0, "xi2": 0.5},
+    "indicator_shifted": {"kind": "indicator", "xi1": 0.1, "xi2": 0.6},
+    "cosine": {"kind": "cosine", "k0": 1.5},
+}
+N_MAX = 64
+SIMULATE_HORIZON = 0.1
+
+
+def _plants() -> dict:
+    plants = {}
+    for kind in ("heat", "heat_boundary"):
+        for b in (5.0, 15.0, 30.0, 60.0):
+            for name, f in PROFILES.items():
+                plants[f"{kind}_b{b:g}_{name}"] = {"type": kind, "b": b, "f": f, "N_max": N_MAX}
+    for b in (3.0, 30.0):
+        for kappa in (0.5, 1.0, 3.0):
+            plants[f"wave_b{b:g}_kappa{kappa:g}"] = {
+                "type": "wave", "b": b, "kappa": kappa, "f": PROFILES["indicator"],
+                "N_max": N_MAX}
+    plants["heat_b9.8_indicator"] = {"type": "heat", "b": 9.8, "f": PROFILES["indicator"],
+                                     "N_max": N_MAX}
+    return plants
+
+
+PLANTS = _plants()
+PBH_FAILURES = ("heat_b15_constant", "heat_b30_constant", "heat_b60_constant",
+                "heat_b60_indicator")
+
+
+def run_command(out_dir: str, command: str, cfg: dict) -> int:
+    """Exit code of ``modalstab command`` on cfg; out_dir gets the documents only."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        return main([command, "--config", path, "--out", out_dir])
+
+
+def run_survey(out_root: str) -> dict:
+    """name -> (synthesize exit code, certificate document or None,
+    simulate summary of a Certified controller or None)."""
+    results = {}
+    for name, plant in PLANTS.items():
+        out = os.path.join(out_root, name)
+        code = run_command(out, "synthesize", {"plant": plant})
+        cert = summary = None
+        if os.path.exists(os.path.join(out, "certificate.json")):
+            with open(os.path.join(out, "certificate.json"), encoding="utf-8") as fh:
+                cert = json.load(fh)
+        if code == 0:
+            sim = os.path.join(out, "simulate")
+            sim_code = run_command(sim, "simulate", {
+                "plant": plant, "controller_file": os.path.join(out, "controller.json"),
+                "horizon": SIMULATE_HORIZON})
+            if sim_code == 0:
+                with open(os.path.join(sim, "summary.json"), encoding="utf-8") as fh:
+                    summary = json.load(fh)
+        results[name] = (code, cert, summary)
+    return results
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: survey.py OUT")
+    for name, (code, cert, summary) in run_survey(sys.argv[1]).items():
+        line = f"{name}: exit {code}"
+        if cert is not None:
+            line += f" {cert['verdict']} N={cert['N']} beta={cert['beta']:.6g}"
+        if summary is not None:
+            line += f" abscissa={summary['spectral_abscissa']:.6g}"
+        print(line)

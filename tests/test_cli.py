@@ -25,8 +25,8 @@ from modalstab.fileio import (read_json, validate_document, write_json_atomic,
                               write_sweep_csv)
 from modalstab.gains import beta_grid
 from modalstab.plants import SourceProfile, build_heat_boundary
-from modalstab.synthesis import (check_stabilizable, matches_observer_structure,
-                                 observer_controller)
+from modalstab.synthesis import (check_stabilizable, design_feedback, design_observer,
+                                 matches_observer_structure, observer_controller)
 
 GEOMETRIC = [1.0 / (k + 1) ** 2 for k in range(17)]
 
@@ -309,7 +309,7 @@ def _reference_decay_rate(times, norms) -> float:
 
 def _reference_cmd_simulate(cfg: dict, out_dir: str) -> int:
     sys_, controller = cli._plant_and_controller(cfg, "simulate")
-    cert, _truncated, _observer = cli._recheck_certificate(sys_, controller, cfg)
+    cert, _design = cli._recheck_certificate(sys_, controller, cfg)
     N = int(cfg["N"]) if cfg.get("N") is not None else cert.truncation_N
     truncated, _tail = truncate(sys_, N)
     cli._check_io_dims(truncated, controller)
@@ -397,8 +397,8 @@ def _bench_loop(trajectory_controllers, key):
            "controller_file": trajectory_controllers[key],
            "horizon": 20.0, "dt": 0.01, "x0": "random", "seed": 7}
     sys_, controller = cli._plant_and_controller(cfg, "simulate")
-    _cert, truncated, _observer = cli._recheck_certificate(sys_, controller, cfg)
-    return truncated, controller.as_state_space(), cfg
+    _cert, design = cli._recheck_certificate(sys_, controller, cfg)
+    return design.truncated, controller.as_state_space(), cfg
 
 
 def test_simulate_witness_of_a_real_loop_is_real(tmp_path, trajectory_controllers):
@@ -468,12 +468,11 @@ def test_design_n_abscissa_matches_an_mpmath_reference(tmp_path, plant):
     assert code == 0
     summary = read_json(str(out / "summary.json"))
     sys_, controller = cli._plant_and_controller(cfg, "simulate")
-    _cert, truncated, observer = cli._recheck_certificate(
-        sys_, controller, {**cli.CONFIG_DEFAULTS, **cfg})
-    assert observer
-    retained = sys_.blocks[sys_.n_unstable:cli._block_count_for_dim(sys_, truncated.n)]
+    _cert, design = cli._recheck_certificate(sys_, controller, {**cli.CONFIG_DEFAULTS, **cfg})
+    assert design is not None
+    retained = sys_.blocks[sys_.n_unstable:design.N]
     with mpmath.workdps(50):
-        ref = _mp_abscissa(truncated, controller, retained)
+        ref = _mp_abscissa(design.truncated, controller, retained)
     assert summary["spectral_abscissa"] == pytest.approx(ref, rel=1e-12, abs=0.0)
     assert summary["abscissa_witness"]["re"] == summary["spectral_abscissa"]
     assert summary["abscissa_witness"]["im"] >= 0.0
@@ -737,13 +736,21 @@ def _reference_truncate(sys_, N):
                             amp if np.isfinite(amp) else 1e308)
 
 
-def _reference_scan(tail, r_sys, N, margin, depth, fixed_beta=None):
+def _reference_rest_alpha(sys_, n_u):
+    """Decay rate of the blocks after the first n_u, the tail's included."""
+    return min([sys_.tail.decay_alpha]
+               + [-_reference_max_real(blk.block_matrix) for blk in sys_.blocks[n_u:]])
+
+
+def _reference_scan(tail, r_sys, N, margin, depth, rest_alpha, fixed_beta=None):
+    # beta stays below rest_alpha too: the loop keeps the blocks outside the prefix
     r_env = decay_envelope(r_sys.A, margin)
     norms = [float(np.linalg.norm(M, 2)) if M.size else 0.0 for M in (r_sys.B, r_sys.C, r_sys.A)]
-    alpha_min = min(tail.decay_alpha, r_env.alpha)
+    alpha_min = min(tail.decay_alpha, r_env.alpha, rest_alpha)
     tail_env = DecayEnvelope(tail.amplitude_a, tail.decay_alpha)
     best = None
-    for beta in [fixed_beta] if fixed_beta is not None else beta_grid(alpha_min, depth):
+    # j = 0 is a decay rate itself, never strictly below it
+    for beta in [fixed_beta] if fixed_beta is not None else beta_grid(alpha_min, depth)[1:]:
         try:
             h_tail, g_tail = gain_weak(tail_env, beta, tail.input_norm, tail.output_graph_norm)
             h_r, g_r = gain_strong(r_env, beta, *norms)
@@ -793,6 +800,7 @@ def _reference_synthesize(cfg, out_dir):
     else:
         candidates = _reference_candidates(sys_, float(cfg["epsilon"]))
     best, tried = None, set()
+    rest_alpha = _reference_rest_alpha(sys_, len(part.unstable_indices))
     for N in candidates:
         if N in tried:
             continue
@@ -800,7 +808,7 @@ def _reference_synthesize(cfg, out_dir):
         truncated, tail = _reference_truncate(sys_, N)
         controller = synthesize_controller(part, truncated)
         cert = _reference_scan(tail, _reference_loop(truncated, controller), N,
-                               float(cfg["margin_fraction"]), int(cfg["beta_depth"]))
+                               float(cfg["margin_fraction"]), int(cfg["beta_depth"]), rest_alpha)
         if cert.verdict == "Certified":
             _reference_write(out_dir, controller, truncated, cert)
             print(f"synthesize: Certified at N={N} beta={cert.beta:.9g} "
@@ -826,13 +834,14 @@ def _reference_sweep(cfg, out_dir):
     trunc0, tail0 = _reference_truncate(sys_, ns[0])
     r_env = decay_envelope(_reference_loop(trunc0, synthesize_controller(part, trunc0)).A,
                            margin)
-    beta = min(tail0.decay_alpha, r_env.alpha) / 2.0 ** depth
+    rest_alpha = _reference_rest_alpha(sys_, len(part.unstable_indices))
+    beta = min(tail0.decay_alpha, r_env.alpha, rest_alpha) / 2.0 ** depth
     rows = []
     for N in ns:
         truncated, tail = _reference_truncate(sys_, N)
         controller = synthesize_controller(part, truncated)
         cert = _reference_scan(tail, _reference_loop(truncated, controller), N, margin, depth,
-                               fixed_beta=beta)
+                               rest_alpha, fixed_beta=beta)
         rows.append((N, cert.gain_tail.value, cert.gain_R.value, cert.product, cert.verdict))
     write_sweep_csv(str(Path(out_dir) / "sweep.csv"), rows)
     certified = [r for r in rows if r[4] == "Certified"]
@@ -1135,7 +1144,7 @@ def test_ill_conditioned_loop_envelope_passes_its_residual_check():
     # residual-correction solve brings it under 1.
     sys_, _ = build_plant({"type": "heat", "b": 60.0, "N_max": 64,
                            "f": {"kind": "indicator", "xi1": 0.1, "xi2": 0.6}})
-    _design, loop = cli._prefix_design(check_stabilizable(sys_).prefix,
+    _design, loop = cli._prefix_design(sys_, check_stabilizable(sys_).prefix,
                                        partition_spectrum(sys_), 0.5)
     assert loop.env.amplitude_a > 1e5
 
@@ -1148,7 +1157,7 @@ def test_certify_falls_back_when_the_reduced_loop_is_not_hurwitz(tmp_path):
     truncated, _tail = truncate(sys_, 3)
     good = synthesize_controller(partition_spectrum(sys_), truncated)
     bad = observer_controller(truncated, -good.K_u, good.L_u, good.info)
-    assert matches_observer_structure(truncated, bad)
+    assert matches_observer_structure(sys_, bad) is not None
     n_u = bad.n_unstable
     with pytest.raises(NotHurwitz):
         reduced_R_system(truncated.A[:n_u, :n_u], truncated.B[:n_u, :],
@@ -1161,6 +1170,88 @@ def test_certify_falls_back_when_the_reduced_loop_is_not_hurwitz(tmp_path):
     assert cert["verdict"] == "Failed"
     assert cert["diagnostics"] == [
         "controller loop is not exponentially stable: spectral abscissa 15.099 >= 0"]
+
+
+def _place(A, B, poles):
+    """Single-input K with eig(A + B K) = poles, by Ackermann's formula."""
+    n = len(A)
+    ctrb = np.hstack([np.linalg.matrix_power(A, k) @ B for k in range(n)])
+    phi = sum(c * np.linalg.matrix_power(A, n - k) for k, c in enumerate(np.poly(poles)))
+    return -np.eye(n)[-1:] @ np.linalg.solve(ctrb, phi)
+
+
+def _prefix_controller(tmp_path, plant, n_u, gains):
+    """Path of the observer controller over every resolved block of plant
+    whose gains (K_u, L_u) act on its first n_u states."""
+    sys_, _ = build_plant(plant)
+    truncated, _tail = truncate(sys_, len(sys_))
+    A, B, C = (M.real for M in (truncated.A[:n_u, :n_u], truncated.B[:n_u], truncated.C[:, :n_u]))
+    K_u, L_u = gains(A, B, C)
+    ctrl = observer_controller(truncated, K_u.astype(complex), L_u.astype(complex),
+                               synthesis.DesignInfo(1.0, 1.0, 0.0, 0.0))
+    path = tmp_path / "controller.json"
+    write_json_atomic(str(path), cli.controller_to_doc(ctrl, truncated.m, truncated.p))
+    return str(path)
+
+
+# Observer controllers whose gains' prefix is no block-aligned cover of the
+# unstable blocks, with the abscissa of their (unstable) closed loops.
+# short_prefix: heat b=15 has unstable modes 15 and 15 - pi^2 = 5.13, and
+# Riccati gains act on the first only.  split_block: n_unstable = 2 cuts the
+# plant's 2x2 kernel block (x_0 | u, e_k), whose row feeds e_k back into e_u;
+# gains placed at -3 and -6 on (x_0, u).  Both certified before the prefix
+# was checked (at N=65 and N=257).
+PREFIX_CASES = {
+    "short_prefix": (TRAJECTORY_PLANTS["heat15"], 1,
+                     lambda A, B, C: (design_feedback(A, B), design_observer(A, C)), 5.1304),
+    "split_block": ({"type": "heat_boundary", "b": math.pi ** 2,
+                     "f": {"kind": "constant", "value": 1.0}, "N_max": 256}, 2,
+                    lambda A, B, C: (_place(A, B, [-3.0, -6.0]), _place(A.T, C.T, [-3.0, -6.0]).T),
+                    0.2224),
+}
+
+
+@pytest.mark.parametrize("case", PREFIX_CASES)
+def test_certify_and_simulate_read_the_full_loop_off_a_covering_prefix(tmp_path, monkeypatch,
+                                                                      case):
+    plant, n_u, gains, abscissa = PREFIX_CASES[case]
+    cfg = {"plant": plant, "controller_file": _prefix_controller(tmp_path, plant, n_u, gains)}
+    code, out = run(tmp_path, "certify", cfg, tag="cert")
+    assert code == 4
+    cert = read_json(str(out / "certificate.json"), "certificate")
+    assert cert["verdict"] == "Failed"
+    # the reduced loop over the prefix is Hurwitz; only the full loop is not
+    prefix = "controller loop is not exponentially stable: spectral abscissa "
+    assert cert["diagnostics"][0].startswith(prefix)
+    assert float(cert["diagnostics"][0][len(prefix):].split()[0]) == pytest.approx(abscissa,
+                                                                                  abs=1e-4)
+    monkeypatch.setattr(cli, "observer_loop", lambda *args: pytest.fail("structured path"))
+    code, out = run(tmp_path, "simulate", {**cfg, "horizon": 0.1}, tag="sim")
+    assert code == 0
+    summary = read_json(str(out / "summary.json"))
+    assert summary["spectral_abscissa"] == pytest.approx(abscissa, abs=1e-4)
+    assert summary["certificate_verdict"] == "Failed"
+
+
+def test_beta_stays_below_the_retained_modes_outside_the_prefix(tmp_path, monkeypatch):
+    # heat b=9.8: mode 1 at b - pi^2 = -0.0696 is retained outside the
+    # one-block prefix, so the loop decays no faster; beta was 2.45 when
+    # only the tail and the reduced loop capped the grid
+    plant = {"type": "heat", "b": 9.8, "f": _indicator(0.0, 0.5), "N_max": 64}
+    rate = math.pi ** 2 - 9.8
+    code, syn = run(tmp_path, "synthesize", {"plant": plant}, tag="syn")
+    assert code in (0, 4)
+    cert = read_json(str(syn / "certificate.json"), "certificate")
+    assert cert["verdict"] == "Failed" or cert["beta"] < rate
+    cfg = {"plant": plant, "controller_file": str(syn / "controller.json")}
+    code, out = run(tmp_path, "certify", cfg, tag="cert")
+    assert read_json(str(out / "certificate.json"), "certificate") == cert
+    fixed = []
+    original = cli.scan_certificate
+    monkeypatch.setattr(cli, "scan_certificate", lambda *args, **kwargs: (
+        fixed.append(kwargs["fixed_beta"]), original(*args, **kwargs))[1])
+    assert run(tmp_path, "sweep", {"plant": plant, "sweep_N": [3, 65]}, tag="sweep")[0] == 0
+    assert len(fixed) == 2 and fixed[0] == fixed[1] < rate
 
 
 @pytest.mark.parametrize("command, extra, expected", [

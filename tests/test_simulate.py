@@ -8,7 +8,8 @@ from modalstab import (SourceProfile, StateSpaceSystem, brute_force_gain,
                        build_heat, closed_loop_matrix, decay_envelope, estimate_decay_rate,
                        gain_strong, matrix_exponential, partition_spectrum, simulate_autonomous,
                        simulate_closed_loop, simulate_modal, spectral_abscissa,
-                       reduced_R_system, synthesize_controller, truncate)
+                       matches_observer_structure, reduced_R_system, synthesize_controller,
+                       truncate)
 from modalstab.errors import DegenerateTrajectory, DimensionMismatch
 from modalstab.gains import loop_bounds
 from modalstab.modal import ModalBlock, ModalSystem, TailModel
@@ -125,7 +126,7 @@ def _conditioned(kappa):
 ], ids=["core_near", "core_apart", "ill_conditioned", "conditioned"])
 def test_observer_loop_falls_back_at_its_thresholds(rng, blocks, structured):
     sys_, truncated, ctrl = _observer_case(blocks)
-    loop = observer_loop(sys_, truncated, ctrl.K_u, ctrl.L_u)
+    loop = observer_loop(sys_, matches_observer_structure(sys_, ctrl), ctrl)
     assert (loop is not None) == structured
     if not structured:
         return
@@ -139,7 +140,7 @@ def test_observer_loop_falls_back_at_its_thresholds(rng, blocks, structured):
 
 def test_observer_loop_leaves_complex_data_to_the_dense_path():
     sys_, truncated, ctrl = _observer_case([([[-3.0 + 1.0j]], [[1.0]], [[1.0]])])
-    assert observer_loop(sys_, truncated, ctrl.K_u, ctrl.L_u) is None
+    assert observer_loop(sys_, matches_observer_structure(sys_, ctrl), ctrl) is None
 
 
 def test_observer_loop_spectrum_is_the_separation_spectrum():
@@ -150,7 +151,7 @@ def test_observer_loop_spectrum_is_the_separation_spectrum():
                                              [[1.0, 0.0]]),
                                             ([[-0.5, 1.0], [-1.0, -0.5]], [[1.0], [1.0]],
                                              [[0.0, 1.0]])])
-    loop = observer_loop(sys_, truncated, ctrl.K_u, ctrl.L_u)
+    loop = observer_loop(sys_, matches_observer_structure(sys_, ctrl), ctrl)
     assert loop.abscissa == -0.5 and loop.witness == complex(-0.5, 1.0)
     dense = np.linalg.eigvals(closed_loop_matrix(truncated, ctrl.as_state_space()))
     assert np.max(dense.real) == pytest.approx(-0.5, abs=1e-6)
@@ -191,6 +192,15 @@ def test_trajectory_validation():
     with pytest.raises(DimensionMismatch):
         Trajectory(np.arange(3.0), np.zeros((4, 1)), np.zeros((3, 1)),
                    np.zeros((3, 0)), dt=1.0)
+
+
+def test_spectral_abscissa_witness_follows_the_structured_rule():
+    # -1 +- 2i ties -1 exactly; a real matrix's witness is the tied
+    # eigenvalue of least |Im|, as the structured spectrum reports it
+    assert spectral_abscissa(scipy.linalg.block_diag([[-1.0, 2.0], [-2.0, -1.0]], [[-1.0]])) == (
+        -1.0, complex(-1.0, 0.0))
+    # a complex matrix keeps its own first eigenvalue of largest real part
+    assert spectral_abscissa(np.diag([-1.0 + 2.0j, -1.0 + 0.0j])) == (-1.0, complex(-1.0, 2.0))
 
 
 def test_spectral_abscissa():

@@ -14,7 +14,7 @@ from modalstab import (SourceProfile, StateSpaceSystem, build_heat,
 from modalstab.errors import (DimensionMismatch, NotDetectable, NotHurwitz,
                               NotStabilizable, RiccatiDivergence)
 from modalstab.modal import ModalBlock, ModalSystem, TailModel, closed_loop_matrix
-from modalstab.synthesis import care_stabilizing_solution
+from modalstab.synthesis import DesignInfo, care_stabilizing_solution, observer_controller
 
 from conftest import eig_match_distance, random_hurwitz
 
@@ -186,7 +186,8 @@ def test_synthesize_controller_structure():
     assert ctrl.n_unstable == n_u and ctrl.n == n
     assert np.all(ctrl.F[n_u:, :] == 0.0)
     assert np.all(ctrl.G[:, n_u:] == 0.0)
-    assert matches_observer_structure(truncated, ctrl)
+    design = matches_observer_structure(_heat_plant(), ctrl)
+    assert design is not None and (design.N, design.k_u) == (4, n_u)
     assert ctrl.info.feedback_rate > 0.0 and ctrl.info.observer_rate > 0.0
     assert ctrl.info.feedback_residual < 1e-8
 
@@ -288,9 +289,32 @@ def test_reduced_R_dimension_checks():
 def test_matches_observer_structure_rejects_perturbation():
     part, truncated, ctrl = _synthesized()
     bent = dataclasses.replace(ctrl, E=ctrl.E + 1e-3)
-    assert not matches_observer_structure(truncated, bent)
-    other_plant, _ = truncate(_heat_plant(), 2)
-    assert not matches_observer_structure(other_plant, ctrl)
+    assert matches_observer_structure(_heat_plant(), bent) is None
+    other_plant = _heat_plant(n_max=2)  # three blocks, fewer states than the controller
+    assert matches_observer_structure(other_plant, ctrl) is None
+
+
+def test_matches_observer_structure_needs_a_block_aligned_cover_of_the_unstable_blocks():
+    # heat b=15 has two unstable blocks: gains on the first alone leave
+    # 15 - pi^2 = 5.13 outside the prefix; gains on three blocks cover both
+    sys_ = _heat_plant(b=15.0)
+    truncated, _ = truncate(sys_, len(sys_))
+    info = DesignInfo(1.0, 1.0, 0.0, 0.0)
+    covers = {}
+    for n_u in (1, 3):
+        A, B, C = truncated.A[:n_u, :n_u], truncated.B[:n_u], truncated.C[:, :n_u]
+        ctrl = observer_controller(truncated, design_feedback(A, B), design_observer(A, C), info)
+        covers[n_u] = matches_observer_structure(sys_, ctrl)
+    assert sys_.n_unstable == 2 and covers[1] is None
+    assert (covers[3].N, covers[3].k_u) == (len(sys_), 3)
+    # a prefix of two states ends inside the second, 2x2 unstable block
+    blocks = [ModalBlock([[1.0]], [[1.0]], [[1.0]], label=0),
+              ModalBlock([[0.5, 1.0], [0.0, 0.5]], [[0.0], [1.0]], [[1.0, 0.0]], label=1)]
+    split_sys = ModalSystem(blocks, TailModel(decay_alpha=10.0, input_norm=0.0,
+                                              output_graph_norm=0.0), 1, 1)
+    split, _ = truncate(split_sys, 2)
+    ctrl = observer_controller(split, np.array([[-1.0, -1.0]]), np.array([[-1.0], [-1.0]]), info)
+    assert matches_observer_structure(split_sys, ctrl) is None
 
 
 def test_loop_system_wiring():

@@ -19,10 +19,10 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from .errors import (CertificateNotFound, DegenerateTrajectory, DimensionMismatch,
                      EigensolverNoConvergence, InfiniteUnstablePart, KernelResonance,
-                     LyapunovSolveFailed, ModalToolkitError, NoAdmissibleParameter,
-                     NotDetectable, NotHurwitz, NotReachable, NotStabilizable,
-                     QuadratureNotConverged, ResolventAtEigenvalue, RiccatiDivergence,
-                     TailUnstable, UnstableModeDiscarded)
+                     LyapunovSolveFailed, ModalToolkitError, NotDetectable, NotHurwitz,
+                     NotReachable, NotStabilizable, QuadratureNotConverged,
+                     ResolventAtEigenvalue, RiccatiDivergence, TailUnstable,
+                     UnstableModeDiscarded)
 from .gains import (DecayEnvelope, GainBound, StabilityCertificate, certify_small_gain,
                     decay_envelope, gain_strong, gain_weak, scan_certificate)
 from .modal import (BlockStack, ModalBlock, ModalSystem, SpectrumPartition, StateSpaceSystem,

@@ -28,8 +28,8 @@ import numpy as np
 from . import fileio
 from .errors import (BetaExceedsDecay, CertificateNotFound, DimensionMismatch,
                      InfiniteUnstablePart, LyapunovSolveFailed, ModalToolkitError,
-                     NoAdmissibleParameter, NotDetectable, NotHurwitz, NotReachable,
-                     NotStabilizable, RiccatiDivergence)
+                     NotDetectable, NotHurwitz, NotReachable, NotStabilizable,
+                     RiccatiDivergence)
 from .fileio import SchemaViolation
 from .gains import BETA_GRID_DEPTH, LoopBounds, beta_grid, loop_bounds, scan_certificate
 from .modal import (ModalSystem, StateSpaceSystem, closed_loop_matrix, leading_blocks,
@@ -53,7 +53,7 @@ EXIT_CODES = {
     (InfiniteUnstablePart,): (EXIT_INFINITE_UNSTABLE, "infinite unstable part"),
     (CertificateNotFound, BetaExceedsDecay, LyapunovSolveFailed):
         (EXIT_NO_CERTIFICATE, "no certificate"),
-    (NotStabilizable, NotDetectable, RiccatiDivergence, NoAdmissibleParameter, NotHurwitz):
+    (NotStabilizable, NotDetectable, RiccatiDivergence, NotHurwitz):
         (EXIT_SYNTHESIS, "synthesis failed"),
     (DimensionMismatch,): (EXIT_DIMENSION, "dimension mismatch"),
     (ModalToolkitError, OSError, ValueError, KeyError, ArithmeticError, MemoryError):

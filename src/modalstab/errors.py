@@ -70,10 +70,6 @@ class KernelResonance(ModalToolkitError):
     """Kernel-resonant mode coupling too close to zero to classify."""
 
 
-class NoAdmissibleParameter(ModalToolkitError):
-    """No grid entry satisfies the boundary-lift constraint system."""
-
-
 class CertificateNotFound(ModalToolkitError):
     """Synthesis budget exhausted without a Certified small-gain verdict."""
 

@@ -78,8 +78,18 @@ def _eigenvalues(A: np.ndarray) -> np.ndarray:
         return A[:, 0, :].copy()
     if d == 2:
         a11, a12, a21, a22 = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
-        tr = a11 + a22
-        root = np.sqrt((a11 - a22) ** 2 + 4.0 * a12 * a21)
+        tr, diff = a11 + a22, a11 - a22
+        root = np.sqrt(diff ** 2 + 4.0 * a12 * a21)
+        # 2^e near max(|a11 - a22|, sqrt|a12 a21|): where it is so far from 1
+        # that the squares may leave the normal range, the discriminant's terms
+        # are scaled by 2^-e (a finite power); the scaling is exact, and other
+        # blocks keep their bits
+        e = np.frexp(np.maximum(np.abs(diff), np.sqrt(np.abs(a12)) * np.sqrt(np.abs(a21))))[1]
+        far = np.flatnonzero(np.abs(e) > 460)
+        if far.size:
+            s = np.ldexp(1.0, np.clip(-e[far], -1000, 1000))
+            root[far] = np.sqrt((diff[far] * s) ** 2
+                                + 4.0 * (a12[far] * s) * (a21[far] * s)) / s
         return np.stack([(tr + root) / 2.0, (tr - root) / 2.0], axis=1)
     return np.linalg.eigvals(A)
 

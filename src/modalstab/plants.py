@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    KernelResonance,
-    NoAdmissibleParameter,
-    QuadratureNotConverged,
-    TailUnstable,
-)
+from .errors import KernelResonance, QuadratureNotConverged, TailUnstable
 from .modal import BlockStack, ModalBlock, ModalSystem, TailModel
 
 DEFAULT_N_MAX = 64
@@ -563,39 +558,6 @@ def _lift_q_sums(b: float, f: SourceProfile, N: int) -> tuple:
     return math.fsum(closed + terms.tolist()), trunc + _ROUNDING * env, far_sq
 
 
-def _lift_table(b: float, f: SourceProfile, grid: list, N: int, q_sum: float) -> dict:
-    """Resolved lift coefficients and constraint values, one row per lift
-    parameter a: the whole grid at a kernel b, only grid[0] off it.
-
-    h(0) is the sum of every h_k, so u_output = h(0) + sum g1_k is the kernel
-    mode's h_k plus q_sum, the a-free sum of q_k over every other mode (see
-    _lift_q_sums).  So off the kernel every entry, h_k + g1_k = q_k or q_sum,
-    is free of a up to rounding.  Which constraints the lifted plant has does
-    not depend on a: an input entry h_k + g1_k for each remaining unstable
-    mode off the kernel, then the kernel coupling g2_k, then u_output.  As
-    lambda_k falls with k, the unstable modes precede the kernel mode.
-    """
-    ks = np.arange(N + 1, dtype=np.float64)
-    kernel = _kernel_index(b, N + 1)
-    a = np.asarray(grid if kernel >= 0 else grid[:1], dtype=np.float64)[:, None]
-    f_coeffs = fourier_cos_coeffs(f, N)
-    h = _lift_h_coeffs(a, b, ks)
-    lam = b - np.pi ** 2 * ks ** 2
-
-    drive = f_coeffs + a * h
-    on_kernel = ks == kernel
-    g1 = np.where(on_kernel, 0.0, -drive / np.where(on_kernel, 1.0, lam))
-    g2 = np.where(on_kernel, drive, 0.0)
-    u_output = q_sum + (h[:, kernel] if kernel >= 0 else 0.0)
-
-    cols = np.flatnonzero(on_kernel | ~(lam <= KERNEL_ATOL * max(1.0, abs(b))))
-    values = np.column_stack([np.where(on_kernel, g2, h + g1)[:, cols],
-                              np.broadcast_to(u_output, len(a))])
-    return {"f": f_coeffs, "h": h, "lam": lam, "kernel": kernel, "g1": g1, "g2": g2,
-            "values": values, "names": [("kernel_coupling" if k == kernel else "input_mode",
-                                         int(k)) for k in cols] + [("u_output", -1)]}
-
-
 def _clears_tolerance(values: np.ndarray) -> tuple:
     """(scale, passed): scale is max(1, largest |value|), so a uniformly tiny
     system cannot vacuously pass, and an entry passes above LIFT_TOLERANCE * scale."""
@@ -604,7 +566,7 @@ def _clears_tolerance(values: np.ndarray) -> tuple:
 
 
 def default_lift_grid(b: float) -> list:
-    return [b + j for j in range(1, 33)]
+    return [b + 1.0]
 
 
 def search_lift_parameter(b: float, f: SourceProfile, grid=None,
@@ -624,10 +586,17 @@ def build_heat_boundary(b: float, f: SourceProfile, grid=None, N_max: int = DEFA
     that mode form one 2x2 block coupled through g2.
 
     The lift parameter a is the first entry of grid (default_lift_grid(b) if
-    None) whose constraint system clears tolerance, relative to the largest
-    constraint magnitude of the rows _lift_table fills; the report's scale is
-    that of the chosen row alone.  Raises NoAdmissibleParameter if no entry
-    clears it.  Returns the modal system together with the lift coefficients.
+    None); every entry must be finite and above b.  Returns the modal system
+    together with the lift coefficients.
+
+    The constraint report lists the lifted plant's non-degeneracy entries:
+    an input entry h_k + g1_k for each unstable mode off the kernel, the
+    kernel coupling g2_k, and u_output.  It is a report only; whether the
+    plant is stabilizable is the PBH test's to say (check_stabilizable).
+    h(0) is the sum of every h_k, so u_output = h(0) + sum g1_k is the kernel
+    mode's h_k plus q_sum, the a-free sum of q_k over every other mode (see
+    _lift_q_sums).  As lambda_k falls with k, the unstable modes precede the
+    kernel mode.
     """
     b = float(b)
     grid = default_lift_grid(b) if grid is None else [float(a) for a in grid]
@@ -637,35 +606,38 @@ def build_heat_boundary(b: float, f: SourceProfile, grid=None, N_max: int = DEFA
         raise ValueError("b and every grid entry must be finite, with every entry above b")
     _tail_alpha(b, N_max)  # reject the resolution before summing the lift
     q_sum, q_err, far_sq = _lift_q_sums(b, f, N_max)
-    table = _lift_table(b, f, grid, N_max, q_sum)
-    passing = np.flatnonzero(_clears_tolerance(table["values"])[1].all(axis=1))
-    if not len(passing):
-        worst = (min(((*n, v) for n, v in zip(table["names"], row)), key=lambda e: abs(e[2]))
-                 for row in table["values"][:8].tolist())
-        raise NoAdmissibleParameter(
-            "no grid entry clears the constraint tolerance; near-violations: "
-            + "; ".join(f"a = {a:g}: {e}" for a, e in zip(grid, worst)))
-    row = passing[0]
-    a, values = grid[row], table["values"][row]
-    h, g1, g2, kernel = table["h"][row], table["g1"][row], table["g2"][row], table["kernel"]
-    u_output = float(values[-1])
+    a = grid[0]
+    ks = np.arange(N_max + 1, dtype=np.float64)
+    kernel = _kernel_index(b, N_max + 1)
+    f_coeffs = fourier_cos_coeffs(f, N_max)
+    h = _lift_h_coeffs(a, b, ks)
+    lam = b - np.pi ** 2 * ks ** 2
+    drive = f_coeffs + a * h
+    on_kernel = ks == kernel
+    g1 = np.where(on_kernel, 0.0, -drive / np.where(on_kernel, 1.0, lam))
+    g2 = np.where(on_kernel, drive, 0.0)
+    u_output = float(q_sum + (h[kernel] if kernel >= 0 else 0.0))
     if kernel >= 0:  # the kernel's h_k, whose c^2 = a - b rounds relative to |a| + |b|
         pk = np.pi ** 2 * kernel ** 2
         q_err += _ROUNDING * abs(h[kernel]) * (abs(a) + abs(b) + pk) / (a - b + pk)
 
-    # all pass: the row passed against the rows' scale, at least its own
+    cols = np.flatnonzero(on_kernel | ~(lam <= KERNEL_ATOL * max(1.0, abs(b))))
+    values = np.append(np.where(on_kernel, g2, h + g1)[cols], u_output)
+    names = [("kernel_coupling" if k == kernel else "input_mode", int(k))
+             for k in cols] + [("u_output", -1)]
     scale, passed = _clears_tolerance(values)
     entries = tuple(ConstraintEntry(*n, v, p) for n, v, p in zip(
-        table["names"], values.tolist(), passed.tolist()))
-    report = ConstraintReport(entries, all_pass=True, tolerance=LIFT_TOLERANCE, scale=scale)
+        names, values.tolist(), passed.tolist()))
+    report = ConstraintReport(entries, all_pass=bool(passed.all()), tolerance=LIFT_TOLERANCE,
+                              scale=scale)
     data = BoundaryLiftData(
-        a=a, h_coeffs=h, g1_coeffs=g1, g2_coeffs=g2, f_coeffs=table["f"],
+        a=a, h_coeffs=h, g1_coeffs=g1, g2_coeffs=g2, f_coeffs=f_coeffs,
         h_at_0=float(lift_h(a, b, 0.0)), u_output=u_output, kernel_index=kernel,
         series_remainder=q_err, constraint_report=report)
 
     if kernel >= 0:
         # integrator and kernel mode share a 2x2 block: u drives the mode via g2
-        A = np.array([[0.0, 0.0], [g2[kernel], float(table["lam"][kernel])]])
+        A = np.array([[0.0, 0.0], [g2[kernel], float(lam[kernel])]])
         B = np.array([[1.0], [-h[kernel]]])
         C = np.array([[u_output, 1.0]])
         u_block = ModalBlock(A, B, C, label=-1)

@@ -4,19 +4,23 @@
   constant 1, indicator [0, 1/2], indicator [0.1, 0.6] and cosine k0 = 1.5;
 - wave at b in {3, 30} and kappa in {0.5, 1, 3}, with indicator [0, 1/2];
 - heat b = 9.8 with indicator [0, 1/2], whose retained mode 1 decays at
-  only pi^2 - 9.8 = 0.0696: a certificate's beta must stay below it.
+  only pi^2 - 9.8 = 0.0696: a certificate's beta must stay below it;
+- heat_boundary b = pi^2 with constant 1, whose kernel mode shares a 2x2
+  block with the lift's integrator, and b = 5 with constant -1, whose mode 0
+  no lift parameter reaches.
 
-Every plant uses N_max 64.  Four of them fail the PBH rank test on
+Every plant uses N_max 64.  Five of them fail the PBH rank test on
 stabilizability (``PBH_FAILURES``).
 
-Run ``PYTHONPATH=src python tests/survey.py OUT`` to synthesize every config
-into OUT/<name>/, simulate each Certified controller over a horizon of 0.1
-into OUT/<name>/simulate/, and print one line per config.  Rerunning on the
-same code reproduces every document byte for byte, so two checkouts can be
-compared with ``diff -r``.
+Run ``PYTHONPATH=src python tests/survey.py OUT`` to analyze and synthesize
+every config into OUT/<name>/, simulate each Certified controller over a
+horizon of 0.1 into OUT/<name>/simulate/, and print one line per config.
+Rerunning on the same code reproduces every document byte for byte, so two
+checkouts can be compared with ``diff -r``.
 """
 
 import json
+import math
 import os
 import sys
 import tempfile
@@ -46,12 +50,17 @@ def _plants() -> dict:
                 "N_max": N_MAX}
     plants["heat_b9.8_indicator"] = {"type": "heat", "b": 9.8, "f": PROFILES["indicator"],
                                      "N_max": N_MAX}
+    plants["heat_boundary_kernel_constant"] = {
+        "type": "heat_boundary", "b": math.pi ** 2, "f": PROFILES["constant"], "N_max": N_MAX}
+    plants["heat_boundary_b5_negative"] = {
+        "type": "heat_boundary", "b": 5.0, "f": {"kind": "constant", "value": -1.0},
+        "N_max": N_MAX}
     return plants
 
 
 PLANTS = _plants()
 PBH_FAILURES = ("heat_b15_constant", "heat_b30_constant", "heat_b60_constant",
-                "heat_b60_indicator")
+                "heat_b60_indicator", "heat_boundary_b5_negative")
 
 
 def run_command(out_dir: str, command: str, cfg: dict) -> int:
@@ -63,34 +72,40 @@ def run_command(out_dir: str, command: str, cfg: dict) -> int:
         return main([command, "--config", path, "--out", out_dir])
 
 
+def _read(path: str):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def run_survey(out_root: str) -> dict:
     """name -> (synthesize exit code, certificate document or None,
-    simulate summary of a Certified controller or None)."""
+    simulate summary of a Certified controller or None, analysis document or
+    None if analyze failed)."""
     results = {}
     for name, plant in PLANTS.items():
         out = os.path.join(out_root, name)
+        analysis = (_read(os.path.join(out, "analysis.json"))
+                    if run_command(out, "analyze", {"plant": plant}) == 0 else None)
         code = run_command(out, "synthesize", {"plant": plant})
         cert = summary = None
         if os.path.exists(os.path.join(out, "certificate.json")):
-            with open(os.path.join(out, "certificate.json"), encoding="utf-8") as fh:
-                cert = json.load(fh)
+            cert = _read(os.path.join(out, "certificate.json"))
         if code == 0:
             sim = os.path.join(out, "simulate")
             sim_code = run_command(sim, "simulate", {
                 "plant": plant, "controller_file": os.path.join(out, "controller.json"),
                 "horizon": SIMULATE_HORIZON})
             if sim_code == 0:
-                with open(os.path.join(sim, "summary.json"), encoding="utf-8") as fh:
-                    summary = json.load(fh)
-        results[name] = (code, cert, summary)
+                summary = _read(os.path.join(sim, "summary.json"))
+        results[name] = (code, cert, summary, analysis)
     return results
 
 
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit("usage: survey.py OUT")
-    for name, (code, cert, summary) in run_survey(sys.argv[1]).items():
-        line = f"{name}: exit {code}"
+    for name, (code, cert, summary, analysis) in run_survey(sys.argv[1]).items():
+        line = f"{name}: analyze {analysis and analysis['verdict']['pass']}, exit {code}"
         if cert is not None:
             line += f" {cert['verdict']} N={cert['N']} beta={cert['beta']:.6g}"
         if summary is not None:

@@ -1037,6 +1037,50 @@ def test_nearly_unreachable_mode_fails_analyze_and_synthesis(tmp_path, capsys, f
             "synthesis failed: unstable modes [1] are unreachable from the input\n")
 
 
+@pytest.mark.parametrize("b, f, offending, failing", [
+    # mode 0 has q_0 = (f_0 + s_0) / d_0 = 0 for every lift parameter a
+    (5.0, _constant(-1.0), [0], ("input_mode", 0)),
+    # b = 0 puts mode 0 on the kernel, where g2_0 = f_0 + a h_0 = -1 + a / a = 0
+    (0.0, {"kind": "coefficients", "values": [-1.0, 2.0]}, [-1], ("kernel_coupling", 0)),
+], ids=["input_mode", "kernel_coupling"])
+def test_failing_lift_report_leaves_the_verdict_to_the_rank_test(tmp_path, capsys, b, f,
+                                                                 offending, failing):
+    plant = {"type": "heat_boundary", "b": b, "f": f, "N_max": 16}
+    code, out = run(tmp_path, "analyze", {"plant": plant})
+    assert code == 0
+    doc = read_json(str(out / "analysis.json"))
+    assert doc["verdict"]["stabilizable"] is False and doc["verdict"]["pass"] is False
+    assert doc["verdict"]["offending_stabilizable"] == offending
+    constraints = doc["lift"]["constraints"]
+    assert constraints["all_pass"] is False
+    assert [(e["name"], e["k"]) for e in constraints["entries"] if not e["passed"]] == [failing]
+    capsys.readouterr()
+    for command, extra in (("synthesize", {}), ("sweep", {"sweep_N": [2, 8]})):
+        code, _ = run(tmp_path, command, {"plant": plant, **extra}, tag=command)
+        assert code == 5
+        assert capsys.readouterr().err == (
+            f"synthesis failed: unstable modes {offending} are unreachable from the input\n")
+
+
+def test_kernel_block_at_a_tiny_b_is_designed_like_b_zero(tmp_path, capsys):
+    # b = -1e-200 pins mode 0 to the kernel, and its block [[0, 0], [g2, b]]
+    # keeps the integrator's exact eigenvalue 0: it is unstable and gets a gain
+    outputs = []
+    for tag, b in (("zero", 0.0), ("tiny", -1e-200)):
+        plant = {"type": "heat_boundary", "b": b, "f": _constant(1.0), "N_max": 8}
+        code, out = run(tmp_path, "synthesize", {"plant": plant}, tag=tag)
+        assert code == 0
+        cert = read_json(str(out / "certificate.json"), "certificate")
+        code, sim = run(tmp_path, "simulate", {
+            "plant": plant, "controller_file": str(out / "controller.json"),
+            "horizon": 1.0}, tag=f"{tag}_simulate")
+        assert code == 0
+        summary = read_json(str(sim / "summary.json"))
+        assert cert["verdict"] == "Certified" and cert["beta"] < -summary["spectral_abscissa"]
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_rank_tests_run_on_the_unstable_blocks_only(tmp_path, monkeypatch):
     # heat b = 5 has one unstable mode among 4,097: two PBH tests, not 8,194.
     plant = {"type": "heat", "b": 5.0, "f": _constant(1.0), "N_max": 4096}

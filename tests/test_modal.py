@@ -54,6 +54,18 @@ def test_two_by_two_eigenvalues_tie_exactly():
     assert res[0] == res[1] == res[2] == -kappa / 2.0
 
 
+def test_two_by_two_eigenvalues_survive_a_tiny_discriminant():
+    # (a11 - a22)^2 = 1e-400 underflows to 0 in float64, which put both
+    # eigenvalues at -5e-201 and lost the exact 0 of this kernel block
+    blk = ModalBlock(block_matrix=[[0.0, 0.0], [2.0, -1e-200]], input_row=[[1.0], [0.0]],
+                     output_col=[[1.0, 1.0]], label=-1)
+    assert sorted(blk.eigenvalues().real.tolist()) == [-1e-200, 0.0]
+    x = 1e-300  # 4 a12 a21 = -4e-600 underflows too
+    rotation = ModalBlock(block_matrix=[[x, x], [-x, x]], input_row=[[1.0], [0.0]],
+                          output_col=[[1.0, 0.0]], label=0)
+    assert rotation.eigenvalues().tolist() == [complex(x, x), complex(x, -x)]
+
+
 def test_canonical_block_order_is_input_order_independent():
     lams = [-3.0, 2.0, -1.0, 0.0, -7.0]
     sys1 = toy_system(lams)

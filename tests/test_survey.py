@@ -11,7 +11,7 @@ def results(tmp_path_factory):
 
 
 def test_survey_pbh_failures_are_the_only_synthesis_failures(results):
-    codes = {name: code for name, (code, _cert, _summary) in results.items()}
+    codes = {name: code for name, (code, *_docs) in results.items()}
     assert sorted(name for name, code in codes.items() if code == 5) == sorted(survey.PBH_FAILURES)
     assert set(codes.values()) <= {0, 4, 5}
 
@@ -19,9 +19,19 @@ def test_survey_pbh_failures_are_the_only_synthesis_failures(results):
 def test_survey_certified_beta_is_below_the_simulated_decay_rate(results):
     # a certificate's beta is a decay rate of the whole loop, so it stays
     # below -abscissa of the loop at the controller's design N
-    certified = {name: (cert, summary) for name, (code, cert, summary) in results.items()
-                 if code == 0}
+    certified = {name: (cert, summary) for name, (code, cert, summary, _analysis)
+                 in results.items() if code == 0}
     assert certified
     for name, (cert, summary) in certified.items():
         assert cert["verdict"] == "Certified" and summary["N"] == cert["N"], name
         assert cert["beta"] < -summary["spectral_abscissa"], name
+
+
+def test_survey_analyze_fails_exactly_the_pbh_failures(results):
+    # analyze writes its verdict on every plant, the boundary plant whose
+    # lift report fails included, and that verdict is PBH's alone
+    analyses = {name: analysis for name, (*_docs, analysis) in results.items()}
+    assert None not in analyses.values()
+    failing = [name for name, doc in analyses.items() if not doc["verdict"]["pass"]]
+    assert sorted(failing) == sorted(survey.PBH_FAILURES)
+    assert analyses["heat_boundary_b5_negative"]["lift"]["constraints"]["all_pass"] is False

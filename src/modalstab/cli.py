@@ -383,6 +383,10 @@ def cmd_simulate(cfg: dict, out_dir: str) -> int:
 
     x0 = _resolve_x0(cfg, truncated.n)
     T, dt = float(cfg["horizon"]), float(cfg["dt"])
+    rows = int(round(T / dt)) + 1    # grid times, t = 0 included
+    if rows < 2:
+        raise ValueError(f"horizon {T:g} with dt {dt:g} gives a time grid of {rows} row; "
+                         "simulate needs at least 2")
     if loop is None:
         controller_ss = controller.as_state_space()
         M = closed_loop_matrix(truncated, controller_ss)

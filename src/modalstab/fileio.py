@@ -18,10 +18,17 @@ rounding of that product (2**-50), of the sum (2**-49) and the part of
 p + round(t) is the 17-digit mantissa whenever frac(s) is more than 1e-9
 (_ROUNDING_MARGIN) away from 1/2.  No long double is involved, so every
 host takes this path.
-The digits then go through the %g rules: trailing zeros dropped, fixed
-notation for -4 <= E < 17, else an exponent of at least two digits.  Cells
-within the margin (in practice exact ties) and nan and infinities are
-formatted with "%.17g" itself.
+Each cell's text is assembled in a 32-byte row of four 8-byte words: the
+sign, the "0.000" prefix of fixed notation below 1, the lead digit and the
+decimal point; the other 16 digits; the exponent, the separator and two pad
+bytes.  The %g rules pick the cell's layout row by notation, significant
+digits and sign: trailing zeros dropped, fixed notation for -4 <= E < 17,
+else an exponent of at least two digits.  The row holds 0xFF where the
+cell's digit and exponent words are and-ed in and zeros where a byte is not
+shown, which are deleted.  Fixed notation with 1 <= E <= 16 moves the point
+behind digit E + 1 by one byte gather.  Cells within the margin (in
+practice exact ties) and nan and infinities are formatted with "%.17g"
+itself.
 """
 
 from __future__ import annotations
@@ -409,10 +416,9 @@ class _RowBuffers:
     def __init__(self, rows: int, columns: int):
         size = rows * columns
         self.cells = np.empty((rows, columns))
-        self.chunks = np.empty((size, 4), np.uint64)
-        self.quads = np.empty((size, 4), np.uint64)
-        self.text = np.empty((size, _TEMPLATE.size), np.uint8)
-        self.rows = np.empty((size, _TEMPLATE.size), np.uint8)
+        self.chunks = np.empty((size, 4), np.uint32)
+        self.quads = np.empty((size, 4), np.uint32)
+        self.text, self.rows = np.empty((2, size, _ROW), np.uint8)
 
 
 # A cell whose scaled mantissa s has frac(s) within this of 1/2 is left to
@@ -427,43 +433,31 @@ _EXP_BIAS = 330
 # Veltkamp's splitter: v * _SPLIT splits a double into two 26-bit halves.
 _SPLIT = 2.0 ** 27 + 1
 
-# Assembly layout of one cell, 46 bytes: sign, the "0.000" prefix of fixed
-# notation below 1, the 17 digits each followed by a decimal-point slot, the
-# exponent and the separator.  A cell's text is the subsequence its keep row
-# selects: its layout row holds the template's kept bytes, 0xFF in the kept
-# digit and exponent slots for the cell's own bytes to be and-ed in, and
-# zeros elsewhere, which are deleted.
-_TEMPLATE = np.frombuffer(b"-0.000" + b"0." * 17 + b"e+000,", dtype=np.uint8)
-_DIGITS = slice(6, 40, 2)
-_EXPONENT = slice(41, 45)
+# The cell layout of the module docstring, and its slots.
+_TEMPLATE = np.frombuffer(b"-0.0000.0000000000000000e+000,\0\0", dtype=np.uint8)
+_ROW, _LEAD, _POINT, _EXP, _SEPARATOR = _TEMPLATE.size, 6, 7, 24, 29
 # Keep-row forms: fixed notation for E = -4..16, scientific with a two- or
 # three-digit exponent, and zero.
 _SCIENTIFIC, _ZERO = 21, 23
 
 
-def _keep_row(form: int, significant: int, negative: bool) -> list:
-    """Which of the 46 layout bytes make up one cell's "%.17g" text."""
-    keep = [False] * _TEMPLATE.size
-    keep[0] = negative
-    keep[-1] = True
-    if form == _ZERO:
-        keep[1] = True
-        return keep
-    shown, point = significant, 0
-    if form < _SCIENTIFIC:
-        E = form - 4
-        if E < 0:
-            keep[1:2 - E] = [True] * (1 - E)    # "0." and -E - 1 zeros
-            point = None
-        else:
-            shown, point = max(significant, E + 1), E
-    else:
-        keep[40:45] = [True, True, form > _SCIENTIFIC, True, True]
-    for k in range(shown):
-        keep[6 + 2 * k] = True
-    if point is not None and significant > point + 1:
-        keep[7 + 2 * point] = True
-    return keep
+def _keep_rows():
+    """Which of the 32 layout bytes make up "%.17g" text, by keep row
+    (form * 17 + significant - 1) * 2 + negative."""
+    form, significant, negative = (v.reshape(-1, 1) for v in np.meshgrid(
+        np.arange(_ZERO + 1), np.arange(1, 18), [False, True], indexing="ij"))
+    j = np.arange(_ROW)
+    E, zero = form - 4, form == _ZERO
+    # digits before the point; below 1 the point is the prefix's
+    before = np.where(form < _SCIENTIFIC, E + 1, 1)
+    shown = np.where(zero, 0, np.maximum(significant, before))
+    digit = np.where(j == _LEAD, 1, np.where((j > _POINT) & (j < _EXP), j - 6, 18))
+    return (((j == 0) & negative) | (j == _SEPARATOR) | (digit <= shown)
+            | (j == _POINT) & (before > 0) & (significant > before) & ~zero
+            | (E < 0) & (j > 0) & (j < 2 - E)    # "0." and -E - 1 zeros
+            | zero & (j == 1)
+            | (form >= _SCIENTIFIC) & ~zero & (j >= _EXP) & (j < _SEPARATOR)
+            & ((j != _EXP + 2) | (form > _SCIENTIFIC)))
 
 
 def _split(v):
@@ -493,29 +487,34 @@ def _decimal_tables():
 
     For k in [_POW10_LOW, _POW10_HIGH], 10**k as its binary exponent e and
     the double-double 10**k / 2**e, hi pre-split (_power_of_ten); each of
-    0000..9999 as the 8 layout bytes "d.d.d.d." in a uint64 word, and its
-    trailing-zero count; the ASCII of each signed three-digit exponent; the
-    layout rows, the template bytes each keep row selects, by
-    ((form * 17 + significant - 1) * 2 + negative); and each E's form.
+    0000..9999 as 4 ASCII digits in a uint32 word, and its trailing-zero
+    count; the lead digits 0..9 as word 0 of a layout row and each signed
+    three-digit exponent as word 3, 0xFF in the other bytes; the layout
+    rows, the template bytes each keep row selects (_keep_rows); each E's
+    form; and for E = 0..16 the byte gather that moves the point behind
+    digit E + 1.  Words are built byte by byte, so that and-ing them into
+    the layout's bytes is the same on any host's byte order.
     """
     e, hi, lo = np.array([_power_of_ten(k) for k in range(_POW10_LOW, _POW10_HIGH + 1)]).T
     # ldexp takes a C int exponent; an int64 one costs it a slow cast
     powers = (e.astype(np.intc), *_split(hi), lo)
     chunks = np.arange(10 ** 4)
-    quads = np.full((10 ** 4, 8), ord("."), dtype=np.uint8)
-    quads[:, ::2] = chunks[:, None] // [1000, 100, 10, 1] % 10 + 48
-    quads = quads.view(np.uint64).ravel()
+    quads = (chunks[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
     # trailing zeros of the four digits; 0000 is left to the caller
     trailing = (chunks % 10 == 0).astype(np.int64) + (chunks % 100 == 0) + (chunks % 1000 == 0)
-    exponents = np.frombuffer("".join(f"{E:+04d}" for E in range(-_EXP_BIAS, _EXP_BIAS + 1))
-                              .encode(), np.uint32)
-    keep = np.array([_keep_row(form, significant, negative) for form in range(_ZERO + 1)
-                     for significant in range(1, 18) for negative in (False, True)], dtype=bool)
     E = np.arange(-_EXP_BIAS, _EXP_BIAS + 1)
+    leads, exponents = np.full((10, 8), 0xFF, np.uint8), np.full((E.size, 8), 0xFF, np.uint8)
+    leads[:, _LEAD] = np.arange(48, 58)
+    exponents[:, 1] = np.where(E < 0, 45, 43)
+    exponents[:, 2:5] = np.abs(E)[:, None] // [100, 10, 1] % 10 + 48
     forms = np.where((E >= -4) & (E < 17), E + 4, _SCIENTIFIC + (np.abs(E) >= 100))
     layout = _TEMPLATE.copy()
-    layout[_DIGITS] = layout[_EXPONENT] = 0xFF
-    return powers, quads, trailing, exponents, keep.astype(np.uint8) * layout, forms
+    layout[[_LEAD, *range(_POINT + 1, _EXP), *range(_EXP + 1, _SEPARATOR)]] = 0xFF
+    j, E = np.arange(_ROW), np.arange(17)[:, None]
+    moves = np.where((j >= _POINT) & (j < _POINT + E), j + 1, np.where(j == _POINT + E, _POINT, j))
+    return (powers, quads.view(np.uint32).ravel(), trailing, leads.view(np.uint64).ravel(),
+            exponents.view(np.uint64).ravel(), _keep_rows().astype(np.uint8) * layout, forms,
+            moves)
 
 
 def _scaled(a: np.ndarray, E: np.ndarray, powers):
@@ -539,7 +538,7 @@ def _format_rows(cells: np.ndarray, buffers: _RowBuffers = None) -> bytes:
     is in range and the default "raise" would copy through a temporary.
     """
     buffers = _RowBuffers(*cells.shape) if buffers is None else buffers
-    powers, quads, trailing, exponents, layouts, forms = _decimal_tables()
+    powers, quads, trailing, leads, exponents, layouts, forms, moves = _decimal_tables()
     x = cells.ravel()
     finite = np.isfinite(x)
     nonzero = np.flatnonzero(finite & (x != 0))
@@ -575,21 +574,23 @@ def _format_rows(cells: np.ndarray, buffers: _RowBuffers = None) -> bytes:
     np.subtract(upper, chunks[:, 0] * 10 ** 4, out=chunks[:, 1])
     np.floor_divide(lower, 10 ** 4, out=chunks[:, 2])
     np.subtract(lower, chunks[:, 2] * 10 ** 4, out=chunks[:, 3])
-    chunks = chunks.view(np.int64)    # each below 10**4: an index as it is
 
-    quad_text = np.take(quads, chunks, out=buffers.quads[:m], mode="clip").view(
-        np.uint8).reshape(m, 32)
+    quad_text = np.take(quads, chunks, out=buffers.quads[:m], mode="clip")
     significant = 17 - np.take(trailing, chunks[:, 3])
     empty = np.flatnonzero(chunks[:, 3] == 0)
-    tail = quad_text[empty, -2::-2] != 48    # digits 16 down to 1
+    tail = quad_text.view(np.uint8)[empty, ::-1] != 48    # digits 17 down to 2
     significant[empty] = np.where(tail.any(axis=1), 17 - np.argmax(tail, axis=1), 1)
     form = np.where(decided, np.take(forms, E + _EXP_BIAS), 0)
     negative = np.signbit(x)
     text = np.take(layouts, (form * 17 + significant - 1) * 2 + negative[nonzero], axis=0,
                    out=buffers.text[:m], mode="clip")
-    text[:, _DIGITS.start] &= (48 + lead).astype(np.uint8)
-    text[:, _DIGITS.start + 2:_DIGITS.stop] &= quad_text
-    text[:, _EXPONENT] &= np.take(exponents, E + _EXP_BIAS).view(np.uint8).reshape(m, 4)
+    # one strided pass per word: a (m, 2) block would loop two words at a time
+    for w, word in enumerate([np.take(leads, lead.view(np.int64), mode="clip"),
+                              *quad_text.view(np.uint64).T, np.take(exponents, E + _EXP_BIAS)]):
+        text.view(np.uint64)[:, w] &= word
+    moved = np.flatnonzero((form > 4) & (form < _SCIENTIFIC))    # 1 <= E <= 16
+    if moved.size:
+        text[moved] = text.ravel()[moved[:, None] * _ROW + moves[form[moved] - 4]]
 
     # zeros by sign, then the nonzero cells' rows; nan, infinities and
     # undecided cells are overwritten below
@@ -597,14 +598,13 @@ def _format_rows(cells: np.ndarray, buffers: _RowBuffers = None) -> bytes:
     if nonzero.size < x.size:
         buf = np.take(layouts[_ZERO * 17 * 2:][:2], negative.view(np.uint8), axis=0,
                       out=buffers.rows[:x.size], mode="clip")
-        row = f"V{_TEMPLATE.size}"
-        np.put(buf.view(row).ravel(), nonzero, text.view(row).ravel())
-    buf.reshape(cells.shape + (_TEMPLATE.size,))[:, -1, -1] = ord("\n")
+        np.put(buf.view(f"V{_ROW}").ravel(), nonzero, text.view(f"V{_ROW}").ravel())
+    buf.reshape(cells.shape + (_ROW,))[:, -1, _SEPARATOR] = ord("\n")
     undecided = np.concatenate([nonzero[~decided], np.flatnonzero(~finite)])
     if undecided.size:
         text = ["%.17g" % v for v in x[undecided].tolist()]
-        buf[undecided, :-1] = np.array(text, dtype=f"S{_TEMPLATE.size - 1}").view(
-            np.uint8).reshape(-1, _TEMPLATE.size - 1)
+        buf[undecided, :_SEPARATOR] = np.array(text, dtype=f"S{_SEPARATOR}").view(
+            np.uint8).reshape(-1, _SEPARATOR)
     return buf.tobytes().translate(None, b"\0")
 
 

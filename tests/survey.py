@@ -10,11 +10,13 @@
   no lift parameter reaches.
 
 Every plant uses N_max 64.  Five of them fail the PBH rank test on
-stabilizability (``PBH_FAILURES``).
+stabilizability (``PBH_FAILURES``); nine certify (``CERTIFIED``), and
+coverage may grow from there but not shrink.
 
 Run ``PYTHONPATH=src python tests/survey.py OUT`` to analyze and synthesize
 every config into OUT/<name>/, simulate each Certified controller over a
-horizon of 0.1 into OUT/<name>/simulate/, and print one line per config.
+horizon of 0.1 into OUT/<name>/simulate/, and print one line per config
+and a last line with the coverage tally (``coverage``).
 Rerunning on the same code reproduces every document byte for byte, so two
 checkouts can be compared with ``diff -r``.
 """
@@ -61,6 +63,9 @@ def _plants() -> dict:
 PLANTS = _plants()
 PBH_FAILURES = ("heat_b15_constant", "heat_b30_constant", "heat_b60_constant",
                 "heat_b60_indicator", "heat_boundary_b5_negative")
+CERTIFIED = ("heat_b5_constant", "heat_b5_indicator", "heat_b5_indicator_shifted",
+             "heat_b5_cosine", "heat_boundary_b5_constant", "wave_b3_kappa0.5",
+             "wave_b3_kappa1", "wave_b3_kappa3", "heat_b9.8_indicator")
 
 
 def run_command(out_dir: str, command: str, cfg: dict) -> int:
@@ -101,13 +106,29 @@ def run_survey(out_root: str) -> dict:
     return results
 
 
+def coverage(results: dict) -> dict:
+    """Counts of run_survey's results: plants that fail PBH, plants that pass
+    it but whose design fails (synthesize exits other than 0 or 4), and
+    synthesize's Failed (exit 4) and Certified (exit 0)."""
+    codes = [code for code, *_docs in results.values()]
+    passed = [analysis is not None and analysis["verdict"]["pass"]
+              for *_docs, analysis in results.values()]
+    return {"PBH failures": passed.count(False),
+            "design failures after a PBH pass": sum(
+                ok and code not in (0, 4) for ok, code in zip(passed, codes)),
+            "Failed": codes.count(4), "Certified": codes.count(0)}
+
+
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit("usage: survey.py OUT")
-    for name, (code, cert, summary, analysis) in run_survey(sys.argv[1]).items():
+    survey = run_survey(sys.argv[1])
+    for name, (code, cert, summary, analysis) in survey.items():
         line = f"{name}: analyze {analysis and analysis['verdict']['pass']}, exit {code}"
         if cert is not None:
             line += f" {cert['verdict']} N={cert['N']} beta={cert['beta']:.6g}"
         if summary is not None:
             line += f" abscissa={summary['spectral_abscissa']:.6g}"
         print(line)
+    counts = ", ".join(f"{what} {count}" for what, count in coverage(survey).items())
+    print(f"tally: {counts} of {len(survey)}")

@@ -599,6 +599,20 @@ def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path, trajectory_con
     assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
+@pytest.mark.parametrize("horizon, dt", [(0.001, 0.01), (1.0, 3.0)])
+def test_simulate_rejects_a_horizon_shorter_than_half_a_step(
+        tmp_path, capsys, trajectory_controllers, horizon, dt):
+    # the grid rounds to t = 0 alone: no decay to fit, though x0 is nonzero
+    cfg = {"plant": TRAJECTORY_PLANTS["heat5"], "controller_file": trajectory_controllers["heat5"],
+           "horizon": horizon, "dt": dt, "x0": "ones"}
+    code, out = run(tmp_path, "simulate", cfg)
+    assert code == 2
+    assert capsys.readouterr().err == (f"invalid configuration: horizon {horizon:g} with dt "
+                                       f"{dt:g} gives a time grid of 1 row; simulate needs "
+                                       "at least 2\n")
+    assert not (out / "trajectory.csv").exists()
+
+
 @pytest.mark.parametrize("x0, code", [("ones", 0), ("zeros", 2)])
 def test_simulate_fits_the_decay_up_to_the_last_nonzero_state(
         tmp_path, capsys, trajectory_controllers, x0, code):

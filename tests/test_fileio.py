@@ -510,6 +510,27 @@ def test_row_formatter_matches_format_across_the_notation_switches():
     _assert_rows_match(values + [-v for v in values])
 
 
+def test_row_formatter_matches_format_where_the_point_moves():
+    # fixed notation with 1 <= E <= 16 moves the point behind digit E + 1:
+    # every such E with 1 to 17 significant digits, and the neighbours of 10**E
+    digits = "98765432101234567"
+    values = [float(f"{digits[0]}.{digits[1:k - 1]}{'3' if k > 1 else ''}e{E}")
+              for E in range(1, 17) for k in range(1, 18)]
+    values += [v for E in range(1, 17) for v in _neighbours(float(f"1e{E}"), 2)]
+    _assert_rows_match(values)
+    _assert_rows_match([-v for v in values])
+
+
+def test_layout_rows_are_whole_words_and_keep_at_most_a_cell_of_text():
+    # the formatter ands digit and exponent words into the rows; a row keeps
+    # its separator and at most the 24 bytes of the longest "%.17g" text,
+    # "-1.2345678901234567e-308"
+    layouts = fileio._decimal_tables()[5]
+    assert layouts.shape[1] % 8 == 0
+    assert np.all(layouts[:, fileio._SEPARATOR] == ord(","))
+    assert np.count_nonzero(layouts, axis=1).max() == 24 + 1
+
+
 def _nearest_double(x: float, exact: Fraction) -> bool:
     """No double beside x is closer to the exact value than x."""
     return all(abs(exact - Fraction(x)) <= abs(exact - Fraction(float(np.nextafter(x, to))))

@@ -35,3 +35,11 @@ def test_survey_analyze_fails_exactly_the_pbh_failures(results):
     failing = [name for name, doc in analyses.items() if not doc["verdict"]["pass"]]
     assert sorted(failing) == sorted(survey.PBH_FAILURES)
     assert analyses["heat_boundary_b5_negative"]["lift"]["constraints"]["all_pass"] is False
+
+
+def test_survey_plants_that_certify_keep_certifying(results):
+    # a ratchet on coverage: more plants may certify, none of these may stop
+    assert [name for name in survey.CERTIFIED if results[name][0] != 0] == []
+    counts = survey.coverage(results)
+    assert sum(counts.values()) == len(survey.PLANTS), counts
+    assert counts["Certified"] >= len(survey.CERTIFIED), counts

@@ -10,9 +10,14 @@ Importing the package pins the BLAS thread pools to one thread unless the
 environment already sets them: threaded GEMM and LU solves round differently
 with the thread count, so the documents would depend on the host.  The pin
 only takes effect when it runs before numpy loads.
+
+``simulate`` is registered at import but runs on first use (its names resolve
+through ``__getattr__``), so commands other than ``simulate`` never compile or run it.
 """
 
+import importlib.util as _util
 import os as _os
+import sys as _sys
 
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     _os.environ.setdefault(_name, "1")
@@ -30,9 +35,6 @@ from .modal import (BlockStack, ModalBlock, ModalSystem, SpectrumPartition, Stat
                     select_truncation, truncate)
 from .plants import (BoundaryLiftData, SourceProfile, build_heat, build_heat_boundary,
                      build_wave, fourier_cos_coeffs, search_lift_parameter)
-from .simulate import (GainProbe, Trajectory, brute_force_gain, estimate_decay_rate,
-                       matrix_exponential, simulate_autonomous, simulate_closed_loop,
-                       simulate_modal, spectral_abscissa)
 from .synthesis import (ModeCheckReport, ObserverController, care_stabilizing_solution,
                         check_stabilizable, design_feedback, design_observer,
                         loop_system, matches_observer_structure, reduced_R_system,
@@ -40,4 +42,19 @@ from .synthesis import (ModeCheckReport, ObserverController, care_stabilizing_so
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_SIMULATE_NAMES = ("GainProbe Trajectory brute_force_gain estimate_decay_rate matrix_exponential"
+                   " simulate_autonomous simulate_closed_loop simulate_modal spectral_abscissa"
+                   ).split()
+_spec = _util.find_spec(f"{__name__}.simulate")
+_spec.loader = _util.LazyLoader(_spec.loader)
+simulate = _sys.modules[_spec.name] = _util.module_from_spec(_spec)
+_spec.loader.exec_module(simulate)
+
+
+def __getattr__(name):
+    if name in _SIMULATE_NAMES:
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = [name for name in dir() if not name.startswith("_")] + _SIMULATE_NAMES

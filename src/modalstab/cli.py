@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import math
 import os
 import sys
 
 import numpy as np
 
-from . import fileio
+from . import fileio, simulate
 from .errors import (BetaExceedsDecay, CertificateNotFound, DimensionMismatch,
                      InfiniteUnstablePart, LyapunovSolveFailed, ModalToolkitError,
                      NotDetectable, NotHurwitz, NotReachable, NotStabilizable,
@@ -35,8 +36,6 @@ from .gains import BETA_GRID_DEPTH, LoopBounds, beta_grid, loop_bounds, scan_cer
 from .modal import (ModalSystem, StateSpaceSystem, closed_loop_matrix, leading_blocks,
                     partition_spectrum, select_truncation, truncate, truncate_tail)
 from .plants import DEFAULT_N_MAX, SourceProfile, build_heat, build_heat_boundary, build_wave
-from .simulate import (closed_loop_blocks, fit_decay_rate, observer_loop, row_norms,
-                       spectral_abscissa)
 from .synthesis import (DesignInfo, ObserverController, check_stabilizable, loop_system,
                         matches_observer_structure, observer_controller, reduced_R_system,
                         synthesize_controller)
@@ -379,7 +378,7 @@ def cmd_simulate(cfg: dict, out_dir: str) -> int:
     # checked the inputs and outputs
     at_design = design is not None and N == design.N
     truncated = design.truncated if at_design else truncate(sys_, N)[0]
-    loop = observer_loop(sys_, design, controller) if at_design else None
+    loop = simulate.observer_loop(sys_, design, controller) if at_design else None
 
     x0 = _resolve_x0(cfg, truncated.n)
     T, dt = float(cfg["horizon"]), float(cfg["dt"])
@@ -390,8 +389,8 @@ def cmd_simulate(cfg: dict, out_dir: str) -> int:
     if loop is None:
         controller_ss = controller.as_state_space()
         M = closed_loop_matrix(truncated, controller_ss)
-        abscissa, witness = spectral_abscissa(M)
-        trajectory = closed_loop_blocks(M, truncated, controller_ss, x0, T, dt)
+        abscissa, witness = simulate.spectral_abscissa(M)
+        trajectory = simulate.closed_loop_blocks(M, truncated, controller_ss, x0, T, dt)
     else:
         abscissa, witness = loop.abscissa, loop.witness
         trajectory = loop.blocks(x0, T, dt)
@@ -401,11 +400,11 @@ def cmd_simulate(cfg: dict, out_dir: str) -> int:
         nonlocal rate, final_norm
         norms = []
         for block in trajectory:
-            norms.append(row_norms(block.states))
+            norms.append(simulate.row_norms(block.states))
             yield block
         norms = np.concatenate(norms)
         # still inside the write: a failed fit leaves no trajectory.csv
-        rate = fit_decay_rate(np.arange(len(norms)) * dt, norms)
+        rate = simulate.fit_decay_rate(np.arange(len(norms)) * dt, norms)
         final_norm = norms[-1]
 
     fileio.write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), blocks(), truncated.n)
@@ -514,5 +513,11 @@ def main(argv=None) -> int:
         raise
 
 
+def run() -> int:
+    """The process entry: ``main()``, the imported modules frozen out of the GC's exit passes."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

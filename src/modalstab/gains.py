@@ -11,7 +11,6 @@ tail with a strong (bounded-generator) bound for the finite controller loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .errors import (
     NotHurwitz,
     SmoothnessMismatch,
 )
-from .modal import TailModel, _matrix_sign
+from .modal import TailModel, _matrix_sign, _Record
 
 # Provenance markers recorded on every bound.
 GRAPH_BOUND = "graph-bound"
@@ -32,8 +31,7 @@ BETA_GRID_DEPTH = 12
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
-@dataclass(frozen=True)
-class DecayEnvelope:
+class DecayEnvelope(_Record):
     """Certified bound ||exp(A t)|| <= amplitude_a * exp(-alpha * t)."""
 
     amplitude_a: float
@@ -46,8 +44,7 @@ class DecayEnvelope:
             raise ValueError("alpha must not be NaN")
 
 
-@dataclass(frozen=True)
-class GainBound:
+class GainBound(_Record):
     """A certified gain value together with its bookkeeping.
 
     kind is "IO" or "IS"; smoothness is the (input, output) derivative-order
@@ -202,8 +199,7 @@ def decay_envelope(A: np.ndarray, margin_fraction: float = 0.5) -> DecayEnvelope
     return DecayEnvelope(max(1.0, amp), alpha)
 
 
-@dataclass(frozen=True)
-class StabilityCertificate:
+class StabilityCertificate(_Record):
     """Small-gain certificate for the interconnected closed loop.
 
     Certified verdict means: the loop of the (strictly stable) spectral tail
@@ -291,8 +287,7 @@ def beta_grid(alpha_min: float, depth: int = BETA_GRID_DEPTH) -> list:
     return [alpha_min / (2.0 ** j) for j in range(depth + 1)]
 
 
-@dataclass(frozen=True)
-class LoopBounds:
+class LoopBounds(_Record):
     """The beta-free data of a finite controller loop's gain bounds.
 
     Its decay envelope and the 2-norms of its (A, B, C); one serves every

@@ -9,11 +9,13 @@ stack gives every block's eigenvalues, canonical sort key, coefficient norms
 and the terms it adds to a tail that absorbs it.  Everything downstream
 (truncation, controller synthesis, small-gain certification) reads this
 table, so a plant costs a fixed number of numpy calls, not a few per mode.
+
+The package's value types are ``_Record``s, frozen records whose fields are read once per
+class from its annotations: importing the package generates no code as ``dataclasses`` does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -34,8 +36,49 @@ SIGN_TOL = 1e-14
 SIGN_MAX_STEPS = 100
 
 
+class _Record:
+    """Frozen value type whose fields are its class's annotated names (an assigned
+    one is the default), read once per class with no code generated.  A record runs
+    ``__post_init__`` once built, compares and hashes by its fields; ``replace`` copies it."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        fields, values = self._fields, self.__dict__    # a frozen record is set through __dict__
+        values.update(self._defaults)
+        values.update(zip(fields, args), **kwargs)
+        if (len(args) > len(fields) or len(values) < len(fields)
+                or kwargs and not kwargs.keys() <= set(fields[len(args):])):
+            raise TypeError(f"{type(self).__name__}() takes the fields {fields}, "
+                            f"got {len(args)} by position and {sorted(kwargs)} by name")
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r} of a frozen {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):    # __dict__ holds the fields and nothing else
+        return other.__class__ is self.__class__ and self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(tuple(map(self.__dict__.__getitem__, self._fields)))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        return type(self)(**dict(self.__dict__, **changes))
+
+
 def _freeze_abc(obj, names: tuple, stacked: bool = False) -> int:
-    """Check and freeze the (A, B, C) fields ``names`` of a frozen dataclass.
+    """Check and freeze the (A, B, C) fields ``names`` of a frozen record.
 
     Each becomes a read-only complex 2-D matrix with finite entries, or with
     ``stacked`` a (k, ., .) stack of k such matrices; A must be square n x n,
@@ -141,8 +184,7 @@ def _block_columns(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> tuple:
             _squares(c_norm / (1.0 + sigma_min)), condition)
 
 
-@dataclass(frozen=True)
-class ModalBlock:
+class ModalBlock(_Record):
     """One finite-dimensional block of a modal system.
 
     Attributes
@@ -174,8 +216,7 @@ class ModalBlock:
         return _eigenvalues(self.block_matrix[None])[0]
 
 
-@dataclass(frozen=True)
-class BlockStack:
+class BlockStack(_Record):
     """k modal blocks of one dimension d, stacked along a leading axis.
 
     ``A`` (k, d, d), ``B`` (k, d, m) and ``C`` (k, p, d) hold the blocks'
@@ -202,8 +243,7 @@ class BlockStack:
         return self.A.shape[-1]
 
 
-@dataclass(frozen=True)
-class TailModel:
+class TailModel(_Record):
     """Envelope data for the not-explicitly-resolved part of the spectrum.
 
     ``decay_alpha`` may be <= 0 at construction (e.g. an undamped wave tail);
@@ -218,8 +258,7 @@ class TailModel:
 
     def __post_init__(self):
         for name in ("decay_alpha", "input_norm", "output_graph_norm", "amplitude_a"):
-            v = float(getattr(self, name))
-            object.__setattr__(self, name, v)
+            self.__dict__[name] = v = float(getattr(self, name))
             if not np.isfinite(v):
                 raise ValueError(f"TailModel.{name} must be finite, got {v}")
         if self.input_norm < 0 or self.output_graph_norm < 0:
@@ -309,8 +348,7 @@ class ModalSystem:
                                          self._input_sq[::-1])))[::-1]
 
 
-@dataclass(frozen=True)
-class StateSpaceSystem:
+class StateSpaceSystem(_Record):
     """Dense finite-dimensional strictly proper LTI system (A, B, C)."""
 
     A: np.ndarray
@@ -333,8 +371,7 @@ class StateSpaceSystem:
         return self.C.shape[0]
 
 
-@dataclass(frozen=True)
-class SpectrumPartition:
+class SpectrumPartition(_Record):
     """Canonical split of resolved blocks into unstable / retained stable.
 
     ``unstable_indices`` and ``retained_stable_indices`` hold block labels in

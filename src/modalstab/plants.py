@@ -13,12 +13,11 @@ closed form or a controlled quadrature:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import KernelResonance, QuadratureNotConverged, TailUnstable
-from .modal import BlockStack, ModalBlock, ModalSystem, TailModel
+from .modal import BlockStack, ModalBlock, ModalSystem, TailModel, _Record
 
 DEFAULT_N_MAX = 64
 # Terms each tail series sums past N_max (the heat and wave output weights and
@@ -82,8 +81,7 @@ def _sinc_pi_arr(x: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SourceProfile:
+class SourceProfile(_Record):
     """Input shape f on [0, 1].
 
     Closed-form kinds (constant, cosine, indicator) expand exactly in any
@@ -426,8 +424,7 @@ def _lift_h_coeffs(a: float, b: float, ks: np.ndarray) -> np.ndarray:
     return _lift_signs(ks) / (a - b + np.pi ** 2 * ks ** 2)
 
 
-@dataclass(frozen=True)
-class ConstraintEntry:
+class ConstraintEntry(_Record):
     """One scalar non-degeneracy condition of the lifted plant."""
 
     name: str
@@ -436,16 +433,14 @@ class ConstraintEntry:
     passed: bool
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
+class ConstraintReport(_Record):
     entries: tuple
     all_pass: bool
     tolerance: float
     scale: float
 
 
-@dataclass(frozen=True)
-class BoundaryLiftData:
+class BoundaryLiftData(_Record):
     """Closed-form ingredients of the boundary-to-interior lifting."""
 
     a: float

@@ -23,12 +23,11 @@ dense eigensolve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateTrajectory, DimensionMismatch, EigensolverNoConvergence
-from .modal import ModalSystem, StateSpaceSystem, closed_loop_matrix
+from .modal import ModalSystem, StateSpaceSystem, _Record, closed_loop_matrix
 
 # Pade orders and backward-error thresholds for the scaling-and-squaring
 # exponential; order 13 kicks in beyond the last threshold.
@@ -152,8 +151,7 @@ def spectral_abscissa(A: np.ndarray):
     return witness.real, witness
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Record):
     """Sampled (t, x, y, u) record on a uniform grid."""
 
     times: np.ndarray
@@ -163,8 +161,7 @@ class Trajectory:
     dt: float
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.float64)
-        object.__setattr__(self, "times", times)
+        self.__dict__["times"] = times = np.asarray(self.times, dtype=np.float64)
         for name in ("states", "outputs", "inputs"):
             arr = np.asarray(getattr(self, name))
             if arr.ndim == 1:
@@ -504,8 +501,7 @@ def fit_decay_rate(times: np.ndarray, norms: np.ndarray) -> float:
     return float(-slope)
 
 
-@dataclass(frozen=True)
-class GainProbe:
+class GainProbe(_Record):
     """Empirical lower bound on a weighted IO gain, with probe metadata."""
 
     value: float

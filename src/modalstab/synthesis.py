@@ -9,7 +9,6 @@ built from the unstable data alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .errors import (
     NotStabilizable,
     RiccatiDivergence,
 )
-from .modal import (ModalSystem, SpectrumPartition, StateSpaceSystem, _matrix_sign,
+from .modal import (ModalSystem, SpectrumPartition, StateSpaceSystem, _matrix_sign, _Record,
                     closed_loop_matrix, leading_blocks, truncate)
 
 # A PBH pencil [lambda I - A, X] is rank deficient when sigma_min is at most
@@ -30,8 +29,7 @@ RANK_RTOL = 1e-10
 STRUCTURE_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
-class ModeCheckReport:
+class ModeCheckReport(_Record):
     """PBH margins of the unstable blocks, in block order, the labels of
     those that fail, and the dense unstable prefix (A_u, B_u, C_u) tested."""
 
@@ -166,8 +164,7 @@ def design_observer(A: np.ndarray, C: np.ndarray) -> np.ndarray:
     return K_dual.conj().T
 
 
-@dataclass(frozen=True)
-class DesignInfo:
+class DesignInfo(_Record):
     """Rates and residuals recorded during synthesis."""
 
     feedback_rate: float
@@ -176,8 +173,7 @@ class DesignInfo:
     observer_residual: float
 
 
-@dataclass(frozen=True)
-class ObserverController:
+class ObserverController(_Record):
     """Dynamic output-feedback controller w' = E w + F y, u = G w."""
 
     E: np.ndarray
@@ -295,8 +291,7 @@ def loop_system(truncated: StateSpaceSystem, controller: StateSpaceSystem) -> St
     return StateSpaceSystem(A, B, C)
 
 
-@dataclass(frozen=True)
-class DesignTruncation:
+class DesignTruncation(_Record):
     """A controller's first N plant blocks, dense, its gains on the first k_u."""
 
     N: int

@@ -13,10 +13,16 @@ Every plant uses N_max 64.  Five of them fail the PBH rank test on
 stabilizability (``PBH_FAILURES``); nine certify (``CERTIFIED``), and
 coverage may grow from there but not shrink.
 
-Run ``PYTHONPATH=src python tests/survey.py OUT`` to analyze and synthesize
-every config into OUT/<name>/, simulate each Certified controller over a
-horizon of 0.1 into OUT/<name>/simulate/, and print one line per config
-and a last line with the coverage tally (``coverage``).
+The grid set (``GRID_PLANTS``) is wider and coarser: 675 configs.  heat,
+heat_boundary and wave (with b/10 and kappa = 1) at the 15 values of
+``GRID_B``, each with the four profiles above plus cosine k0 = 2, at N_max
+2, 16 and 64.
+
+Run ``PYTHONPATH=src python tests/survey.py [--grid] OUT`` to analyze and
+synthesize every config of the survey (or grid) set into OUT/<name>/,
+simulate each Certified controller over a horizon of 0.1 into
+OUT/<name>/simulate/, and print one line per config and a last line with the
+coverage tally (``coverage``).
 Rerunning on the same code reproduces every document byte for byte, so two
 checkouts can be compared with ``diff -r``.
 """
@@ -37,6 +43,11 @@ PROFILES = {
 }
 N_MAX = 64
 SIMULATE_HORIZON = 0.1
+
+
+GRID_B = (-1.0, 0.0, 1.0, 5.0, math.pi ** 2, 15.0, 2 * math.pi ** 2, 30.0, 4 * math.pi ** 2,
+          42.0, 60.0, 9 * math.pi ** 2, 100.0, 16 * math.pi ** 2, 200.0)
+GRID_N_MAX = (2, 16, 64)
 
 
 def _plants() -> dict:
@@ -60,7 +71,22 @@ def _plants() -> dict:
     return plants
 
 
+def _grid_plants() -> dict:
+    profiles = {**PROFILES, "cosine2": {"kind": "cosine", "k0": 2.0}}
+    plants = {}
+    for kind in ("heat", "heat_boundary", "wave"):
+        for b in GRID_B:
+            for name, f in profiles.items():
+                for n_max in GRID_N_MAX:
+                    plant = {"type": kind, "b": b, "f": f, "N_max": n_max}
+                    if kind == "wave":
+                        plant.update(b=b / 10, kappa=1.0)
+                    plants[f"{kind}_b{plant['b']:g}_{name}_N{n_max}"] = plant
+    return plants
+
+
 PLANTS = _plants()
+GRID_PLANTS = _grid_plants()
 PBH_FAILURES = ("heat_b15_constant", "heat_b30_constant", "heat_b60_constant",
                 "heat_b60_indicator", "heat_boundary_b5_negative")
 CERTIFIED = ("heat_b5_constant", "heat_b5_indicator", "heat_b5_indicator_shifted",
@@ -82,12 +108,12 @@ def _read(path: str):
         return json.load(fh)
 
 
-def run_survey(out_root: str) -> dict:
+def run_survey(out_root: str, plants: dict = PLANTS) -> dict:
     """name -> (synthesize exit code, certificate document or None,
     simulate summary of a Certified controller or None, analysis document or
-    None if analyze failed)."""
+    None if analyze failed) for each of ``plants``."""
     results = {}
-    for name, plant in PLANTS.items():
+    for name, plant in plants.items():
         out = os.path.join(out_root, name)
         analysis = (_read(os.path.join(out, "analysis.json"))
                     if run_command(out, "analyze", {"plant": plant}) == 0 else None)
@@ -120,9 +146,10 @@ def coverage(results: dict) -> dict:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: survey.py OUT")
-    survey = run_survey(sys.argv[1])
+    grid = sys.argv[1:2] == ["--grid"]
+    if len(sys.argv) != 2 + grid:
+        sys.exit("usage: survey.py [--grid] OUT")
+    survey = run_survey(sys.argv[-1], GRID_PLANTS if grid else PLANTS)
     for name, (code, cert, summary, analysis) in survey.items():
         line = f"{name}: analyze {analysis and analysis['verdict']['pass']}, exit {code}"
         if cert is not None:

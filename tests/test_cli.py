@@ -165,9 +165,16 @@ def test_simulate_loads_neither_fractions_nor_decimal(tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
-def test_commands_decode_documents_as_utf8(tmp_path):
+def _tree(root: Path) -> dict:
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_commands_decode_documents_as_utf8(tmp_path, capsys):
     # Every document is written as UTF-8 bytes.  A read in the locale's
     # encoding warns under -X warn_default_encoding, and -W error makes it fatal.
+    # The process entry (cli.run) and the in-process main(argv) write the same
+    # documents and lines.
     import modalstab
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(modalstab.__file__)))
@@ -185,6 +192,53 @@ def test_commands_decode_documents_as_utf8(tmp_path):
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stderr == ""
+        in_process = tmp_path / "in_process" / command
+        assert main([command, "--config", str(cfg), "--out", str(in_process)]) == 0
+        assert capsys.readouterr().out == done.stdout
+        assert _tree(in_process) == _tree(tmp_path / command)
+
+
+_START_UP_SCRIPT = """
+import json, sys, types
+import modalstab.cli
+
+def loaded():
+    # a lazily loaded module is registered before it runs, as a ModuleType subclass
+    return sorted(name for name in ("dataclasses", "modalstab.simulate")
+                  if type(sys.modules.get(name)) is types.ModuleType)
+
+seen = [loaded()]
+for command, cfg in json.loads(sys.argv[1]):
+    path = f"{sys.argv[2]}/{command}.json"
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    assert modalstab.cli.main([command, "--config", path, "--out", sys.argv[2] + "/out"]) == 0
+    seen.append(loaded())
+print(json.dumps(seen))
+"""
+
+
+def test_start_up_loads_simulate_only_for_simulate(tmp_path):
+    # Records are built without dataclasses' code generation, and only the
+    # simulate command runs modalstab.simulate.
+    import modalstab
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(modalstab.__file__)))
+    controller = str(tmp_path / "out" / "controller.json")
+    commands = [("synthesize", {"plant": HEAT}),
+                ("simulate", {"plant": HEAT, "controller_file": controller,
+                              "horizon": 1.0, "dt": 0.1})]
+    done = subprocess.run([sys.executable, "-c", _START_UP_SCRIPT, json.dumps(commands),
+                           str(tmp_path)], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [[], [], ["modalstab.simulate"]]
+    # every exported name resolves in a fresh interpreter, the lazy ones included
+    script = ("import modalstab\nfrom modalstab import Trajectory, brute_force_gain\n"
+              "print([name for name in modalstab.__all__ if not hasattr(modalstab, name)])")
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
@@ -1283,7 +1337,8 @@ def test_certify_and_simulate_read_the_full_loop_off_a_covering_prefix(tmp_path,
     assert cert["diagnostics"][0].startswith(prefix)
     assert float(cert["diagnostics"][0][len(prefix):].split()[0]) == pytest.approx(abscissa,
                                                                                   abs=1e-4)
-    monkeypatch.setattr(cli, "observer_loop", lambda *args: pytest.fail("structured path"))
+    monkeypatch.setattr(simulate, "observer_loop",
+                        lambda *args: pytest.fail("structured path"))
     code, out = run(tmp_path, "simulate", {**cfg, "horizon": 0.1}, tag="sim")
     assert code == 0
     summary = read_json(str(out / "summary.json"))

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -200,7 +198,7 @@ def test_closed_loop_matrix_stays_complex_for_a_complex_block(rng, side, name):
             "controller": random_system(rng, 3, m=3, p=2)}
     entries = getattr(loop[side], name).copy()
     entries[0, 0] += 1e-3j
-    loop[side] = dataclasses.replace(loop[side], **{name: entries})
+    loop[side] = loop[side].replace(**{name: entries})
     M = closed_loop_matrix(loop["plant"], loop["controller"])
     assert M.dtype == np.complex128 and np.any(M.imag)
     assert np.array_equal(M, _assembled_loop(loop["plant"], loop["controller"]))

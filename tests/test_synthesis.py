@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -288,7 +287,7 @@ def test_reduced_R_dimension_checks():
 
 def test_matches_observer_structure_rejects_perturbation():
     part, truncated, ctrl = _synthesized()
-    bent = dataclasses.replace(ctrl, E=ctrl.E + 1e-3)
+    bent = ctrl.replace(E=ctrl.E + 1e-3)
     assert matches_observer_structure(_heat_plant(), bent) is None
     other_plant = _heat_plant(n_max=2)  # three blocks, fewer states than the controller
     assert matches_observer_structure(other_plant, ctrl) is None

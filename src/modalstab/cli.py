@@ -33,8 +33,8 @@ from .errors import (BetaExceedsDecay, CertificateNotFound, DimensionMismatch,
                      RiccatiDivergence)
 from .fileio import SchemaViolation
 from .gains import BETA_GRID_DEPTH, LoopBounds, beta_grid, loop_bounds, scan_certificate
-from .modal import (ModalSystem, StateSpaceSystem, closed_loop_matrix, leading_blocks,
-                    partition_spectrum, select_truncation, truncate, truncate_tail)
+from .modal import (ModalSystem, StateSpaceSystem, closed_loop_matrix, partition_spectrum,
+                    select_truncation, truncate, truncate_tail)
 from .plants import DEFAULT_N_MAX, SourceProfile, build_heat, build_heat_boundary, build_wave
 from .synthesis import (DesignInfo, ObserverController, check_stabilizable, loop_system,
                         matches_observer_structure, observer_controller, reduced_R_system,
@@ -117,20 +117,9 @@ def controller_from_doc(doc: dict) -> ObserverController:
     E = fileio.matrix_from_doc(doc["E"], n, n)
     F = fileio.matrix_from_doc(doc["F"], n, int(dims["outputs"]))
     G = fileio.matrix_from_doc(doc["G"], int(dims["inputs"]), n)
-    # F = -[L; 0] and G = [K, 0] carry the unstable-prefix gains verbatim.
     return ObserverController(
-        E=E, F=F, G=G, K_u=G[:, :n_u].copy(), L_u=-F[:n_u, :].copy(),
-        n_unstable=n_u, n_retained=int(dims["n_retained"]),
+        E=E, F=F, G=G, n_unstable=n_u, n_retained=int(dims["n_retained"]),
         info=DesignInfo(*(float(doc["design"][name]) for name in _DESIGN_KEYS)))
-
-
-def _check_io_dims(truncated: StateSpaceSystem, controller: ObserverController):
-    if controller.F.shape[1] != truncated.p:
-        raise DimensionMismatch(
-            f"controller consumes {controller.F.shape[1]} plant outputs, plant emits {truncated.p}")
-    if controller.G.shape[0] != truncated.m:
-        raise DimensionMismatch(
-            f"controller drives {controller.G.shape[0]} plant inputs, plant accepts {truncated.m}")
 
 
 def _reduced_loop(sys_: ModalSystem, k_u: int, truncated: StateSpaceSystem,
@@ -145,26 +134,19 @@ def _reduced_loop(sys_: ModalSystem, k_u: int, truncated: StateSpaceSystem,
 
 def _recheck_certificate(sys_: ModalSystem, controller: ObserverController, cfg: dict):
     """(certificate, design) for an imported controller at its own design
-    truncation, with design the verdict of ``matches_observer_structure``.
-    The reduced controller-loop bound is used only on that verdict, and the
-    conservative full-loop bound without it or when that loop is unstable.
+    truncation, with design its fit ``matches_observer_structure``.  The
+    reduced controller-loop bound is used only when the fit found the
+    observer structure (k_u set), and the conservative full-loop bound
+    without it or when that loop is unstable.
     """
     margin_fraction = float(cfg["margin_fraction"])
     design = matches_observer_structure(sys_, controller)
-    if design is not None:
-        N, truncated = design.N, design.truncated
-    else:
-        N = leading_blocks(sys_, controller.n)
-        if N is None:
-            raise DimensionMismatch(
-                f"controller dimension {controller.n} matches no truncation of the plant "
-                f"(resolved block dimensions reach {int(sys_.dims.sum())})")
-        truncated, _tail = truncate(sys_, N)
-        _check_io_dims(truncated, controller)
-    try:
-        loop = design and _reduced_loop(sys_, design.k_u, truncated, controller, margin_fraction)
-    except NotHurwitz:
-        loop = None
+    N, truncated, loop = design.N, design.truncated, None
+    if design.k_u is not None:
+        try:
+            loop = _reduced_loop(sys_, design.k_u, truncated, controller, margin_fraction)
+        except NotHurwitz:
+            pass
     if loop is None:
         loop = loop_bounds(loop_system(truncated, controller.as_state_space()), margin_fraction)
     return scan_certificate(truncate_tail(sys_, N), loop, N, depth=int(cfg["beta_depth"])), design
@@ -374,9 +356,9 @@ def cmd_simulate(cfg: dict, out_dir: str) -> int:
     # The certificate covers every truncation; the simulated one may be finer.
     cert, design = _recheck_certificate(sys_, controller, cfg)
     N = int(cfg["N"]) if cfg.get("N") is not None else cert.truncation_N
-    # the loop is triangular only at the verdict's N; the certificate has
-    # checked the inputs and outputs
-    at_design = design is not None and N == design.N
+    # the fit's truncation serves its own N; the certificate has checked the
+    # inputs and outputs, and the loop is triangular only on the fit's k_u
+    at_design = N == design.N
     truncated = design.truncated if at_design else truncate(sys_, N)[0]
     loop = simulate.observer_loop(sys_, design, controller) if at_design else None
 

@@ -63,7 +63,7 @@ class GainBound(_Record):
             raise ValueError(f"kind must be 'IO' or 'IS', got {self.kind!r}")
         if self.value < 0:
             raise ValueError("gain value must be nonnegative")
-        object.__setattr__(self, "smoothness", tuple(int(s) for s in self.smoothness))
+        self.__dict__["smoothness"] = tuple(int(s) for s in self.smoothness)
 
 
 def _check_beta(env: DecayEnvelope, beta: float) -> float:

@@ -95,7 +95,7 @@ def _freeze_abc(obj, names: tuple, stacked: bool = False) -> int:
         if arr.size and not np.all(np.isfinite(arr.view(np.float64))):
             raise ValueError(f"{name} contains non-finite entries")
         arr.setflags(write=False)
-        object.__setattr__(obj, name, arr)
+        obj.__dict__[name] = arr
     A, B, C = (getattr(obj, name) for name in names)
     n = A.shape[-1]
     if A.shape[-2] != n:
@@ -236,7 +236,7 @@ class BlockStack(_Record):
             raise DimensionMismatch(
                 f"a stack of {len(self.A)} blocks of dimension {d} has labels of shape "
                 f"{labels.shape}")
-        object.__setattr__(self, "labels", labels)
+        self.__dict__["labels"] = labels
 
     @property
     def dim(self) -> int:

@@ -102,7 +102,7 @@ class SourceProfile(_Record):
 
     def __post_init__(self):
         for name in ("value", "k0", "xi1", "xi2"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            self.__dict__[name] = float(getattr(self, name))
         if self.kind not in _PROFILE_KINDS:
             raise ValueError(f"unknown profile kind {self.kind!r}")
         if self.kind == "indicator":
@@ -118,7 +118,7 @@ class SourceProfile(_Record):
                 if len(vals) < 5 or (len(vals) - 1) % 4 != 0:
                     raise ValueError(
                         "samples need 4m+1 uniform points including both endpoints")
-            object.__setattr__(self, "values", vals)
+            self.__dict__["values"] = vals
 
     @classmethod
     def constant(cls, c: float) -> "SourceProfile":

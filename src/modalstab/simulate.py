@@ -168,7 +168,7 @@ class Trajectory(_Record):
                 arr = arr[:, None]
             if arr.shape[0] != len(times):
                 raise DimensionMismatch(f"{name} length {arr.shape[0]} != times {len(times)}")
-            object.__setattr__(self, name, arr)
+            self.__dict__[name] = arr
 
     def state_norms(self) -> np.ndarray:
         return row_norms(self.states)
@@ -426,18 +426,18 @@ class ObserverLoop:
 def observer_loop(sys: ModalSystem, design, controller):
     """The :class:`ObserverLoop` of ``design.truncated``, the first design.N
     blocks of ``sys``, closed by ``controller``, whose gains K_u, L_u act on
-    the first design.k_u blocks (``design`` is the verdict of
+    the first design.k_u blocks (``design`` is the controller's fit
     ``synthesis.matches_observer_structure``); or None when its closed forms
     do not apply or would lose accuracy, and the caller steps the dense loop.
 
-    That is when some data are complex, when a retained block's eigenvector
-    condition number exceeds CONDITION_MAX, or when a retained eigenvalue lam
-    lies within SEPARATION_RTOL (1 + |lam|) of an eigenvalue of A_c: the
-    decoupling divides by that difference.
+    That is when the fit has no k_u, when some data are complex, when a
+    retained block's eigenvector condition number exceeds CONDITION_MAX, or
+    when a retained eigenvalue lam lies within SEPARATION_RTOL (1 + |lam|) of
+    an eigenvalue of A_c: the decoupling divides by that difference.
     """
     truncated, first, stop = design.truncated, design.k_u, design.N
     data = (truncated.A, truncated.B, truncated.C, controller.K_u, controller.L_u)
-    if (any(np.any(M.imag) for M in data)
+    if (first is None or any(np.any(M.imag) for M in data)
             or np.any(sys.conditions[first:stop] > CONDITION_MAX)):
         return None
     A, B, C, K, L = (np.ascontiguousarray(M.real) for M in data)

@@ -174,19 +174,26 @@ class DesignInfo(_Record):
 
 
 class ObserverController(_Record):
-    """Dynamic output-feedback controller w' = E w + F y, u = G w."""
+    """Dynamic output-feedback controller w' = E w + F y, u = G w, whose gains
+    on the unstable prefix are read off G = [K_u, 0] and F = -[L_u; 0]."""
 
     E: np.ndarray
     F: np.ndarray
     G: np.ndarray
-    K_u: np.ndarray
-    L_u: np.ndarray
     n_unstable: int
     n_retained: int
     info: DesignInfo
 
     def as_state_space(self) -> StateSpaceSystem:
         return StateSpaceSystem(self.E, self.F, self.G)
+
+    @property
+    def K_u(self) -> np.ndarray:
+        return self.G[:, :self.n_unstable]
+
+    @property
+    def L_u(self) -> np.ndarray:
+        return -self.F[:self.n_unstable]
 
     @property
     def n(self) -> int:
@@ -236,7 +243,7 @@ def observer_controller(truncated: StateSpaceSystem, K_u: np.ndarray, L_u: np.nd
     L_full[:n_u, :] = L_u
     return ObserverController(
         E=truncated.A + L_full @ truncated.C + truncated.B @ K_full, F=-L_full, G=K_full,
-        K_u=K_u, L_u=L_u, n_unstable=n_u, n_retained=n - n_u, info=info)
+        n_unstable=n_u, n_retained=n - n_u, info=info)
 
 
 def reduced_R_system(A_u: np.ndarray, B_u: np.ndarray, C_u: np.ndarray,
@@ -292,7 +299,7 @@ def loop_system(truncated: StateSpaceSystem, controller: StateSpaceSystem) -> St
 
 
 class DesignTruncation(_Record):
-    """A controller's first N plant blocks, dense, its gains on the first k_u."""
+    """A controller's first N plant blocks, dense, its gains on the first k_u (or None)."""
 
     N: int
     truncated: StateSpaceSystem
@@ -300,21 +307,31 @@ class DesignTruncation(_Record):
 
 
 def matches_observer_structure(sys: ModalSystem, controller: ObserverController):
-    """The :class:`DesignTruncation` of ``controller`` if it is the observer
-    controller of the first N blocks of ``sys``, else None; only then does
-    its loop reduce to the prefix's data (``reduced_R_system``).  Its
-    dimension must be that of the first N blocks, and its ``n_unstable``
-    that of the first k_u >= ``sys.n_unstable``: the prefix ends on a block
-    boundary, so it is invariant, and no non-decaying block is outside it.
-    E = A + [L;0] C + B [K,0], F = -[L;0] and G = [K,0] must hold entrywise
-    within STRUCTURE_RTOL.
+    """The one fit of ``controller`` to ``sys``: the :class:`DesignTruncation`
+    of the first N blocks, whose dimension and inputs and outputs must be the
+    controller's.  Its k_u is set only when the controller is their observer
+    controller, so that its loop reduces to the prefix's data
+    (``reduced_R_system``): its ``n_unstable`` is that of the first k_u >=
+    ``sys.n_unstable`` blocks, so the prefix ends on a block boundary, is
+    invariant and leaves no non-decaying block outside, and E = A + [L;0] C
+    + B [K,0], F = -[L;0] and G = [K,0] hold entrywise within STRUCTURE_RTOL.
     """
     N = leading_blocks(sys, controller.n)
-    k_u = leading_blocks(sys, controller.n_unstable)
-    if (N is None or k_u is None or k_u < sys.n_unstable
-            or controller.G.shape[0] != sys.input_dim or controller.F.shape[1] != sys.output_dim):
-        return None
+    if N is None:
+        raise DimensionMismatch(
+            f"controller dimension {controller.n} matches no truncation of the plant "
+            f"(resolved block dimensions reach {int(sys.dims.sum())})")
     truncated, _tail = truncate(sys, N)
+    consumes, drives = controller.F.shape[1], controller.G.shape[0]
+    if consumes != truncated.p:
+        raise DimensionMismatch(
+            f"controller consumes {consumes} plant outputs, plant emits {truncated.p}")
+    if drives != truncated.m:
+        raise DimensionMismatch(
+            f"controller drives {drives} plant inputs, plant accepts {truncated.m}")
+    k_u = leading_blocks(sys, controller.n_unstable)
+    if k_u is None or k_u < sys.n_unstable:
+        return DesignTruncation(N, truncated, None)
     ref = observer_controller(truncated, controller.K_u, controller.L_u, controller.info)
     scale = 1.0 + max(float(np.linalg.norm(truncated.A)), float(np.linalg.norm(ref.E)))
     pairs = ((controller.E, ref.E, scale),
@@ -322,4 +339,4 @@ def matches_observer_structure(sys: ModalSystem, controller: ObserverController)
              (controller.G, ref.G, 1.0 + float(np.linalg.norm(ref.G))))
     matches = all(float(np.linalg.norm(mine - theirs)) <= STRUCTURE_RTOL * bound
                   for mine, theirs, bound in pairs)
-    return DesignTruncation(N, truncated, k_u) if matches else None
+    return DesignTruncation(N, truncated, k_u if matches else None)

@@ -20,6 +20,7 @@ heat_boundary and wave (with b/10 and kappa = 1) at the 15 values of
 
 Run ``PYTHONPATH=src python tests/survey.py [--grid] OUT`` to analyze and
 synthesize every config of the survey (or grid) set into OUT/<name>/,
+certify every controller that synthesize wrote into OUT/<name>/certify/,
 simulate each Certified controller over a horizon of 0.1 into
 OUT/<name>/simulate/, and print one line per config and a last line with the
 coverage tally (``coverage``).
@@ -110,25 +111,26 @@ def _read(path: str):
 
 def run_survey(out_root: str, plants: dict = PLANTS) -> dict:
     """name -> (synthesize exit code, certificate document or None,
-    simulate summary of a Certified controller or None, analysis document or
-    None if analyze failed) for each of ``plants``."""
+    simulate summary of a Certified controller or None, certify exit code on
+    the controller synthesize wrote or None, analysis document or None if
+    analyze failed) for each of ``plants``."""
     results = {}
     for name, plant in plants.items():
         out = os.path.join(out_root, name)
         analysis = (_read(os.path.join(out, "analysis.json"))
                     if run_command(out, "analyze", {"plant": plant}) == 0 else None)
         code = run_command(out, "synthesize", {"plant": plant})
-        cert = summary = None
+        cert = summary = recheck = None
         if os.path.exists(os.path.join(out, "certificate.json")):
             cert = _read(os.path.join(out, "certificate.json"))
+        controller = {"plant": plant, "controller_file": os.path.join(out, "controller.json")}
+        if os.path.exists(controller["controller_file"]):
+            recheck = run_command(os.path.join(out, "certify"), "certify", controller)
         if code == 0:
             sim = os.path.join(out, "simulate")
-            sim_code = run_command(sim, "simulate", {
-                "plant": plant, "controller_file": os.path.join(out, "controller.json"),
-                "horizon": SIMULATE_HORIZON})
-            if sim_code == 0:
+            if run_command(sim, "simulate", {**controller, "horizon": SIMULATE_HORIZON}) == 0:
                 summary = _read(os.path.join(sim, "summary.json"))
-        results[name] = (code, cert, summary, analysis)
+        results[name] = (code, cert, summary, recheck, analysis)
     return results
 
 
@@ -150,7 +152,7 @@ if __name__ == "__main__":
     if len(sys.argv) != 2 + grid:
         sys.exit("usage: survey.py [--grid] OUT")
     survey = run_survey(sys.argv[-1], GRID_PLANTS if grid else PLANTS)
-    for name, (code, cert, summary, analysis) in survey.items():
+    for name, (code, cert, summary, _recheck, analysis) in survey.items():
         line = f"{name}: analyze {analysis and analysis['verdict']['pass']}, exit {code}"
         if cert is not None:
             line += f" {cert['verdict']} N={cert['N']} beta={cert['beta']:.6g}"

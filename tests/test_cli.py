@@ -15,7 +15,7 @@ from scipy.linalg import block_diag
 
 from modalstab import (DecayEnvelope, StateSpaceSystem, TailModel, certify_small_gain, cli,
                        closed_loop_matrix, decay_envelope, fileio, gain_strong, gain_weak,
-                       matrix_exponential, partition_spectrum, plants, reduced_R_system,
+                       matrix_exponential, modal, partition_spectrum, plants, reduced_R_system,
                        select_truncation, simulate, simulate_closed_loop, spectral_abscissa,
                        synthesis, synthesize_controller, truncate)
 from modalstab.cli import build_plant, main
@@ -366,7 +366,6 @@ def _reference_cmd_simulate(cfg: dict, out_dir: str) -> int:
     cert, _design = cli._recheck_certificate(sys_, controller, cfg)
     N = int(cfg["N"]) if cfg.get("N") is not None else cert.truncation_N
     truncated, _tail = truncate(sys_, N)
-    cli._check_io_dims(truncated, controller)
     x0 = cli._resolve_x0(cfg, truncated.n)
     times, states, outputs, inputs = _reference_trajectory(
         truncated, controller.as_state_space(), x0, float(cfg["horizon"]), float(cfg["dt"]))
@@ -523,7 +522,7 @@ def test_design_n_abscissa_matches_an_mpmath_reference(tmp_path, plant):
     summary = read_json(str(out / "summary.json"))
     sys_, controller = cli._plant_and_controller(cfg, "simulate")
     _cert, design = cli._recheck_certificate(sys_, controller, {**cli.CONFIG_DEFAULTS, **cfg})
-    assert design is not None
+    assert design.k_u is not None
     retained = sys_.blocks[sys_.n_unstable:design.N]
     with mpmath.workdps(50):
         ref = _mp_abscissa(design.truncated, controller, retained)
@@ -1175,24 +1174,6 @@ def test_rank_tests_run_on_the_unstable_blocks_only(tmp_path, monkeypatch):
                and m["stab_margin"] == m["det_margin"] == 1.0 for m in stable)
 
 
-@pytest.mark.parametrize("plant, inputs, message", [
-    (WAVE, 1, "controller dimension 5 matches no truncation of the plant "
-              "(resolved block dimensions reach 48)"),
-    (HEAT, 2, "controller drives 2 plant inputs, plant accepts 1"),
-], ids=["wave_plant", "two_input_controller"])
-def test_controller_plant_dimension_mismatch(tmp_path, capsys, plant, inputs, message):
-    _, out = run(tmp_path, "synthesize", {"plant": HEAT}, tag="syn")
-    doc = read_json(str(out / "controller.json"))
-    doc["G"], doc["dims"]["inputs"] = doc["G"] * inputs, inputs
-    ctrl_path = tmp_path / "controller.json"
-    ctrl_path.write_text(json.dumps(doc))
-    capsys.readouterr()
-    code, _ = run(tmp_path, "certify", {"plant": plant, "controller_file": str(ctrl_path)},
-                  tag="cross")
-    assert code == 6
-    assert capsys.readouterr().err == f"dimension mismatch: {message}\n"
-
-
 def test_certify_failure_still_writes_certificate(tmp_path):
     code, out = run(tmp_path, "synthesize", {"plant": HEAVY_TAIL}, tag="syn")
     assert code == 4
@@ -1251,6 +1232,66 @@ def const_heat_controller(tmp_path_factory):
     return str(out / "controller.json")
 
 
+@pytest.mark.parametrize("plant, source, dims, message", [
+    (WAVE, HEAT, {}, "dimension mismatch: controller dimension 5 matches no truncation of the "
+                     "plant (resolved block dimensions reach 48)"),
+    (HEAT, HEAT, {"inputs": 2}, "dimension mismatch: controller drives 2 plant inputs, "
+                                "plant accepts 1"),
+    (HEAT, HEAT, {"outputs": 2}, "dimension mismatch: controller consumes 2 plant outputs, "
+                                 "plant emits 1"),
+    # the one-state controller's N = 1 leaves heat15's second unstable block out
+    (TRAJECTORY_PLANTS["heat15"], CONST_HEAT, {},
+     "invalid configuration: block 1 has eigenvalue real part 5.1304 >= 0"),
+], ids=["wave_plant", "two_input_controller", "two_output_controller", "short_of_the_unstable"])
+def test_controller_plant_dimension_mismatch(tmp_path, capsys, plant, source, dims, message):
+    _, out = run(tmp_path, "synthesize", {"plant": source}, tag="syn")
+    doc = read_json(str(out / "controller.json"))
+    doc["G"] = doc["G"] * dims.get("inputs", 1)
+    doc["F"] = [row * dims.get("outputs", 1) for row in doc["F"]]
+    doc["dims"].update(dims)
+    ctrl_path = tmp_path / "controller.json"
+    ctrl_path.write_text(json.dumps(doc))
+    for command in ("certify", "simulate"):
+        capsys.readouterr()
+        code, out = run(tmp_path, command, {"plant": plant, "controller_file": str(ctrl_path)},
+                        tag=command)
+        assert code == (6 if message.startswith("dimension") else 2)
+        assert capsys.readouterr().err == f"{message}\n"
+        assert not any(out.iterdir())
+
+
+def _count_truncations(monkeypatch) -> list:
+    """The N of every ``modal.truncate`` call from here on, in every module that holds it."""
+    calls, original = [], modal.truncate
+
+    def counting(sys_, N):
+        calls.append(N)
+        return original(sys_, N)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("modalstab") and getattr(module, "truncate", None) is original:
+            monkeypatch.setattr(module, "truncate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("bent", [False, True], ids=["synthesized", "bent"])
+def test_certify_and_simulate_truncate_the_plant_once(tmp_path, monkeypatch, bent):
+    # the controller's fit serves the certificate, the full-loop fallback of
+    # a controller without the observer structure and a simulate at its N
+    _, out = run(tmp_path, "synthesize", {"plant": HEAT}, tag="syn")
+    doc = read_json(str(out / "controller.json"))
+    if bent:  # as in test_perturbed_controller_falls_back_to_full_loop
+        doc["G"] = [[100.0 * v for v in row] for row in doc["G"]]
+    ctrl_path = tmp_path / "controller.json"
+    ctrl_path.write_text(json.dumps(doc))
+    calls = _count_truncations(monkeypatch)
+    cfg = {"plant": HEAT, "controller_file": str(ctrl_path), "horizon": 0.1}
+    for command, code in (("certify", 4 if bent else 0), ("simulate", 0)):
+        calls.clear()
+        assert run(tmp_path, command, cfg, tag=command)[0] == code
+        assert len(calls) == 1, (command, calls)
+
+
 def test_ill_conditioned_loop_envelope_passes_its_residual_check():
     # cond P = 1.5e11: one sign solve leaves lambda_max(R) = 15, and only the
     # residual-correction solve brings it under 1.
@@ -1269,7 +1310,7 @@ def test_certify_falls_back_when_the_reduced_loop_is_not_hurwitz(tmp_path):
     truncated, _tail = truncate(sys_, 3)
     good = synthesize_controller(partition_spectrum(sys_), truncated)
     bad = observer_controller(truncated, -good.K_u, good.L_u, good.info)
-    assert matches_observer_structure(sys_, bad) is not None
+    assert matches_observer_structure(sys_, bad).k_u is not None
     n_u = bad.n_unstable
     with pytest.raises(NotHurwitz):
         reduced_R_system(truncated.A[:n_u, :n_u], truncated.B[:n_u, :],
@@ -1337,10 +1378,11 @@ def test_certify_and_simulate_read_the_full_loop_off_a_covering_prefix(tmp_path,
     assert cert["diagnostics"][0].startswith(prefix)
     assert float(cert["diagnostics"][0][len(prefix):].split()[0]) == pytest.approx(abscissa,
                                                                                   abs=1e-4)
-    monkeypatch.setattr(simulate, "observer_loop",
-                        lambda *args: pytest.fail("structured path"))
+    # the fit has no k_u, so the structured path declines: the loop is dense
+    loops, original = [], simulate.observer_loop
+    monkeypatch.setattr(simulate, "observer_loop", lambda *args: loops.append(original(*args)))
     code, out = run(tmp_path, "simulate", {**cfg, "horizon": 0.1}, tag="sim")
-    assert code == 0
+    assert code == 0 and loops == [None]
     summary = read_json(str(out / "summary.json"))
     assert summary["spectral_abscissa"] == pytest.approx(abscissa, abs=1e-4)
     assert summary["certificate_verdict"] == "Failed"

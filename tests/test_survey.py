@@ -6,8 +6,13 @@ import survey
 
 
 @pytest.fixture(scope="module")
-def results(tmp_path_factory):
-    return survey.run_survey(str(tmp_path_factory.mktemp("survey")))
+def out_root(tmp_path_factory):
+    return tmp_path_factory.mktemp("survey")
+
+
+@pytest.fixture(scope="module")
+def results(out_root):
+    return survey.run_survey(str(out_root))
 
 
 def test_survey_pbh_failures_are_the_only_synthesis_failures(results):
@@ -19,7 +24,7 @@ def test_survey_pbh_failures_are_the_only_synthesis_failures(results):
 def test_survey_certified_beta_is_below_the_simulated_decay_rate(results):
     # a certificate's beta is a decay rate of the whole loop, so it stays
     # below -abscissa of the loop at the controller's design N
-    certified = {name: (cert, summary) for name, (code, cert, summary, _analysis)
+    certified = {name: (cert, summary) for name, (code, cert, summary, *_docs)
                  in results.items() if code == 0}
     assert certified
     for name, (cert, summary) in certified.items():
@@ -43,3 +48,15 @@ def test_survey_plants_that_certify_keep_certifying(results):
     counts = survey.coverage(results)
     assert sum(counts.values()) == len(survey.PLANTS), counts
     assert counts["Certified"] >= len(survey.CERTIFIED), counts
+
+
+def test_survey_certify_reproduces_the_certificate_of_synthesize(results, out_root):
+    # certify re-derives, from the controller document alone, the
+    # certificate synthesize wrote beside it, Certified or Failed
+    rechecked = {name: (code, recheck) for name, (code, _cert, _summary, recheck, _analysis)
+                 in results.items() if recheck is not None}
+    assert sorted(rechecked) == sorted(name for name, (code, *_docs) in results.items()
+                                       if code in (0, 4))
+    for name, (code, recheck) in rechecked.items():
+        own, again = (out_root / name / sub / "certificate.json" for sub in ("", "certify"))
+        assert recheck == code and again.read_bytes() == own.read_bytes(), name

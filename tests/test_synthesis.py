@@ -186,7 +186,7 @@ def test_synthesize_controller_structure():
     assert np.all(ctrl.F[n_u:, :] == 0.0)
     assert np.all(ctrl.G[:, n_u:] == 0.0)
     design = matches_observer_structure(_heat_plant(), ctrl)
-    assert design is not None and (design.N, design.k_u) == (4, n_u)
+    assert (design.N, design.k_u) == (4, n_u)
     assert ctrl.info.feedback_rate > 0.0 and ctrl.info.observer_rate > 0.0
     assert ctrl.info.feedback_residual < 1e-8
 
@@ -288,9 +288,10 @@ def test_reduced_R_dimension_checks():
 def test_matches_observer_structure_rejects_perturbation():
     part, truncated, ctrl = _synthesized()
     bent = ctrl.replace(E=ctrl.E + 1e-3)
-    assert matches_observer_structure(_heat_plant(), bent) is None
+    assert matches_observer_structure(_heat_plant(), bent).k_u is None
     other_plant = _heat_plant(n_max=2)  # three blocks, fewer states than the controller
-    assert matches_observer_structure(other_plant, ctrl) is None
+    with pytest.raises(DimensionMismatch, match="matches no truncation"):
+        matches_observer_structure(other_plant, ctrl)
 
 
 def test_matches_observer_structure_needs_a_block_aligned_cover_of_the_unstable_blocks():
@@ -304,7 +305,7 @@ def test_matches_observer_structure_needs_a_block_aligned_cover_of_the_unstable_
         A, B, C = truncated.A[:n_u, :n_u], truncated.B[:n_u], truncated.C[:, :n_u]
         ctrl = observer_controller(truncated, design_feedback(A, B), design_observer(A, C), info)
         covers[n_u] = matches_observer_structure(sys_, ctrl)
-    assert sys_.n_unstable == 2 and covers[1] is None
+    assert sys_.n_unstable == 2 and covers[1].k_u is None
     assert (covers[3].N, covers[3].k_u) == (len(sys_), 3)
     # a prefix of two states ends inside the second, 2x2 unstable block
     blocks = [ModalBlock([[1.0]], [[1.0]], [[1.0]], label=0),
@@ -313,7 +314,7 @@ def test_matches_observer_structure_needs_a_block_aligned_cover_of_the_unstable_
                                               output_graph_norm=0.0), 1, 1)
     split, _ = truncate(split_sys, 2)
     ctrl = observer_controller(split, np.array([[-1.0, -1.0]]), np.array([[-1.0], [-1.0]]), info)
-    assert matches_observer_structure(split_sys, ctrl) is None
+    assert matches_observer_structure(split_sys, ctrl).k_u is None
 
 
 def test_loop_system_wiring():

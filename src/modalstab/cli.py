@@ -137,17 +137,14 @@ def _recheck_certificate(sys_: ModalSystem, controller: ObserverController, cfg:
     truncation, with design its fit ``matches_observer_structure``.  The
     reduced controller-loop bound is used only when the fit found the
     observer structure (k_u set), and the conservative full-loop bound
-    without it or when that loop is unstable.
+    without it or when that loop is not stable (``env`` None).
     """
     margin_fraction = float(cfg["margin_fraction"])
     design = matches_observer_structure(sys_, controller)
     N, truncated, loop = design.N, design.truncated, None
     if design.k_u is not None:
-        try:
-            loop = _reduced_loop(sys_, design.k_u, truncated, controller, margin_fraction)
-        except NotHurwitz:
-            pass
-    if loop is None:
+        loop = _reduced_loop(sys_, design.k_u, truncated, controller, margin_fraction)
+    if loop is None or loop.env is None:
         loop = loop_bounds(loop_system(truncated, controller.as_state_space()), margin_fraction)
     return scan_certificate(truncate_tail(sys_, N), loop, N, depth=int(cfg["beta_depth"])), design
 
@@ -262,9 +259,13 @@ def _prefix_design(sys_: ModalSystem, prefix: StateSpaceSystem, part, margin_fra
     """The controller over the unstable prefix and the bounds of its reduced loop.
 
     Neither depends on the truncation order, so one serves every candidate N.
+    Raises ``NotHurwitz`` when that loop is not exponentially stable.
     """
     design = synthesize_controller(part, prefix)
-    return design, _reduced_loop(sys_, sys_.n_unstable, prefix, design, margin_fraction)
+    loop = _reduced_loop(sys_, sys_.n_unstable, prefix, design, margin_fraction)
+    if loop.env is None:
+        raise NotHurwitz(f"controller loop is not exponentially stable: {loop.failure}")
+    return design, loop
 
 
 def _write_design(out_dir: str, sys_: ModalSystem, design: ObserverController, cert):
@@ -336,8 +337,6 @@ def cmd_certify(cfg: dict, out_dir: str) -> int:
 def _resolve_x0(cfg: dict, n: int) -> np.ndarray:
     requested = cfg.get("x0", "ones")
     if isinstance(requested, str):
-        if n == 0:
-            return np.zeros(0)
         if requested == "ones":
             return np.ones(n) / math.sqrt(n)
         if requested == "random":
@@ -356,6 +355,8 @@ def cmd_simulate(cfg: dict, out_dir: str) -> int:
     # The certificate covers every truncation; the simulated one may be finer.
     cert, design = _recheck_certificate(sys_, controller, cfg)
     N = int(cfg["N"]) if cfg.get("N") is not None else cert.truncation_N
+    if N == 0:  # only a controller of no states sets it; the config's N is >= 1
+        raise ValueError("a loop with no states has no trajectory; set N >= 1")
     # the fit's truncation serves its own N; the certificate has checked the
     # inputs and outputs, and the loop is triangular only on the fit's k_u
     at_design = N == design.N
@@ -424,8 +425,6 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
                 f"sweep N={N} outside [{sys_.n_unstable}, {len(sys_)}]")
 
     _design, loop = _prefix_design(sys_, prefix, part, float(cfg["margin_fraction"]))
-    if loop.env is None:
-        raise NotHurwitz(loop.failure)
     # One beta for every row keeps the columns comparable: the most
     # permissive grid point admissible at every N.  The loop's alpha is
     # capped by every block outside the prefix, so by each row's tail too.

@@ -149,6 +149,8 @@ def matrix_from_doc(doc, rows: int = None, cols: int = None) -> np.ndarray:
         M = np.asarray(doc, dtype=np.float64)
     except ValueError as exc:
         raise SchemaViolation(f"ragged matrix rows: {exc}") from exc
+    if rows == 0 and M.shape == (0,):  # [] is the one document of a matrix with no rows
+        M = M.reshape(0, cols or 0)
     if M.ndim != 2:
         raise SchemaViolation("matrix must be a rectangular array of arrays")
     if rows is not None and M.shape[0] != rows:

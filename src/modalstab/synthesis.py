@@ -15,7 +15,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     NotDetectable,
-    NotHurwitz,
     NotStabilizable,
     RiccatiDivergence,
 )
@@ -256,7 +255,9 @@ def reduced_R_system(A_u: np.ndarray, B_u: np.ndarray, C_u: np.ndarray,
 
         x' = [[A+BK, BK], [0, A+LC]] x + [0; -L] v,   u = [K, K] x,
 
-    independent of how many stable modes the observer retains.
+    independent of how many stable modes the observer retains.  Its A is
+    block upper triangular, so ``gains.loop_bounds`` decides whether the loop
+    is stable; this only builds it.
     """
     A_u, B_u, C_u, K_u, L_u = (np.asarray(M, dtype=np.complex128)
                                for M in (A_u, B_u, C_u, K_u, L_u))
@@ -265,17 +266,10 @@ def reduced_R_system(A_u: np.ndarray, B_u: np.ndarray, C_u: np.ndarray,
         raise DimensionMismatch("K rows must match input count")
     if L_u.shape[1] != C_u.shape[0]:
         raise DimensionMismatch("L columns must match output count")
-    A_fb = A_u + B_u @ K_u
-    A_ob = A_u + L_u @ C_u
-    if n:
-        for name, mat in (("A + BK", A_fb), ("A + LC", A_ob)):
-            top = float(np.max(np.linalg.eigvals(mat).real))
-            if top >= 0.0:
-                raise NotHurwitz(f"{name} has spectral abscissa {top:g} >= 0")
     A = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    A[:n, :n] = A_fb
+    A[:n, :n] = A_u + B_u @ K_u
     A[:n, n:] = B_u @ K_u
-    A[n:, n:] = A_ob
+    A[n:, n:] = A_u + L_u @ C_u
     B = np.zeros((2 * n, L_u.shape[1]), dtype=np.complex128)
     B[n:, :] = -L_u
     C = np.hstack([K_u, K_u])

@@ -23,11 +23,14 @@ synthesize every config of the survey (or grid) set into OUT/<name>/,
 certify every controller that synthesize wrote into OUT/<name>/certify/,
 simulate each Certified controller over a horizon of 0.1 into
 OUT/<name>/simulate/, and print one line per config and a last line with the
-coverage tally (``coverage``).
-Rerunning on the same code reproduces every document byte for byte, so two
-checkouts can be compared with ``diff -r``.
+coverage tally (``coverage``).  Each command's stdout, stderr and exit code
+go to ``<command>.log`` beside its documents.
+Rerunning on the same code reproduces every document and log byte for byte,
+so two checkouts can be compared, printed lines included, with ``diff -r``.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -96,12 +99,19 @@ CERTIFIED = ("heat_b5_constant", "heat_b5_indicator", "heat_b5_indicator_shifted
 
 
 def run_command(out_dir: str, command: str, cfg: dict) -> int:
-    """Exit code of ``modalstab command`` on cfg; out_dir gets the documents only."""
+    """Exit code of ``modalstab command`` on cfg.  out_dir gets its documents
+    and ``<command>.log``: the command's stdout, its stderr and its exit code."""
+    stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(cfg, fh)
-        return main([command, "--config", path, "--out", out_dir])
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([command, "--config", path, "--out", out_dir])
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, f"{command}.log"), "w", encoding="utf-8") as fh:
+        fh.write(f"stdout:\n{stdout.getvalue()}stderr:\n{stderr.getvalue()}exit {code}\n")
+    return code
 
 
 def _read(path: str):

@@ -20,7 +20,7 @@ from modalstab import (DecayEnvelope, StateSpaceSystem, TailModel, certify_small
                        synthesis, synthesize_controller, truncate)
 from modalstab.cli import build_plant, main
 from modalstab.errors import (BetaExceedsDecay, CertificateNotFound, DegenerateTrajectory,
-                              NotHurwitz, NotReachable, UnstableModeDiscarded)
+                              NotReachable, UnstableModeDiscarded)
 from modalstab.fileio import (read_json, validate_document, write_json_atomic,
                               write_sweep_csv)
 from modalstab.gains import beta_grid
@@ -292,6 +292,26 @@ def test_controller_with_infinite_design_rates_round_trips(tmp_path):
     code, _ = run(tmp_path, "simulate", {"plant": plant, "controller_file": ctrl,
                                          "horizon": 1.0, "dt": 0.1}, tag="sim")
     assert code == 0
+
+
+def test_zero_state_controller_round_trips(tmp_path, capsys):
+    # b = -1 leaves no unstable block and f = 0 no tail gain: N = 0 certifies
+    plant = {"type": "heat", "b": -1.0, "f": {"kind": "constant", "value": 0.0}, "N_max": 8}
+    code, syn = run(tmp_path, "synthesize", {"plant": plant}, tag="syn")
+    assert code == 0
+    assert read_json(str(syn / "controller.json"), "controller")["E"] == []
+    cfg = {"plant": plant, "controller_file": str(syn / "controller.json")}
+    code, out = run(tmp_path, "certify", cfg, tag="cert")
+    assert code == 0
+    assert (out / "certificate.json").read_bytes() == (syn / "certificate.json").read_bytes()
+    capsys.readouterr()
+    code, out = run(tmp_path, "simulate", cfg, tag="sim")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "invalid configuration: a loop with no states has no trajectory; set N >= 1\n")
+    assert os.listdir(out) == []
+    code, out = run(tmp_path, "simulate", {**cfg, "N": 3, "horizon": 0.1}, tag="sim3")
+    assert code == 0 and (out / "trajectory.csv").exists()
 
 
 def test_simulate_rejects_wrong_x0_length(tmp_path):
@@ -1310,11 +1330,9 @@ def test_certify_falls_back_when_the_reduced_loop_is_not_hurwitz(tmp_path):
     truncated, _tail = truncate(sys_, 3)
     good = synthesize_controller(partition_spectrum(sys_), truncated)
     bad = observer_controller(truncated, -good.K_u, good.L_u, good.info)
-    assert matches_observer_structure(sys_, bad).k_u is not None
-    n_u = bad.n_unstable
-    with pytest.raises(NotHurwitz):
-        reduced_R_system(truncated.A[:n_u, :n_u], truncated.B[:n_u, :],
-                         truncated.C[:, :n_u], bad.K_u, bad.L_u)
+    design = matches_observer_structure(sys_, bad)
+    assert design.k_u is not None
+    assert cli._reduced_loop(sys_, design.k_u, truncated, bad, 0.5).env is None
     ctrl_path = tmp_path / "controller.json"
     write_json_atomic(str(ctrl_path), cli.controller_to_doc(bad, truncated.m, truncated.p))
     code, out = run(tmp_path, "certify", {"plant": CONST_HEAT, "controller_file": str(ctrl_path)})
@@ -1323,6 +1341,23 @@ def test_certify_falls_back_when_the_reduced_loop_is_not_hurwitz(tmp_path):
     assert cert["verdict"] == "Failed"
     assert cert["diagnostics"] == [
         "controller loop is not exponentially stable: spectral abscissa 15.099 >= 0"]
+
+
+@pytest.mark.parametrize("command, extra", [("synthesize", {}), ("sweep", {"sweep_N": [3, 5]})],
+                         ids=["synthesize", "sweep"])
+def test_designing_commands_reject_a_loop_that_is_not_stable(tmp_path, capsys, monkeypatch,
+                                                            command, extra):
+    # negated feedback gains: the reduced loop's bounds find no envelope
+    def bent(part, prefix):
+        good = synthesize_controller(part, prefix)
+        return observer_controller(prefix, -good.K_u, good.L_u, good.info)
+
+    monkeypatch.setattr(cli, "synthesize_controller", bent)
+    code, out = run(tmp_path, command, {"plant": CONST_HEAT, **extra})
+    assert code == 5
+    assert capsys.readouterr().err == ("synthesis failed: controller loop is not exponentially "
+                                       "stable: spectral abscissa 15.099 >= 0\n")
+    assert os.listdir(out) == []
 
 
 def _place(A, B, poles):

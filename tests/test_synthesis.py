@@ -10,8 +10,8 @@ from modalstab import (SourceProfile, StateSpaceSystem, build_heat,
                        design_observer, loop_system, matches_observer_structure,
                        partition_spectrum, reduced_R_system, synthesize_controller,
                        truncate)
-from modalstab.errors import (DimensionMismatch, NotDetectable, NotHurwitz,
-                              NotStabilizable, RiccatiDivergence)
+from modalstab.errors import DimensionMismatch, NotDetectable, NotStabilizable, RiccatiDivergence
+from modalstab.gains import loop_bounds
 from modalstab.modal import ModalBlock, ModalSystem, TailModel, closed_loop_matrix
 from modalstab.synthesis import DesignInfo, care_stabilizing_solution, observer_controller
 
@@ -275,8 +275,10 @@ def test_reduced_R_independent_of_retained_count():
 
 
 def test_reduced_R_rejects_non_hurwitz_design():
-    with pytest.raises(NotHurwitz):
-        reduced_R_system([[1.0]], [[1.0]], [[1.0]], [[0.0]], [[-3.0]])
+    # K = 0 leaves A + BK = 1: the system is built, and only its bounds reject it
+    loop = loop_bounds(reduced_R_system([[1.0]], [[1.0]], [[1.0]], [[0.0]], [[-3.0]]))
+    assert loop.env is None
+    assert loop.failure == "spectral abscissa 1 >= 0"
 
 
 def test_reduced_R_dimension_checks():

@@ -240,32 +240,40 @@ def _require_synthesizable(report):
     return report.prefix
 
 
-def _epsilon_halving(sys_: ModalSystem, epsilon: float):
-    """Candidate truncation orders from repeatedly halving the tail budget."""
-    count = len(sys_)
+def _epsilon_halving(sys_: ModalSystem, epsilon: float) -> list:
+    """The distinct truncation orders picked by halving the tail budget until
+    one keeps every block or the budget underflows, then ``len(sys_)``."""
+    orders = {}
     for j in range(MAX_EPSILON_HALVINGS):
+        budget = epsilon / 2.0 ** j
         try:
-            N = select_truncation(sys_, epsilon / 2.0 ** j)
+            N = select_truncation(sys_, budget) if budget > 0.0 else len(sys_)
         except NotReachable:
-            yield count
-            return
-        yield N
-        if N >= count:
-            return
-    yield count
+            break
+        if N >= len(sys_):
+            break
+        orders[N] = None
+    return [*orders, len(sys_)]
 
 
-def _prefix_design(sys_: ModalSystem, prefix: StateSpaceSystem, part, margin_fraction: float):
-    """The controller over the unstable prefix and the bounds of its reduced loop.
-
-    Neither depends on the truncation order, so one serves every candidate N.
-    Raises ``NotHurwitz`` when that loop is not exponentially stable.
-    """
+def _prefix_design(cfg: dict, orders=None):
+    """(plant, {N: tail}, controller, bounds of its reduced loop): the one
+    design path of ``synthesize`` and ``sweep``.  The controller is designed on
+    the unstable prefix alone, so it serves every truncation order.  The tail
+    of each of ``orders`` (default ``_epsilon_halving``'s) is taken first, so
+    ``truncate_tail`` rejects an inadmissible order before any design.
+    Raises ``NotHurwitz`` when the loop is not exponentially stable."""
+    sys_, _lift = build_plant(cfg["plant"])
+    part = partition_spectrum(sys_)
+    prefix = _require_synthesizable(check_stabilizable(sys_))
+    if orders is None:
+        orders = _epsilon_halving(sys_, float(cfg["epsilon"]))
+    tails = {N: truncate_tail(sys_, N) for N in orders}
     design = synthesize_controller(part, prefix)
-    loop = _reduced_loop(sys_, sys_.n_unstable, prefix, design, margin_fraction)
+    loop = _reduced_loop(sys_, sys_.n_unstable, prefix, design, float(cfg["margin_fraction"]))
     if loop.env is None:
         raise NotHurwitz(f"controller loop is not exponentially stable: {loop.failure}")
-    return design, loop
+    return sys_, tails, design, loop
 
 
 def _write_design(out_dir: str, sys_: ModalSystem, design: ObserverController, cert):
@@ -278,41 +286,22 @@ def _write_design(out_dir: str, sys_: ModalSystem, design: ObserverController, c
 
 
 def cmd_synthesize(cfg: dict, out_dir: str) -> int:
-    sys_, lift = build_plant(cfg["plant"])
-    part = partition_spectrum(sys_)
-    prefix = _require_synthesizable(check_stabilizable(sys_))
-
-    if cfg.get("N") is not None:
-        candidates = iter([int(cfg["N"])])
-    else:
-        candidates = _epsilon_halving(sys_, float(cfg["epsilon"]))
-
-    design = best = None
-    tried = set()
-    for N in candidates:
-        if N in tried:
-            continue
-        tried.add(N)
-        tail = truncate_tail(sys_, N)
-        if design is None:
-            # after the first tail, so that an inadmissible N is reported first
-            design, loop = _prefix_design(sys_, prefix, part, float(cfg["margin_fraction"]))
+    orders = None if cfg.get("N") is None else [int(cfg["N"])]
+    sys_, tails, design, loop = _prefix_design(cfg, orders)
+    certs = []
+    for N, tail in tails.items():
         cert = scan_certificate(tail, loop, N, depth=int(cfg["beta_depth"]))
         if cert.verdict == "Certified":
             _write_design(out_dir, sys_, design, cert)
             print(f"synthesize: Certified at N={N} beta={cert.beta:.9g} "
                   f"product={cert.product:.9g}")
             return EXIT_OK
-        if best is None or cert.product < best.product:
-            best = cert
-
-    detail = ""
-    if best is not None:
-        _write_design(out_dir, sys_, design, best)
-        detail = (f"; best product {best.product:.6g} at N={best.truncation_N}"
-                  " (documents written for inspection)")
+        certs.append(cert)
+    best = min(certs, key=lambda cert: cert.product)
+    _write_design(out_dir, sys_, design, best)
     raise CertificateNotFound(
-        f"no truncation up to {len(sys_)} blocks certified; increase N_max{detail}")
+        f"no truncation up to {len(sys_)} blocks certified; increase N_max; best product "
+        f"{best.product:.6g} at N={best.truncation_N} (documents written for inspection)")
 
 
 def _plant_and_controller(cfg: dict, command: str):
@@ -414,26 +403,15 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
     requested = cfg.get("sweep_N")
     if not requested:
         raise SchemaViolation("sweep requires a non-empty sweep_N list")
-    sys_, lift = build_plant(cfg["plant"])
-    part = partition_spectrum(sys_)
-    prefix = _require_synthesizable(check_stabilizable(sys_))
-
-    ns = sorted({int(N) for N in requested})
-    for N in ns:
-        if N < sys_.n_unstable or N > len(sys_):
-            raise ValueError(
-                f"sweep N={N} outside [{sys_.n_unstable}, {len(sys_)}]")
-
-    _design, loop = _prefix_design(sys_, prefix, part, float(cfg["margin_fraction"]))
+    _plant, tails, _design, loop = _prefix_design(cfg, sorted({int(N) for N in requested}))
     # One beta for every row keeps the columns comparable: the most
     # permissive grid point admissible at every N.  The loop's alpha is
     # capped by every block outside the prefix, so by each row's tail too.
     beta = beta_grid(loop.alpha, int(cfg["beta_depth"]))[-1]
 
     rows = []
-    for N in ns:
-        cert = scan_certificate(truncate_tail(sys_, N), loop, N,
-                                depth=int(cfg["beta_depth"]), fixed_beta=beta)
+    for N, tail in tails.items():
+        cert = scan_certificate(tail, loop, N, depth=int(cfg["beta_depth"]), fixed_beta=beta)
         rows.append((N, cert.gain_tail.value, cert.gain_R.value, cert.product, cert.verdict))
     fileio.write_sweep_csv(os.path.join(out_dir, "sweep.csv"), rows)
     certified = [r for r in rows if r[4] == "Certified"]

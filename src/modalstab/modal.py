@@ -143,10 +143,14 @@ def _frobenius(M: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
-def _squares(x: np.ndarray) -> np.ndarray:
+def _squares(x: np.ndarray, what: str) -> np.ndarray:
     """x ** 2 by Python's float power (C ``pow``), not numpy's x * x: the two
-    differ in the last bit about once in a thousand values."""
-    return np.array([v ** 2 for v in x.tolist()])
+    differ in the last bit about once in a thousand values.  A finite square
+    past the float range raises ``OverflowError`` naming ``what``."""
+    try:
+        return np.array([v ** 2 for v in x.tolist()])
+    except OverflowError:
+        raise OverflowError(f"{what} overflows when squared") from None
 
 
 def _block_columns(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> tuple:
@@ -180,8 +184,9 @@ def _block_columns(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> tuple:
                            compute_uv=False)
         with np.errstate(divide="ignore", invalid="ignore"):
             condition = np.where(sv[:, -1] <= 1e-300, np.inf, sv[:, 0] / sv[:, -1])
-    return (eigs, max_re, min_im, input_norm, _frobenius(C), _squares(input_norm),
-            _squares(c_norm / (1.0 + sigma_min)), condition)
+    return (eigs, max_re, min_im, input_norm, _frobenius(C),
+            _squares(input_norm, "a block's input norm"),
+            _squares(c_norm / (1.0 + sigma_min), "a block's output bound"), condition)
 
 
 class ModalBlock(_Record):

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import KernelResonance, QuadratureNotConverged, TailUnstable
-from .modal import BlockStack, ModalBlock, ModalSystem, TailModel, _Record
+from .modal import BlockStack, ModalBlock, ModalSystem, TailModel, _Record, _squares
 
 DEFAULT_N_MAX = 64
 # Terms each tail series sums past N_max (the heat and wave output weights and
@@ -229,7 +229,7 @@ def fourier_cos_coeffs(profile: SourceProfile, K: int) -> np.ndarray:
 def profile_l2_norm_sq(profile: SourceProfile, basis: str = "integer") -> float:
     """Squared L2 norm of f on [0, 1]; basis resolves the coefficients kind."""
     if profile.kind == "constant":
-        return profile.value ** 2
+        return float(_squares(np.array([profile.value]), f"source value {profile.value:g}")[0])
     if profile.kind == "cosine":
         k0 = profile.k0
         if k0 == 0.0:

@@ -23,6 +23,24 @@ def random_system(rng, n: int, m: int = 1, p: int = 1, margin: float = 0.2):
     return StateSpaceSystem(A, B, C)
 
 
+def mp_lyapunov(S, Q, dps: int = 40):
+    """The mpmath matrix P solving S^* P + P S = -Q, by a Kronecker solve at
+    dps digits: row i + n j of the system is entry (i, j) of the equation."""
+    import mpmath
+
+    n = len(S)
+    with mpmath.workdps(dps):
+        K = mpmath.zeros(n * n, n * n)
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    K[i + n * j, k + n * j] += mpmath.conj(mpmath.mpmathify(S[k][i]))
+                    K[i + n * j, i + n * k] += mpmath.mpmathify(S[k][j])
+        rhs = mpmath.matrix([-mpmath.mpmathify(Q[i][j]) for j in range(n) for i in range(n)])
+        p = mpmath.lu_solve(K, rhs)
+        return mpmath.matrix([[p[i + n * j] for j in range(n)] for i in range(n)])
+
+
 def eig_match_distance(a, b) -> float:
     """Greedy nearest-neighbor multiset distance between two spectra.
 

@@ -20,6 +20,7 @@ heat_boundary and wave (with b/10 and kappa = 1) at the 15 values of
 
 Run ``PYTHONPATH=src python tests/survey.py [--grid] OUT`` to analyze and
 synthesize every config of the survey (or grid) set into OUT/<name>/,
+sweep every plant that passes analyze's rank tests into OUT/<name>/sweep/,
 certify every controller that synthesize wrote into OUT/<name>/certify/,
 simulate each Certified controller over a horizon of 0.1 into
 OUT/<name>/simulate/, and print one line per config and a last line with the
@@ -119,6 +120,14 @@ def _read(path: str):
         return json.load(fh)
 
 
+def sweep_orders(analysis: dict) -> list:
+    """In-range truncation orders of an analyzed plant: its unstable block
+    count (at least 1), the midpoint between that and its block count, and
+    its block count."""
+    low, high = max(1, len(analysis["spectrum"]["unstable_labels"])), len(analysis["modes"])
+    return sorted({low, (low + high) // 2, high})
+
+
 def run_survey(out_root: str, plants: dict = PLANTS) -> dict:
     """name -> (synthesize exit code, certificate document or None,
     simulate summary of a Certified controller or None, certify exit code on
@@ -129,6 +138,9 @@ def run_survey(out_root: str, plants: dict = PLANTS) -> dict:
         out = os.path.join(out_root, name)
         analysis = (_read(os.path.join(out, "analysis.json"))
                     if run_command(out, "analyze", {"plant": plant}) == 0 else None)
+        if analysis is not None and analysis["verdict"]["pass"]:
+            run_command(os.path.join(out, "sweep"), "sweep",
+                        {"plant": plant, "sweep_N": sweep_orders(analysis)})
         code = run_command(out, "synthesize", {"plant": plant})
         cert = summary = recheck = None
         if os.path.exists(os.path.join(out, "certificate.json")):

@@ -1,7 +1,10 @@
 import ast
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -1238,6 +1241,31 @@ def test_sweep_rejects_empty_list(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("orders, message", [
+    ([70], "N must lie in [0, 65], got 70"),
+    ([1], "block 1 has eigenvalue real part 5.1304 >= 0"),
+], ids=["past_the_blocks", "inside_the_unstable_part"])
+def test_sweep_rejects_an_inadmissible_order_as_synthesize_does(tmp_path, capsys, orders,
+                                                                 message):
+    # truncate_tail alone decides whether an order is admissible
+    plant = {"type": "heat", "b": 15.0, "f": _indicator(0.0, 0.5), "N_max": 64}
+    for command, extra in (("sweep", {"sweep_N": orders}), ("synthesize", {"N": orders[0]})):
+        code, out = run(tmp_path, command, {"plant": plant, **extra}, tag=command)
+        assert code == 2
+        assert capsys.readouterr().err == f"invalid configuration: {message}\n"
+        assert list(out.iterdir()) == []
+
+
+def test_synthesize_keeps_halving_a_subnormal_tail_budget(tmp_path):
+    # epsilon / 2^j underflows to 0 within the halvings; the order picked
+    # before that still certifies
+    plant = {"type": "heat", "b": 5.0, "N_max": 16,
+             "f": {"kind": "coefficients", "values": GEOMETRIC[:4]}}
+    code, out = run(tmp_path, "synthesize", {"plant": plant, "epsilon": 1e-320})
+    assert code == 0
+    assert read_json(str(out / "certificate.json"), "certificate")["N"] == 4
+
+
 # Synthesizes at N=1 with a one-state controller; certify and simulate below
 # pair it with other plants.
 CONST_HEAT = {"type": "heat", "b": 5.0, "f": {"kind": "constant", "value": 1.0},
@@ -1315,10 +1343,9 @@ def test_certify_and_simulate_truncate_the_plant_once(tmp_path, monkeypatch, ben
 def test_ill_conditioned_loop_envelope_passes_its_residual_check():
     # cond P = 1.5e11: one sign solve leaves lambda_max(R) = 15, and only the
     # residual-correction solve brings it under 1.
-    sys_, _ = build_plant({"type": "heat", "b": 60.0, "N_max": 64,
-                           "f": {"kind": "indicator", "xi1": 0.1, "xi2": 0.6}})
-    _design, loop = cli._prefix_design(sys_, check_stabilizable(sys_).prefix,
-                                       partition_spectrum(sys_), 0.5)
+    plant = {"type": "heat", "b": 60.0, "N_max": 64,
+             "f": {"kind": "indicator", "xi1": 0.1, "xi2": 0.6}}
+    *_, loop = cli._prefix_design({**cli.CONFIG_DEFAULTS, "plant": plant})
     assert loop.env.amplitude_a > 1e5
 
 
@@ -1471,6 +1498,20 @@ def test_former_tracebacks_exit_with_one_line(tmp_path, capsys, const_heat_contr
     assert not (out / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("plant, message", [
+    ({"type": "heat", "b": 5.0, "f": {"kind": "constant", "value": 1e300}, "N_max": 8},
+     "source value 1e+300 overflows when squared"),
+    # the lift's output coefficient is near 1e300
+    ({"type": "heat_boundary", "b": -1e-300, "a_grid": [0.0],
+      "f": {"kind": "cosine", "k0": 39.0}, "N_max": 9},
+     "a block's output bound overflows when squared"),
+], ids=["constant_source", "boundary_lift"])
+def test_an_overflowing_square_names_what_overflowed(tmp_path, capsys, plant, message):
+    code, _ = run(tmp_path, "analyze", {"plant": plant})
+    assert code == 2
+    assert capsys.readouterr().err == f"invalid configuration: {message}\n"
+
+
 @pytest.mark.parametrize("entry", ["1.0", True, None, [1.0], {}],
                          ids=["string", "bool", "null", "nested_list", "object"])
 def test_certify_rejects_controller_with_non_number_entry(tmp_path, capsys,
@@ -1509,6 +1550,9 @@ _plants = st.one_of(
                                               _numbers),
                            "f": _profiles},
                           optional={"N_max": _n_max}),
+    st.fixed_dictionaries({"type": st.just("heat_boundary"), "b": _numbers, "f": _profiles},
+                          optional={"N_max": _n_max,
+                                    "a_grid": st.lists(_numbers, min_size=1, max_size=3)}),
 )
 
 
@@ -1543,5 +1587,11 @@ def test_schema_valid_configs_end_in_documented_exit_codes(tmp_path_factory,
     if command in ("certify", "simulate"):
         cfg["controller_file"] = const_heat_controller
     validate_document(cfg, "config")
-    code, _ = run(tmp_path_factory.mktemp("prop"), command, cfg)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code, _ = run(tmp_path_factory.mktemp("prop"), command, cfg)
     assert code in (0, 2, 3, 4, 5, 6)
+    lines = stderr.getvalue().splitlines()
+    # at most one line, and it says what went wrong, not a bare (errno, text)
+    assert len(lines) <= 1
+    assert not any(re.search(r": \(\d+, '[^']*'\)$", line) for line in lines)

@@ -1,6 +1,7 @@
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -17,7 +18,7 @@ from modalstab.plants import SourceProfile, build_heat
 from modalstab.simulate import matrix_exponential
 from modalstab.synthesis import reduced_R_system
 
-from conftest import random_hurwitz
+from conftest import mp_lyapunov, random_hurwitz
 
 
 def test_gain_bound_validation():
@@ -116,6 +117,19 @@ def test_decay_envelope_dominates_exponential(rng):
         for t in ts:
             norm = np.linalg.norm(matrix_exponential(A, float(t)), 2)
             assert norm <= env.amplitude_a * math.exp(-env.alpha * t) * (1.0 + 1e-8)
+
+
+def test_decay_envelope_amplitude_matches_an_mpmath_lyapunov_reference(rng):
+    # sqrt(cond_2 P) with S^T P + P S = -I, S = A + alpha I, solved at 40 digits
+    for _ in range(10):
+        n = int(rng.integers(1, 9))
+        A = random_hurwitz(rng, n)
+        env = decay_envelope(A, 0.5)
+        P = mp_lyapunov((A + env.alpha * np.eye(n)).tolist(), np.eye(n).tolist())
+        with mpmath.workdps(40):
+            eigs = mpmath.eigsy(P, eigvals_only=True)
+            reference = max(1.0, float(mpmath.sqrt(max(eigs) / min(eigs))))
+        assert env.amplitude_a == pytest.approx(reference, rel=1e-10), n
 
 
 def _tail_gains(tail, beta):

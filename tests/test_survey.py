@@ -60,3 +60,15 @@ def test_survey_certify_reproduces_the_certificate_of_synthesize(results, out_ro
     for name, (code, recheck) in rechecked.items():
         own, again = (out_root / name / sub / "certificate.json" for sub in ("", "certify"))
         assert recheck == code and again.read_bytes() == own.read_bytes(), name
+
+
+def test_survey_sweeps_every_plant_that_passes_pbh(results, out_root):
+    # each sweep writes one row per requested order, all of them in range
+    for name, (*_docs, analysis) in results.items():
+        log = out_root / name / "sweep" / "sweep.log"
+        if not analysis["verdict"]["pass"]:
+            assert not log.exists(), name
+            continue
+        assert log.read_text().endswith("exit 0\n"), name
+        rows = (out_root / name / "sweep" / "sweep.csv").read_text().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == survey.sweep_orders(analysis), name

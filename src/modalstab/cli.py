@@ -32,13 +32,12 @@ from .errors import (BetaExceedsDecay, CertificateNotFound, DimensionMismatch,
                      NotDetectable, NotHurwitz, NotReachable, NotStabilizable,
                      RiccatiDivergence)
 from .fileio import SchemaViolation
-from .gains import BETA_GRID_DEPTH, LoopBounds, beta_grid, loop_bounds, scan_certificate
-from .modal import (ModalSystem, StateSpaceSystem, closed_loop_matrix, partition_spectrum,
-                    select_truncation, truncate, truncate_tail)
+from .gains import BETA_GRID_DEPTH, beta_grid, controller_loop_bounds, scan_certificate
+from .modal import (ModalSystem, closed_loop_matrix, partition_spectrum, select_truncation,
+                    truncate, truncate_tail)
 from .plants import DEFAULT_N_MAX, SourceProfile, build_heat, build_heat_boundary, build_wave
-from .synthesis import (DesignInfo, ObserverController, check_stabilizable, loop_system,
-                        matches_observer_structure, observer_controller, reduced_R_system,
-                        synthesize_controller)
+from .synthesis import (DesignInfo, DesignTruncation, ObserverController, check_stabilizable,
+                        matches_observer_structure, observer_controller, synthesize_controller)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -122,31 +121,14 @@ def controller_from_doc(doc: dict) -> ObserverController:
         info=DesignInfo(*(float(doc["design"][name]) for name in _DESIGN_KEYS)))
 
 
-def _reduced_loop(sys_: ModalSystem, k_u: int, truncated: StateSpaceSystem,
-                  controller: ObserverController, margin_fraction: float) -> LoopBounds:
-    """Bounds of the controller loop reduced to its first k_u blocks; the
-    tail after them decays with the loop's other states and caps its alpha."""
-    n_u = int(controller.n_unstable)
-    r_sys = reduced_R_system(truncated.A[:n_u, :n_u], truncated.B[:n_u, :],
-                             truncated.C[:, :n_u], controller.K_u, controller.L_u)
-    return loop_bounds(r_sys, margin_fraction, truncate_tail(sys_, k_u).decay_alpha)
-
-
 def _recheck_certificate(sys_: ModalSystem, controller: ObserverController, cfg: dict):
     """(certificate, design) for an imported controller at its own design
-    truncation, with design its fit ``matches_observer_structure``.  The
-    reduced controller-loop bound is used only when the fit found the
-    observer structure (k_u set), and the conservative full-loop bound
-    without it or when that loop is not stable (``env`` None).
-    """
-    margin_fraction = float(cfg["margin_fraction"])
+    truncation, with design its fit ``matches_observer_structure``; the fit
+    decides which loop the certificate bounds (``controller_loop_bounds``)."""
     design = matches_observer_structure(sys_, controller)
-    N, truncated, loop = design.N, design.truncated, None
-    if design.k_u is not None:
-        loop = _reduced_loop(sys_, design.k_u, truncated, controller, margin_fraction)
-    if loop is None or loop.env is None:
-        loop = loop_bounds(loop_system(truncated, controller.as_state_space()), margin_fraction)
-    return scan_certificate(truncate_tail(sys_, N), loop, N, depth=int(cfg["beta_depth"])), design
+    loop = controller_loop_bounds(sys_, design, controller, float(cfg["margin_fraction"]))
+    tail = truncate_tail(sys_, design.N)
+    return scan_certificate(tail, loop, design.N, depth=int(cfg["beta_depth"])), design
 
 
 def analysis_document(plant_doc: dict, sys_: ModalSystem, part, report, lift) -> dict:
@@ -257,7 +239,7 @@ def _epsilon_halving(sys_: ModalSystem, epsilon: float) -> list:
 
 
 def _prefix_design(cfg: dict, orders=None):
-    """(plant, {N: tail}, controller, bounds of its reduced loop): the one
+    """(plant, {N: tail}, controller, its ``controller_loop_bounds``): the one
     design path of ``synthesize`` and ``sweep``.  The controller is designed on
     the unstable prefix alone, so it serves every truncation order.  The tail
     of each of ``orders`` (default ``_epsilon_halving``'s) is taken first, so
@@ -270,7 +252,8 @@ def _prefix_design(cfg: dict, orders=None):
         orders = _epsilon_halving(sys_, float(cfg["epsilon"]))
     tails = {N: truncate_tail(sys_, N) for N in orders}
     design = synthesize_controller(part, prefix)
-    loop = _reduced_loop(sys_, sys_.n_unstable, prefix, design, float(cfg["margin_fraction"]))
+    fit = DesignTruncation(sys_.n_unstable, prefix, sys_.n_unstable)
+    loop = controller_loop_bounds(sys_, fit, design, float(cfg["margin_fraction"]))
     if loop.env is None:
         raise NotHurwitz(f"controller loop is not exponentially stable: {loop.failure}")
     return sys_, tails, design, loop

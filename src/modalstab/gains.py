@@ -21,7 +21,8 @@ from .errors import (
     NotHurwitz,
     SmoothnessMismatch,
 )
-from .modal import TailModel, _matrix_sign, _Record
+from .modal import TailModel, _matrix_sign, _Record, truncate_tail
+from .synthesis import loop_system, reduced_R_system
 
 # Provenance markers recorded on every bound.
 GRAPH_BOUND = "graph-bound"
@@ -321,6 +322,18 @@ def loop_bounds(r_sys, margin_fraction: float = 0.5, rest_alpha: float = math.in
         float(np.linalg.norm(r_sys.B, 2)) if r_sys.B.size else 0.0,
         float(np.linalg.norm(r_sys.C, 2)) if r_sys.C.size else 0.0,
         rest_alpha=rest_alpha)
+
+
+def controller_loop_bounds(sys, fit, controller, margin_fraction: float = 0.5) -> LoopBounds:
+    """``loop_bounds`` of the loop a certificate of ``controller`` bounds, given its
+    ``synthesis.DesignTruncation`` ``fit``.  With ``fit.k_u`` set: ``reduced_R_system``
+    over the prefix, alpha capped by the blocks after it; the full loop, whose spectrum
+    contains this one's, is never tried as well.  Otherwise: the full loop of the fit."""
+    if fit.k_u is None:
+        return loop_bounds(loop_system(fit.truncated, controller.as_state_space()), margin_fraction)
+    n_u, A, B, C = int(controller.n_unstable), fit.truncated.A, fit.truncated.B, fit.truncated.C
+    r_sys = reduced_R_system(A[:n_u, :n_u], B[:n_u, :], C[:, :n_u], controller.K_u, controller.L_u)
+    return loop_bounds(r_sys, margin_fraction, truncate_tail(sys, fit.k_u).decay_alpha)
 
 
 def scan_certificate(tail: TailModel, loop: LoopBounds, N: int,

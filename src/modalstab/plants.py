@@ -352,9 +352,10 @@ def build_wave(b: float, kappa: float, f: SourceProfile,
     ks = np.arange(N_max, dtype=np.float64) + 0.5
     coeffs = modal_input_coeffs(f, ks, np.full(len(ks), 0.5))
 
+    kappa_sq = float(_squares(np.array([kappa]), f"damping kappa {kappa:g}")[0])
     mu = b - np.pi ** 2 * ks ** 2
-    near_defective = (np.abs(kappa ** 2 + 4.0 * mu)
-                      <= CRITICAL_ATOL * np.maximum(max(1.0, kappa ** 2), 4.0 * np.abs(mu)))
+    near_defective = (np.abs(kappa_sq + 4.0 * mu)
+                      <= CRITICAL_ATOL * np.maximum(max(1.0, kappa_sq), 4.0 * np.abs(mu)))
     companion = (mu >= 0.0) | near_defective | (kappa < 0.0)
     omega = np.sqrt(np.where(companion, 1.0, -mu))  # 1 keeps the companion rows' entries
     A = np.zeros((N_max, 2, 2))
@@ -385,11 +386,11 @@ def build_wave(b: float, kappa: float, f: SourceProfile,
 
     tail_ks = k_first + np.arange(TAIL_SUMMED_TERMS, dtype=np.float64)
     tail_omega = np.sqrt(np.pi ** 2 * tail_ks ** 2 - b)
-    sig_min_sq = (tail_omega ** 2 + kappa ** 2 / 2.0
-                  - abs(kappa) * np.sqrt(kappa ** 2 / 4.0 + tail_omega ** 2))
+    sig_min_sq = (tail_omega ** 2 + kappa_sq / 2.0
+                  - abs(kappa) * np.sqrt(kappa_sq / 4.0 + tail_omega ** 2))
     out_terms = (1.0 / tail_omega) ** 2 / (1.0 + np.sqrt(np.maximum(sig_min_sq, 0.0))) ** 2
     K_last = float(tail_ks[-1])
-    if np.pi ** 2 * (K_last + 1.0) ** 2 - b < 2.0 * kappa ** 2:
+    if np.pi ** 2 * (K_last + 1.0) ** 2 - b < 2.0 * kappa_sq:
         raise TailUnstable("damping too large for the tail output bound; increase N_max")
     # past the summed range, term_k <= 2 / omega_k^4 (valid once omega >= sqrt(2) kappa)
     out_remainder = 2.0 * _quartic_remainder(b, K_last)[0]
@@ -549,7 +550,8 @@ def _lift_q_sums(b: float, f: SourceProfile, N: int) -> tuple:
     env = 1.0 + 2.0 * split + float(
         np.sum((2.0 + np.abs(f_res) + f_err) * (abs(b) + np.pi ** 2 * res ** 2) / d_res ** 2)
         + np.sum((2.0 + np.abs(f_far) + f_err) * (pk + abs(b)) ** 2 / (pk * d ** 2)))
-    far_sq = float(np.sum(((f_far + s) / d) ** 2)) + 4.0 * l2_sq / d_next ** 2 + 8.0 * quartic
+    d_next_sq = float(_squares(np.array([d_next]), f"the lift's far-series gap {d_next:g}")[0])
+    far_sq = float(np.sum(((f_far + s) / d) ** 2)) + 4.0 * l2_sq / d_next_sq + 8.0 * quartic
     return math.fsum(closed + terms.tolist()), trunc + _ROUNDING * env, far_sq
 
 

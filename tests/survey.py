@@ -22,9 +22,10 @@ Run ``PYTHONPATH=src python tests/survey.py [--grid] OUT`` to analyze and
 synthesize every config of the survey (or grid) set into OUT/<name>/,
 sweep every plant that passes analyze's rank tests into OUT/<name>/sweep/,
 certify every controller that synthesize wrote into OUT/<name>/certify/,
-simulate each Certified controller over a horizon of 0.1 into
-OUT/<name>/simulate/, and print one line per config and a last line with the
-coverage tally (``coverage``).  Each command's stdout, stderr and exit code
+certify its bent twin (``bent_twin``) into OUT/<name>/bent/ when it has
+unstable states, simulate each Certified controller over a horizon of 0.1
+into OUT/<name>/simulate/, and print one line per config and a last line
+with the coverage tally (``coverage``).  Each command's stdout, stderr and exit code
 go to ``<command>.log`` beside its documents.
 Rerunning on the same code reproduces every document and log byte for byte,
 so two checkouts can be compared, printed lines included, with ``diff -r``.
@@ -38,7 +39,9 @@ import os
 import sys
 import tempfile
 
-from modalstab.cli import main
+from modalstab.cli import build_plant, controller_from_doc, controller_to_doc, main
+from modalstab.fileio import write_json_atomic
+from modalstab.synthesis import matches_observer_structure, observer_controller
 
 PROFILES = {
     "constant": {"kind": "constant", "value": 1.0},
@@ -128,6 +131,23 @@ def sweep_orders(analysis: dict) -> list:
     return sorted({low, (low + high) // 2, high})
 
 
+def bent_twin(out_dir: str, plant: dict, controller_file: str):
+    """Exit code of certify on the controller of controller_file with its
+    feedback gains K_u negated (on every survey and grid plant, a loop that
+    is not stable), or None when it has no unstable states.  out_dir gets
+    the twin's controller.json and certify's documents and log."""
+    ctrl = controller_from_doc(_read(controller_file))
+    if ctrl.n_unstable < 1:
+        return None
+    sys_, _lift = build_plant(plant)
+    truncated = matches_observer_structure(sys_, ctrl).truncated
+    twin = observer_controller(truncated, -ctrl.K_u, ctrl.L_u, ctrl.info)
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, "controller.json")
+    write_json_atomic(path, controller_to_doc(twin, truncated.m, truncated.p))
+    return run_command(out_dir, "certify", {"plant": plant, "controller_file": path})
+
+
 def run_survey(out_root: str, plants: dict = PLANTS) -> dict:
     """name -> (synthesize exit code, certificate document or None,
     simulate summary of a Certified controller or None, certify exit code on
@@ -148,6 +168,7 @@ def run_survey(out_root: str, plants: dict = PLANTS) -> dict:
         controller = {"plant": plant, "controller_file": os.path.join(out, "controller.json")}
         if os.path.exists(controller["controller_file"]):
             recheck = run_command(os.path.join(out, "certify"), "certify", controller)
+            bent_twin(os.path.join(out, "bent"), plant, controller["controller_file"])
         if code == 0:
             sim = os.path.join(out, "simulate")
             if run_command(sim, "simulate", {**controller, "horizon": SIMULATE_HORIZON}) == 0:

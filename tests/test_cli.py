@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from modalstab import (DecayEnvelope, StateSpaceSystem, TailModel, certify_small_gain, cli,
-                       closed_loop_matrix, decay_envelope, fileio, gain_strong, gain_weak,
+                       closed_loop_matrix, decay_envelope, fileio, gain_strong, gain_weak, gains,
                        matrix_exponential, modal, partition_spectrum, plants, reduced_R_system,
                        select_truncation, simulate, simulate_closed_loop, spectral_abscissa,
                        synthesis, synthesize_controller, truncate)
@@ -26,7 +26,7 @@ from modalstab.errors import (BetaExceedsDecay, CertificateNotFound, DegenerateT
                               NotReachable, UnstableModeDiscarded)
 from modalstab.fileio import (read_json, validate_document, write_json_atomic,
                               write_sweep_csv)
-from modalstab.gains import beta_grid
+from modalstab.gains import beta_grid, controller_loop_bounds
 from modalstab.plants import SourceProfile, build_heat_boundary
 from modalstab.synthesis import (check_stabilizable, design_feedback, design_observer,
                                  matches_observer_structure, observer_controller)
@@ -1040,6 +1040,13 @@ def test_unknown_config_key_is_schema_error(tmp_path):
     assert code == 2
 
 
+def test_load_config_keeps_every_key_the_schema_allows():
+    # load_config keeps only _CONFIG_KEY_ORDER's keys, so a schema key
+    # missing there would vanish from every config without a word
+    schema = json.loads(fileio.schema_text("config"))
+    assert sorted(cli._CONFIG_KEY_ORDER) == sorted(schema["properties"])
+
+
 def test_missing_config_file(tmp_path):
     code = main(["analyze", "--config", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path)])
@@ -1349,21 +1356,25 @@ def test_ill_conditioned_loop_envelope_passes_its_residual_check():
     assert loop.env.amplitude_a > 1e5
 
 
-def test_certify_falls_back_when_the_reduced_loop_is_not_hurwitz(tmp_path):
+def test_certify_stops_at_the_reduced_loop_when_it_is_not_hurwitz(tmp_path, monkeypatch):
     # Negated feedback gains keep the observer structure, so the certificate
-    # tries the reduced loop first; that loop is unstable, and so is the full
-    # loop it falls back to.
+    # bounds the reduced loop; that loop is unstable, and the full loop, whose
+    # spectrum contains the reduced loop's, gets no second envelope.
     sys_, _ = build_plant(CONST_HEAT)
     truncated, _tail = truncate(sys_, 3)
     good = synthesize_controller(partition_spectrum(sys_), truncated)
     bad = observer_controller(truncated, -good.K_u, good.L_u, good.info)
     design = matches_observer_structure(sys_, bad)
     assert design.k_u is not None
-    assert cli._reduced_loop(sys_, design.k_u, truncated, bad, 0.5).env is None
+    assert controller_loop_bounds(sys_, design, bad, 0.5).env is None
     ctrl_path = tmp_path / "controller.json"
     write_json_atomic(str(ctrl_path), cli.controller_to_doc(bad, truncated.m, truncated.p))
+    shapes, original = [], gains.decay_envelope
+    monkeypatch.setattr(gains, "decay_envelope",
+                        lambda A, *args: (shapes.append(np.shape(A)), original(A, *args))[1])
     code, out = run(tmp_path, "certify", {"plant": CONST_HEAT, "controller_file": str(ctrl_path)})
     assert code == 4
+    assert shapes == [(2, 2)]  # the reduced loop's; the full loop's is (6, 6)
     cert = read_json(str(out / "certificate.json"), "certificate")
     assert cert["verdict"] == "Failed"
     assert cert["diagnostics"] == [
@@ -1505,7 +1516,12 @@ def test_former_tracebacks_exit_with_one_line(tmp_path, capsys, const_heat_contr
     ({"type": "heat_boundary", "b": -1e-300, "a_grid": [0.0],
       "f": {"kind": "cosine", "k0": 39.0}, "N_max": 9},
      "a block's output bound overflows when squared"),
-], ids=["constant_source", "boundary_lift"])
+    ({"type": "wave", "b": 17.05, "kappa": -1.72e212, "f": {"kind": "cosine", "k0": 4e-230}},
+     "damping kappa -1.72e+212 overflows when squared"),
+    ({"type": "heat_boundary", "b": -3.3e299, "a_grid": [-5.49],
+      "f": {"kind": "cosine", "k0": 0.695}, "N_max": 1},
+     "the lift's far-series gap 3.3e+299 overflows when squared"),
+], ids=["constant_source", "boundary_lift", "wave_damping", "boundary_far_series"])
 def test_an_overflowing_square_names_what_overflowed(tmp_path, capsys, plant, message):
     code, _ = run(tmp_path, "analyze", {"plant": plant})
     assert code == 2

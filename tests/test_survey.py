@@ -1,5 +1,7 @@
 """Properties of the survey set (``survey.py``) that every change must keep."""
 
+import json
+
 import pytest
 
 import survey
@@ -72,3 +74,20 @@ def test_survey_sweeps_every_plant_that_passes_pbh(results, out_root):
         assert log.read_text().endswith("exit 0\n"), name
         rows = (out_root / name / "sweep" / "sweep.csv").read_text().splitlines()[1:]
         assert [int(row.split(",")[0]) for row in rows] == survey.sweep_orders(analysis), name
+
+
+def test_survey_bent_twins_fail_at_their_loop(results, out_root):
+    # every written controller with unstable states, its feedback gains
+    # negated, certifies Failed: its loop is not exponentially stable
+    twins = [name for name in results
+             if (out_root / name / "controller.json").exists()
+             and json.loads((out_root / name / "controller.json").read_text())
+             ["dims"]["n_unstable"] >= 1]
+    assert twins and twins == [name for name in results if (out_root / name / "bent").exists()]
+    for name in twins:
+        bent = out_root / name / "bent"
+        assert (bent / "certify.log").read_text().endswith("exit 4\n"), name
+        cert = json.loads((bent / "certificate.json").read_text())
+        assert cert["verdict"] == "Failed", name
+        assert cert["diagnostics"][0].startswith(
+            "controller loop is not exponentially stable: "), name
